@@ -4,13 +4,12 @@
 //   * security_index: minimum-cardinality attack on the case study, per
 //     MaxSAT strategy (linear descent vs core-guided) and backend,
 //   * min_cost_hardening: CEGIS cheapest-upgrade synthesis on the case study,
-//   * max_resiliency: the analyzer's linear sweep vs the optimizer's
-//     binary search over one incremental totalizer, on the 14-bus case
-//     study and a 30-bus synthetic system.
+//   * max_resiliency: the analyzer's gallop-then-bisect search over one
+//     incremental session, on the 14-bus case study and a 30-bus synthetic
+//     system.
 //
-// write_summary() re-times the linear-vs-binary pair directly (best of 3)
-// and emits BENCH_optimize.json with the two latencies and the speedup —
-// the acceptance gate is binary no slower than linear on both systems.
+// write_summary() re-times the security index and max_resiliency directly
+// (best of 3) and emits BENCH_optimize.json with the latencies.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -78,7 +77,7 @@ BENCHMARK(BM_MinCostHardening_CaseStudy)
     ->ArgName("strategy")
     ->Unit(benchmark::kMillisecond);
 
-void BM_MaxResiliency_Linear(benchmark::State& state) {
+void BM_MaxResiliency(benchmark::State& state) {
   const int buses = static_cast<int>(state.range(0));
   const core::ScadaScenario scenario = buses == 0 ? core::make_case_study() : synthetic(buses, 1);
   for (auto _ : state) {
@@ -87,23 +86,10 @@ void BM_MaxResiliency_Linear(benchmark::State& state) {
         analyzer.max_resiliency(Property::Observability, FailureClass::Combined));
   }
 }
-BENCHMARK(BM_MaxResiliency_Linear)->Arg(0)->Arg(30)->ArgName("buses")->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_MaxResiliency)->Arg(0)->Arg(30)->ArgName("buses")->Unit(benchmark::kMillisecond);
 
-void BM_MaxResiliency_Binary(benchmark::State& state) {
-  const int buses = static_cast<int>(state.range(0));
-  const core::ScadaScenario scenario = buses == 0 ? core::make_case_study() : synthetic(buses, 1);
-  for (auto _ : state) {
-    core::Optimizer optimizer(scenario, {});
-    benchmark::DoNotOptimize(
-        optimizer.max_resiliency(Property::Observability, FailureClass::Combined));
-  }
-}
-BENCHMARK(BM_MaxResiliency_Binary)->Arg(0)->Arg(30)->ArgName("buses")->Unit(
-    benchmark::kMillisecond);
-
-/// BENCH_optimize.json: security-index latency plus the linear-vs-binary
-/// max_resiliency head-to-head on both systems, best of 3 runs each.
+/// BENCH_optimize.json: security-index and max_resiliency latencies, best
+/// of 3 runs each.
 void write_summary(const char* path) {
   const core::ScadaScenario case_scenario = core::make_case_study();
   const core::ScadaScenario synth_scenario = synthetic(30, 1);
@@ -119,42 +105,24 @@ void write_summary(const char* path) {
     index_value = r.index;
   }
 
-  struct HeadToHead {
+  struct System {
     const char* name;
     const core::ScadaScenario* scenario;
     FailureClass failure_class;
-    double linear_ms = 0.0;
-    double binary_ms = 0.0;
-    int linear_k = -2;
-    int binary_k = -2;
+    double ms = 0.0;
+    int max_k = -2;
   };
-  // Combined sits at max_k = 1 on both systems (the search strategies tie on
-  // probes); IedOnly reaches max_k = 2, where the incremental search pulls
-  // ahead of the per-k re-encoding sweep.
-  HeadToHead systems[3] = {{"case14", &case_scenario, FailureClass::Combined},
-                           {"synth30", &synth_scenario, FailureClass::Combined},
-                           {"synth30_ied", &synth_scenario, FailureClass::IedOnly}};
-  for (HeadToHead& h : systems) {
+  // Combined sits at max_k = 1 on both systems; IedOnly reaches max_k = 2.
+  System systems[3] = {{"case14", &case_scenario, FailureClass::Combined},
+                       {"synth30", &synth_scenario, FailureClass::Combined},
+                       {"synth30_ied", &synth_scenario, FailureClass::IedOnly}};
+  for (System& h : systems) {
     for (int rep = 0; rep < 3; ++rep) {
-      util::WallTimer linear_timer;
+      util::WallTimer timer;
       core::ScadaAnalyzer analyzer(*h.scenario, {});
-      const auto linear = analyzer.max_resiliency(Property::Observability, h.failure_class);
-      const double linear_ms = linear_timer.millis();
-      if (rep == 0 || linear_ms < h.linear_ms) h.linear_ms = linear_ms;
-
-      util::WallTimer binary_timer;
-      core::Optimizer optimizer(*h.scenario, {});
-      const auto binary = optimizer.max_resiliency(Property::Observability, h.failure_class);
-      const double binary_ms = binary_timer.millis();
-      if (rep == 0 || binary_ms < h.binary_ms) h.binary_ms = binary_ms;
-
-      h.linear_k = linear.max_k;
-      h.binary_k = binary.max_k;
-      if (linear.max_k != binary.max_k) {
-        std::fprintf(stderr, "bench_optimize: linear/binary max_k divergence on %s (%d vs %d)\n",
-                     h.name, linear.max_k, binary.max_k);
-        return;
-      }
+      h.max_k = analyzer.max_resiliency(Property::Observability, h.failure_class).max_k;
+      const double ms = timer.millis();
+      if (rep == 0 || ms < h.ms) h.ms = ms;
     }
   }
 
@@ -167,20 +135,15 @@ void write_summary(const char* path) {
                "{\"bench\":\"optimize\",\"suite\":\"security-index+max-resiliency(case,30)\","
                "\"security_index_ms\":%.3f,\"security_index\":%llu",
                index_ms, static_cast<unsigned long long>(index_value));
-  for (const HeadToHead& h : systems) {
-    std::fprintf(f,
-                 ",\"%s_linear_ms\":%.3f,\"%s_binary_ms\":%.3f,"
-                 "\"%s_speedup\":%.3f,\"%s_max_k\":%d",
-                 h.name, h.linear_ms, h.name, h.binary_ms, h.name,
-                 h.binary_ms > 0.0 ? h.linear_ms / h.binary_ms : 0.0, h.name, h.binary_k);
+  for (const System& h : systems) {
+    std::fprintf(f, ",\"%s_max_resiliency_ms\":%.3f,\"%s_max_k\":%d", h.name, h.ms, h.name,
+                 h.max_k);
   }
   std::fprintf(f, "}\n");
   std::fclose(f);
-  std::printf(
-      "wrote %s (index %.1f ms, case14 %.1f/%.1f ms, synth30 %.1f/%.1f ms, "
-      "synth30_ied %.1f/%.1f ms lin/bin)\n",
-      path, index_ms, systems[0].linear_ms, systems[0].binary_ms, systems[1].linear_ms,
-      systems[1].binary_ms, systems[2].linear_ms, systems[2].binary_ms);
+  std::printf("wrote %s (index %.1f ms, max_resiliency case14 %.1f ms, synth30 %.1f ms, "
+              "synth30_ied %.1f ms)\n",
+              path, index_ms, systems[0].ms, systems[1].ms, systems[2].ms);
 }
 
 }  // namespace

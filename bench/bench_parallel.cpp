@@ -1,10 +1,10 @@
-// Serial vs parallel analysis engine (google-benchmark): the three
-// parallelized searches — portfolio max-resiliency, cube-split threat
-// enumeration, sharded brute force — measured against their serial
-// counterparts on synthetic fleets. The "speedup" counter reports
-// serial_time / parallel_time for the same workload; on a single-core host
-// it hovers near (or below) 1.0, the parallel paths then only certify the
-// determinism contract.
+// Serial vs parallel analysis engine (google-benchmark): cube-split threat
+// enumeration measured against the serial enumeration on synthetic fleets,
+// plus serial reference rows for max-resiliency, certified verification and
+// the brute-force baseline. The "speedup" counter reports serial_time /
+// parallel_time for the same workload; on a single-core host it hovers near
+// (or below) 1.0, the parallel path then only certifies the determinism
+// contract.
 #include <benchmark/benchmark.h>
 
 #include "scada/core/analyzer.hpp"
@@ -85,38 +85,6 @@ void BM_SerialMaxResiliency(benchmark::State& state) {
 BENCHMARK(BM_SerialMaxResiliency)->Arg(14)->Arg(30)->ArgName("buses")
     ->Unit(benchmark::kMillisecond);
 
-void BM_PortfolioMaxResiliency(benchmark::State& state) {
-  const core::ScadaScenario scenario = synthetic(static_cast<int>(state.range(0)));
-  core::ScadaAnalyzer serial(scenario);
-  core::ParallelOptions options;
-  options.threads = static_cast<std::size_t>(state.range(1));
-  core::ParallelAnalyzer parallel(scenario, options);
-
-  util::WallTimer serial_timer;
-  const auto reference =
-      serial.max_resiliency(core::Property::Observability, core::FailureClass::Combined);
-  const double serial_seconds = serial_timer.seconds();
-
-  double parallel_seconds = 0.0;
-  std::int64_t iterations = 0;
-  for (auto _ : state) {
-    util::WallTimer timer;
-    benchmark::DoNotOptimize(
-        parallel.max_resiliency(core::Property::Observability, core::FailureClass::Combined));
-    parallel_seconds += timer.seconds();
-    ++iterations;
-  }
-  state.counters["max_k"] = static_cast<double>(reference.max_k);
-  if (parallel_seconds > 0.0) {
-    state.counters["speedup"] =
-        serial_seconds / (parallel_seconds / static_cast<double>(iterations));
-  }
-}
-BENCHMARK(BM_PortfolioMaxResiliency)
-    ->ArgsProduct({{14, 30}, {0, 4}})
-    ->ArgNames({"buses", "threads"})
-    ->Unit(benchmark::kMillisecond);
-
 /// CDCL verification with certification off (certify=0) vs on (certify=1):
 /// quantifies the cost of DRAT recording plus the independent re-check of
 /// every verdict. The certify=0 row doubles as the regression guard that
@@ -150,38 +118,6 @@ void BM_SerialBruteForce(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SerialBruteForce)->Arg(14)->Arg(30)->ArgName("buses")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardedBruteForce(benchmark::State& state) {
-  const core::ScadaScenario scenario = synthetic(static_cast<int>(state.range(0)));
-  core::BruteForceVerifier serial(scenario);
-  core::ParallelOptions options;
-  options.threads = static_cast<std::size_t>(state.range(1));
-  core::ParallelAnalyzer parallel(scenario, options);
-
-  util::WallTimer serial_timer;
-  const auto reference =
-      serial.enumerate_threats(core::Property::Observability, core::ResiliencySpec::total(2));
-  const double serial_seconds = serial_timer.seconds();
-
-  double parallel_seconds = 0.0;
-  std::int64_t iterations = 0;
-  for (auto _ : state) {
-    util::WallTimer timer;
-    benchmark::DoNotOptimize(parallel.brute_force_enumerate(core::Property::Observability,
-                                                            core::ResiliencySpec::total(2)));
-    parallel_seconds += timer.seconds();
-    ++iterations;
-  }
-  state.counters["vectors"] = static_cast<double>(reference.size());
-  if (parallel_seconds > 0.0) {
-    state.counters["speedup"] =
-        serial_seconds / (parallel_seconds / static_cast<double>(iterations));
-  }
-}
-BENCHMARK(BM_ShardedBruteForce)
-    ->ArgsProduct({{14, 30}, {0, 4}})
-    ->ArgNames({"buses", "threads"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

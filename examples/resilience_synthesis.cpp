@@ -1,16 +1,16 @@
 // Configuration synthesis (the paper's future work, §VII): take an
-// under-metered, partially secured SCADA deployment and *repair* it —
-// first the sensing side (PlacementAdvisor adds meters until the requested
-// observability resiliency verifies), then the security side
-// (HardeningAdvisor upgrades weak hops until secured observability holds).
+// under-metered, partially secured SCADA deployment and *repair* it with
+// the cheapest fixes core::Optimizer can prove — first the sensing side
+// (meter additions until the requested observability resiliency verifies),
+// then the security side (weak-hop upgrades until secured observability
+// holds).
 //
 //   $ ./resilience_synthesis [seed]
 #include <cstdio>
 #include <cstdlib>
 
 #include "scada/core/analyzer.hpp"
-#include "scada/core/hardening.hpp"
-#include "scada/core/placement.hpp"
+#include "scada/core/optimize.hpp"
 #include "scada/io/report.hpp"
 #include "scada/synth/generator.hpp"
 
@@ -42,17 +42,20 @@ int main(int argc, char** argv) {
   }
 
   // --- step 1: add meters until 1-resilient observability verifies ---
-  core::PlacementAdvisor placement(grid, scenario);
-  const auto plan = placement.advise(core::Property::Observability, spec, 8);
+  core::Optimizer optimizer(scenario);
+  const auto plan = optimizer.min_cost_placement(grid, core::Property::Observability, spec);
   if (!plan.achievable) {
-    std::printf("no placement plan within 8 additions (%d probes)\n", plan.probes);
+    std::printf("no placement plan restores the spec (%llu CEGIS rounds)\n",
+                static_cast<unsigned long long>(plan.cegis_iterations));
     return 1;
   }
-  std::printf("=== placement plan (%d solver probes) ===\n", plan.probes);
-  for (const auto& action : plan.additions) {
+  std::printf("=== placement plan (%llu CEGIS rounds) ===\n",
+              static_cast<unsigned long long>(plan.cegis_iterations));
+  for (const auto& action : plan.placements) {
     std::printf("  %s\n", action.to_string(grid).c_str());
   }
-  const core::ScadaScenario metered = placement.apply(plan.additions);
+  const core::ScadaScenario metered =
+      core::PlacementAdvisor(grid, scenario).apply(plan.placements);
   core::ScadaAnalyzer metered_analyzer(metered);
   std::printf("after placement: %s\n\n",
               metered_analyzer.verify(core::Property::Observability, spec)
@@ -63,12 +66,13 @@ int main(int argc, char** argv) {
   const auto secured_spec = core::ResiliencySpec::total(0);
   if (!metered_analyzer.verify(core::Property::SecuredObservability, secured_spec)
            .resilient()) {
-    core::HardeningAdvisor hardening(metered);
-    const auto upgrades = hardening.advise(core::Property::SecuredObservability,
-                                           secured_spec, 6);
+    core::Optimizer hardening(metered);
+    const auto upgrades =
+        hardening.min_cost_hardening(core::Property::SecuredObservability, secured_spec);
     if (upgrades.achievable) {
-      std::printf("=== hardening plan (%d probes) ===\n", upgrades.probes);
-      for (const auto& action : upgrades.upgrades) {
+      std::printf("=== hardening plan (%llu CEGIS rounds) ===\n",
+                  static_cast<unsigned long long>(upgrades.cegis_iterations));
+      for (const auto& action : upgrades.hardening) {
         std::printf("  %s\n", action.to_string().c_str());
       }
     } else {

@@ -2,15 +2,15 @@
 // future-work extension: automatic hardening advice.
 //
 // Audits every communicating pair's crypto profile, verifies (1,1)-resilient
-// secured observability, and — when it fails — asks the HardeningAdvisor for
-// a minimum set of hop upgrades that restores the specification.
+// secured observability, and — when it fails — asks the Optimizer for a
+// minimum-cost set of hop upgrades that restores the specification.
 #include <cstdio>
 
 #include "scada/core/analyzer.hpp"
 #include "scada/core/case_study.hpp"
 #include "scada/core/criticality.hpp"
-#include "scada/core/hardening.hpp"
 #include "scada/core/lint.hpp"
+#include "scada/core/optimize.hpp"
 #include "scada/io/report.hpp"
 
 int main() {
@@ -40,16 +40,17 @@ int main() {
                 io::render_criticality(core::criticality_ranking(scenario, threats))
                     .c_str());
 
-    core::HardeningAdvisor advisor(scenario);
-    const auto advice = advisor.advise(core::Property::SecuredObservability, spec);
+    core::Optimizer optimizer(scenario);
+    const auto advice = optimizer.min_cost_hardening(core::Property::SecuredObservability, spec);
     if (advice.achievable) {
-      std::printf("=== hardening advice (%d probes) ===\n", advice.probes);
-      for (const auto& action : advice.upgrades) {
+      std::printf("=== hardening advice (%llu CEGIS rounds) ===\n",
+                  static_cast<unsigned long long>(advice.cegis_iterations));
+      for (const auto& action : advice.hardening) {
         std::printf("  upgrade hop %s to an authenticated + integrity-protected suite\n",
                     action.to_string().c_str());
       }
     } else {
-      std::printf("no crypto upgrade within the search bound restores the spec\n");
+      std::printf("no crypto upgrade restores the spec\n");
     }
   }
   return 0;

@@ -42,6 +42,29 @@ std::string VerificationResult::to_string() const {
 ScadaAnalyzer::ScadaAnalyzer(const ScadaScenario& scenario, AnalyzerOptions options)
     : scenario_(scenario), options_(std::move(options)), oracle_(scenario, options_.encoder) {}
 
+smt::SessionOptions session_options(const AnalyzerOptions& options) {
+  smt::SessionOptions solver = options.solver;
+  if (options.certify) solver.certify = true;
+  return solver;
+}
+
+namespace {
+
+/// When certifying: re-checks the session's last verdict. Returns true if a
+/// certificate was available and accepted; throws ScadaError if one was
+/// available and rejected.
+bool check_certificate(const smt::Session& session, bool certify) {
+  if (!certify) return false;
+  const smt::CertificateResult cert = session.certify_last_result();
+  if (!cert.available) return false;
+  if (!cert.valid) {
+    throw ScadaError("verdict failed certification: " + cert.detail);
+  }
+  return true;
+}
+
+}  // namespace
+
 ThreatVector extract_threat_vector(const ThreatEncoder& encoder, const smt::Session& session) {
   const ScadaScenario& scenario = encoder.scenario();
   ThreatVector v;
@@ -59,11 +82,6 @@ ThreatVector extract_threat_vector(const ThreatEncoder& encoder, const smt::Sess
     }
   }
   return v;
-}
-
-ThreatVector ScadaAnalyzer::extract_threat(const ThreatEncoder& encoder,
-                                           const smt::Session& session) const {
-  return extract_threat_vector(encoder, session);
 }
 
 ThreatVector minimize_threat(const ScenarioOracle& oracle, Property property,
@@ -100,25 +118,47 @@ ThreatVector minimize_threat(const ScenarioOracle& oracle, Property property,
   return threat;
 }
 
-ThreatVector ScadaAnalyzer::minimize(Property property, const ResiliencySpec& spec,
-                                     ThreatVector threat) const {
-  return minimize_threat(oracle_, property, spec, std::move(threat));
-}
-
-smt::SessionOptions ScadaAnalyzer::session_options() const {
-  smt::SessionOptions solver = options_.solver;
-  if (options_.certify) solver.certify = true;
-  return solver;
-}
-
-bool ScadaAnalyzer::check_certificate(const smt::Session& session) const {
-  if (!options_.certify) return false;
-  const smt::CertificateResult cert = session.certify_last_result();
-  if (!cert.available) return false;
-  if (!cert.valid) {
-    throw ScadaError("verdict failed certification: " + cert.detail);
+std::vector<ThreatVector> enumerate_session_threats(ThreatEncoder& encoder, smt::Session& session,
+                                                    const ScenarioOracle& oracle,
+                                                    Property property, const ResiliencySpec& spec,
+                                                    std::size_t max_vectors, bool minimal_only,
+                                                    bool certify) {
+  smt::FormulaBuilder& builder = encoder.builder();
+  const ScadaScenario& scenario = encoder.scenario();
+  std::vector<ThreatVector> vectors;
+  while (vectors.size() < max_vectors) {
+    const SolveResult r = session.solve();
+    // Certify every verdict of the enumeration, including the final unsat
+    // that closes the threat space (the claim that the antichain is total).
+    check_certificate(session, certify);
+    // Unknown (an interrupt fired mid-enumeration) stops here and reports
+    // the vectors found so far — the partial threat space a deadline allows.
+    if (r != SolveResult::Sat) break;
+    ThreatVector v = extract_threat_vector(encoder, session);
+    std::vector<smt::Formula> block;
+    if (minimal_only) {
+      v = minimize_threat(oracle, property, spec, std::move(v));
+      // Block v and all its supersets: at least one member must survive.
+      for (const int id : v.failed_ieds) block.push_back(encoder.node_var(id));
+      for (const int id : v.failed_rtus) block.push_back(encoder.node_var(id));
+      for (const int id : v.failed_links) block.push_back(encoder.link_var(id));
+    } else {
+      // Block exactly this failure assignment: some variable must flip.
+      const auto flip = [&](smt::Formula var) {
+        block.push_back(session.value(var) ? builder.mk_not(var) : var);
+      };
+      for (const int id : scenario.ied_ids()) flip(encoder.node_var(id));
+      for (const int id : scenario.rtu_ids()) flip(encoder.node_var(id));
+      if (encoder.options().links_can_fail) {
+        for (const auto& link : scenario.topology().links()) {
+          if (link.up) flip(encoder.link_var(link.id));
+        }
+      }
+    }
+    session.assert_formula(builder.mk_or(block));
+    vectors.push_back(std::move(v));
   }
-  return true;
+  return vectors;
 }
 
 VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec& spec) {
@@ -127,7 +167,7 @@ VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
   const smt::Formula threat = encoder.threat(property, spec);
-  smt::Session session(builder, session_options());
+  smt::Session session(builder, session_options(options_));
   session.set_interrupt(options_.interrupt);
   session.assert_formula(threat);
   out.encode_seconds = encode_timer.seconds();
@@ -135,10 +175,10 @@ VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec
   out.result = session.solve();
   out.solve_seconds = session.stats().last_solve_seconds;
   out.solver_stats = session.stats();
-  out.certified = check_certificate(session);
+  out.certified = check_certificate(session, options_.certify);
   if (out.result == SolveResult::Sat) {
-    ThreatVector v = extract_threat(encoder, session);
-    if (options_.minimize_threats) v = minimize(property, spec, v);
+    ThreatVector v = extract_threat_vector(encoder, session);
+    if (options_.minimize_threats) v = minimize_threat(oracle_, property, spec, std::move(v));
     out.threat = std::move(v);
   }
   return out;
@@ -150,115 +190,81 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
                                                            bool minimal_only) {
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
-  smt::Session session(builder, session_options());
+  smt::Session session(builder, session_options(options_));
   session.set_interrupt(options_.interrupt);
   session.assert_formula(encoder.threat(property, spec));
-
-  std::vector<ThreatVector> vectors;
-  while (vectors.size() < max_vectors) {
-    const SolveResult r = session.solve();
-    // Certify every verdict of the enumeration, including the final unsat
-    // that closes the threat space (the claim that the antichain is total).
-    check_certificate(session);
-    // Unknown (an interrupt fired mid-enumeration) stops here and reports
-    // the vectors found so far — the partial threat space a deadline allows.
-    if (r != SolveResult::Sat) break;
-    ThreatVector v = extract_threat(encoder, session);
-    if (minimal_only) {
-      v = minimize(property, spec, v);
-      // Block v and all its supersets: at least one member must survive.
-      std::vector<smt::Formula> block;
-      for (const int id : v.failed_ieds) block.push_back(encoder.node_var(id));
-      for (const int id : v.failed_rtus) block.push_back(encoder.node_var(id));
-      for (const int id : v.failed_links) block.push_back(encoder.link_var(id));
-      session.assert_formula(builder.mk_or(block));
-    } else {
-      // Block exactly this failure assignment.
-      std::vector<smt::Formula> diff;
-      const Contingency c = v.to_contingency();
-      for (const int id : scenario_.ied_ids()) {
-        const smt::Formula node = encoder.node_var(id);
-        diff.push_back(c.device_up(id) ? builder.mk_not(node) : node);
-      }
-      for (const int id : scenario_.rtu_ids()) {
-        const smt::Formula node = encoder.node_var(id);
-        diff.push_back(c.device_up(id) ? builder.mk_not(node) : node);
-      }
-      if (options_.encoder.links_can_fail) {
-        for (const auto& link : scenario_.topology().links()) {
-          if (!link.up) continue;
-          const smt::Formula lv = encoder.link_var(link.id);
-          diff.push_back(c.link_up(link.id) ? builder.mk_not(lv) : lv);
-        }
-      }
-      session.assert_formula(builder.mk_or(diff));
-    }
-    vectors.push_back(std::move(v));
-  }
-  return vectors;
+  return enumerate_session_threats(encoder, session, oracle_, property, spec, max_vectors,
+                                   minimal_only, options_.certify);
 }
 
 MaxResiliencyResult ScadaAnalyzer::max_resiliency(Property property, FailureClass failure_class,
                                                   int spec_r) {
-  const int limit = [&] {
+  const int ieds = static_cast<int>(scenario_.ied_ids().size());
+  const int rtus = static_cast<int>(scenario_.rtu_ids().size());
+  const auto spec_for = [&](int k) {
     switch (failure_class) {
-      case FailureClass::IedOnly: return static_cast<int>(scenario_.ied_ids().size());
-      case FailureClass::RtuOnly: return static_cast<int>(scenario_.rtu_ids().size());
-      case FailureClass::Combined:
-        return static_cast<int>(scenario_.ied_ids().size() + scenario_.rtu_ids().size());
+      case FailureClass::IedOnly: return ResiliencySpec::per_type(k, 0, spec_r);
+      case FailureClass::RtuOnly: return ResiliencySpec::per_type(0, k, spec_r);
+      case FailureClass::Combined: return ResiliencySpec::total(k, spec_r);
     }
-    return 0;
-  }();
+    throw ConfigError("unknown failure class");
+  };
+  const int limit = failure_class == FailureClass::IedOnly   ? ieds
+                    : failure_class == FailureClass::RtuOnly ? rtus
+                                                             : ieds + rtus;
 
-  // Incremental search: the (expensive) ¬property encoding is built and
-  // asserted once; each budget is attached to a fresh selector variable and
-  // activated per solve() via assumptions, so solver state (and, on the
-  // CDCL backend, learned clauses) carries across probes.
+  // One incremental session: the (expensive) ¬property encoding is built and
+  // asserted once; each probed k asserts "guard -> failure_budget(k)" and is
+  // solved assuming its guard, so learned clauses carry across probes and
+  // unprobed budgets are never encoded.
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
   smt::Session session(builder, options_.solver);
   // Same cancellation wiring as verify()/enumerate_threats(): service
-  // deadlines and user cancels must be able to stop the k-sweep mid-probe.
+  // deadlines and user cancels must be able to stop the search mid-probe.
   session.set_interrupt(options_.interrupt);
-
-  smt::Formula prop = builder.mk_false();
-  switch (property) {
-    case Property::Observability: prop = encoder.observability(); break;
-    case Property::SecuredObservability: prop = encoder.secured_observability(); break;
-    case Property::BadDataDetectability:
-      prop = encoder.bad_data_detectability(spec_r);
-      break;
-  }
-  session.assert_formula(builder.mk_not(prop));
+  session.assert_formula(builder.mk_not(encoder.property(property, spec_r)));
 
   MaxResiliencyResult out;
-  for (int k = 0; k <= limit; ++k) {
-    const ResiliencySpec spec = [&] {
-      switch (failure_class) {
-        case FailureClass::IedOnly: return ResiliencySpec::per_type(k, 0, spec_r);
-        case FailureClass::RtuOnly: return ResiliencySpec::per_type(0, k, spec_r);
-        case FailureClass::Combined: return ResiliencySpec::total(k, spec_r);
-      }
-      throw ConfigError("unknown failure class");
-    }();
-    const smt::Formula selector = builder.mk_var("budget_sel_" + std::to_string(k));
-    session.assert_formula(builder.mk_implies(selector, encoder.failure_budget(spec)));
+  const auto probe = [&](int k) {
     ++out.probes;
-    const SolveResult r = session.solve({selector});
-    if (r == SolveResult::Unknown) {
-      // Interrupt or solver budget cut the sweep short. Every probe below k
-      // was Unsat, so resiliency >= k-1 is proven; report that partial bound
-      // instead of throwing so deadlines degrade like every other op.
-      out.max_k = k - 1;
-      out.completed = false;
-      return out;
-    }
-    if (r == SolveResult::Sat) {
-      out.max_k = k - 1;
-      return out;
+    const smt::Formula guard = builder.mk_var("budget_sel_" + std::to_string(k));
+    session.assert_formula(builder.mk_implies(guard, encoder.failure_budget(spec_for(k))));
+    return session.solve({guard});
+  };
+
+  // resilient(k) is monotone decreasing in k (a model within budget k fits
+  // budget k+1). Real systems sit at small max_k, where a plain bisection of
+  // [0, limit] opens with loosely-bounded midpoints — the most expensive
+  // budgets to encode and solve. Gallop from the low end instead (0, 1, 2,
+  // 4, ...) so the boundary is bracketed by tightly-bounded cheap probes,
+  // then bisect the remaining interval; the worst case stays O(log limit)
+  // probes, and no k is ever probed twice.
+  int lo = 0;
+  int hi = limit;
+  int next = 0;
+  bool gallop = true;
+  while (lo <= hi) {
+    const int mid = gallop ? std::min(next, hi) : lo + (hi - lo) / 2;
+    switch (probe(mid)) {
+      case SolveResult::Unknown:
+        // Interrupt or solver budget: every k below lo was proven resilient,
+        // so report that partial bound instead of throwing — deadlines
+        // degrade like every other op.
+        out.max_k = lo - 1;
+        out.completed = false;
+        return out;
+      case SolveResult::Unsat:
+        lo = mid + 1;
+        next = mid == 0 ? 1 : 2 * mid;
+        break;
+      case SolveResult::Sat:
+        hi = mid - 1;
+        gallop = false;
+        break;
     }
   }
-  out.max_k = limit;  // resilient to every possible failure count
+  out.max_k = lo - 1;  // every k < lo resilient; lo attackable or beyond the limit
   return out;
 }
 

@@ -253,20 +253,17 @@ Formula ThreatEncoder::failure_budget(const ResiliencySpec& spec) {
   return builder_.mk_and(terms);
 }
 
-Formula ThreatEncoder::threat(Property property, const ResiliencySpec& spec) {
-  Formula prop = builder_.mk_false();
-  switch (property) {
-    case Property::Observability:
-      prop = observability();
-      break;
-    case Property::SecuredObservability:
-      prop = secured_observability();
-      break;
-    case Property::BadDataDetectability:
-      prop = bad_data_detectability(spec.r);
-      break;
+Formula ThreatEncoder::property(Property p, int r) {
+  switch (p) {
+    case Property::Observability: return observability();
+    case Property::SecuredObservability: return secured_observability();
+    case Property::BadDataDetectability: return bad_data_detectability(r);
   }
-  return builder_.mk_and({failure_budget(spec), builder_.mk_not(prop)});
+  throw ConfigError("unknown property");
+}
+
+Formula ThreatEncoder::threat(Property p, const ResiliencySpec& spec) {
+  return builder_.mk_and({failure_budget(spec), builder_.mk_not(property(p, spec.r))});
 }
 
 const char* to_string(Property p) noexcept {

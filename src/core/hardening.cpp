@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "scada/util/combinatorics.hpp"
-#include "scada/util/error.hpp"
-
 namespace scada::core {
 
 HardeningAdvisor::HardeningAdvisor(const ScadaScenario& scenario, AnalyzerOptions options)
@@ -51,37 +48,6 @@ ScadaScenario apply_hardening(const ScadaScenario& scenario,
   }
   return ScadaScenario(scenario.topology(), std::move(policy), scenario.crypto_rules(),
                        scenario.model(), scenario.measurements_of_ied());
-}
-
-ScadaScenario HardeningAdvisor::apply(const std::vector<HardeningAction>& upgrades) const {
-  return apply_hardening(scenario_, upgrades);
-}
-
-HardeningResult HardeningAdvisor::advise(Property property, const ResiliencySpec& spec,
-                                         std::size_t max_upgrades) {
-  if (property == Property::Observability) {
-    throw ConfigError("HardeningAdvisor: plain observability has no crypto levers");
-  }
-  const std::vector<HardeningAction> pool = candidates();
-  HardeningResult result;
-
-  std::vector<HardeningAction> chosen;
-  const bool stopped_early = !util::for_each_subset_up_to(
-      pool.size(), std::min(max_upgrades, pool.size()),
-      [&](const std::vector<std::size_t>& subset) {
-        chosen.clear();
-        for (const std::size_t i : subset) chosen.push_back(pool[i]);
-        const ScadaScenario candidate_scenario = apply(chosen);
-        ScadaAnalyzer analyzer(candidate_scenario, options_);
-        ++result.probes;
-        return !analyzer.verify(property, spec).resilient();  // false stops the walk
-      });
-
-  if (stopped_early) {
-    result.achievable = true;
-    result.upgrades = std::move(chosen);
-  }
-  return result;
 }
 
 }  // namespace scada::core

@@ -6,7 +6,9 @@
 // enumerate_threats() — the full threat space via blocking constraints
 //                       (Fig. 7(b)'s metric).
 // max_resiliency()    — largest k for which the property is still resilient
-//                       (Fig. 7(a)'s metric).
+//                       (Fig. 7(a)'s metric), by a gallop-then-bisect search
+//                       over guarded failure budgets on one incremental
+//                       session.
 #pragma once
 
 #include <atomic>
@@ -60,7 +62,7 @@ struct MaxResiliencyResult {
   /// Largest budget k with a resilient (unsat) verdict; -1 if even k = 0
   /// fails (the property does not hold in the nominal configuration).
   int max_k = -1;
-  /// Number of verify() calls spent in the search.
+  /// Number of budgets solved in the search.
   int probes = 0;
   /// False when an interrupt (or solver budget) cut the sweep short before a
   /// Sat verdict decided it; max_k is then a proven lower bound, not the
@@ -87,11 +89,27 @@ struct AnalyzerOptions {
   const std::atomic<bool>* interrupt = nullptr;
 };
 
+/// The analyzer's solver options with the `certify` opt-in folded in.
+[[nodiscard]] smt::SessionOptions session_options(const AnalyzerOptions& options);
+
 /// Reads the failure assignment of the last Sat model out of a session as a
 /// ThreatVector (id lists ascending). Shared by the serial analyzer and the
 /// per-worker enumeration loops of the parallel engine.
 [[nodiscard]] ThreatVector extract_threat_vector(const ThreatEncoder& encoder,
                                                  const smt::Session& session);
+
+/// The solve → extract → minimize → block loop behind every threat
+/// enumeration (ScadaAnalyzer and the parallel engine's cube workers). The
+/// session must already hold the threat formula (plus any cube restriction).
+/// With `minimal_only` each vector is shrunk against the oracle and its
+/// supersets are blocked; otherwise exactly its failure assignment is. With
+/// `certify`, every verdict (including the closing unsat) is re-checked; a
+/// rejected certificate throws ScadaError. Stops at max_vectors, at Unsat, or
+/// at Unknown (an interrupt), returning the vectors found so far.
+[[nodiscard]] std::vector<ThreatVector> enumerate_session_threats(
+    ThreatEncoder& encoder, smt::Session& session, const ScenarioOracle& oracle,
+    Property property, const ResiliencySpec& spec, std::size_t max_vectors, bool minimal_only,
+    bool certify);
 
 /// Greedy irreducible shrink against the direct oracle: drop any failure
 /// whose removal still violates the property. Throws ScadaError if the
@@ -116,25 +134,17 @@ class ScadaAnalyzer {
                                                             std::size_t max_vectors = 1024,
                                                             bool minimal_only = true);
 
-  /// Largest k (for the failure class) with an unsat verdict, by upward
-  /// linear search from k = 0. For BadDataDetectability pass spec_r.
+  /// Largest k (for the failure class) with an unsat verdict. The
+  /// ¬property encoding is asserted once; each probed k adds a guarded
+  /// ThreatEncoder::failure_budget and is solved under its guard. Probes
+  /// gallop from the low end (0, 1, 2, 4, ...) and then bisect the bracketed
+  /// interval. For BadDataDetectability pass spec_r.
   [[nodiscard]] MaxResiliencyResult max_resiliency(Property property, FailureClass failure_class,
                                                    int spec_r = 1);
 
   [[nodiscard]] const ScadaScenario& scenario() const noexcept { return scenario_; }
 
  private:
-  /// Solver options with the analyzer-level certify opt-in folded in.
-  [[nodiscard]] smt::SessionOptions session_options() const;
-  /// When certifying: re-checks the session's last verdict. Returns true if
-  /// a certificate was available and accepted; throws ScadaError if one was
-  /// available and rejected.
-  bool check_certificate(const smt::Session& session) const;
-  [[nodiscard]] ThreatVector extract_threat(const ThreatEncoder& encoder,
-                                            const smt::Session& session) const;
-  [[nodiscard]] ThreatVector minimize(Property property, const ResiliencySpec& spec,
-                                      ThreatVector threat) const;
-
   const ScadaScenario& scenario_;
   AnalyzerOptions options_;
   ScenarioOracle oracle_;

@@ -18,16 +18,6 @@ namespace scada::core {
 
 class BruteForceVerifier {
  public:
-  /// One enumerable failure: a field device or an up link. Pool order is
-  /// IEDs ascending, RTUs ascending, then links ascending — the subset
-  /// enumeration (and hence first-hit/threat ordering) is defined over this
-  /// sequence.
-  struct Candidate {
-    enum class Kind { Ied, Rtu, Link };
-    Kind kind = Kind::Ied;
-    int id = 0;
-  };
-
   explicit BruteForceVerifier(const ScadaScenario& scenario, EncoderOptions options = {});
 
   /// Same contract as ScadaAnalyzer::verify; with links_can_fail the link
@@ -39,16 +29,8 @@ class BruteForceVerifier {
   [[nodiscard]] std::vector<ThreatVector> enumerate_threats(Property property,
                                                             const ResiliencySpec& spec) const;
 
-  // --- enumeration substrate (shared with the parallel engine) ---
+  // --- per-vector checks (also used by external verdict checkers) ---
 
-  /// The candidate pool the spec admits (links only under a combined budget).
-  [[nodiscard]] std::vector<Candidate> candidate_pool(const ResiliencySpec& spec) const;
-  /// Largest subset size worth enumerating for the spec over this pool.
-  [[nodiscard]] std::size_t max_subset_size(const ResiliencySpec& spec,
-                                            std::size_t pool_size) const;
-  /// Materializes a pool-index subset as a ThreatVector (id lists ascending).
-  [[nodiscard]] static ThreatVector subset_to_vector(std::span<const std::size_t> subset,
-                                                     const std::vector<Candidate>& pool);
   [[nodiscard]] bool within_budget(const ThreatVector& v, const ResiliencySpec& spec) const;
   /// Does the contingency violate the property (oracle says it fails)?
   [[nodiscard]] bool violates(Property property, const ThreatVector& v, int r) const;
@@ -59,6 +41,25 @@ class BruteForceVerifier {
   [[nodiscard]] const ScenarioOracle& oracle() const noexcept { return oracle_; }
 
  private:
+  /// One enumerable failure: a field device or an up link. Pool order is
+  /// IEDs ascending, RTUs ascending, then links ascending — the subset
+  /// enumeration (and hence first-hit/threat ordering) is defined over this
+  /// sequence.
+  struct Candidate {
+    enum class Kind { Ied, Rtu, Link };
+    Kind kind = Kind::Ied;
+    int id = 0;
+  };
+
+  /// The candidate pool the spec admits (links only under a combined budget).
+  [[nodiscard]] std::vector<Candidate> candidate_pool(const ResiliencySpec& spec) const;
+  /// Largest subset size worth enumerating for the spec over this pool.
+  [[nodiscard]] std::size_t max_subset_size(const ResiliencySpec& spec,
+                                            std::size_t pool_size) const;
+  /// Materializes a pool-index subset as a ThreatVector (id lists ascending).
+  [[nodiscard]] static ThreatVector subset_to_vector(std::span<const std::size_t> subset,
+                                                     const std::vector<Candidate>& pool);
+
   const ScadaScenario& scenario_;
   EncoderOptions options_;
   ScenarioOracle oracle_;

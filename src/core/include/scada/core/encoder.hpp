@@ -60,6 +60,8 @@ class ThreatEncoder {
   [[nodiscard]] smt::Formula observability();
   [[nodiscard]] smt::Formula secured_observability();
   [[nodiscard]] smt::Formula bad_data_detectability(int r);
+  /// The formula of `property`; r only matters for BadDataDetectability.
+  [[nodiscard]] smt::Formula property(Property p, int r);
 
   /// Failure budget of a specification (AtMost over failed devices/links).
   [[nodiscard]] smt::Formula failure_budget(const ResiliencySpec& spec);

@@ -1,10 +1,9 @@
-// HardeningAdvisor: a prototype of the paper's future work — "automated
-// synthesis of necessary configurations for resilient SCADA systems".
-//
-// Given a resiliency specification that fails, the advisor searches for a
-// minimal set of security-profile upgrades (per logical hop) that restores
-// the specification, by re-verifying candidate configurations in increasing
-// upgrade-set size.
+// HardeningAdvisor: the security-side action model for the paper's future
+// work — "automated synthesis of necessary configurations for resilient
+// SCADA systems". It lists the candidate upgrades (insecure logical hops),
+// apply_hardening() applies a chosen set, and core::Optimizer::
+// min_cost_hardening searches for the cheapest set that restores a failed
+// specification.
 #pragma once
 
 #include <vector>
@@ -24,15 +23,6 @@ struct HardeningAction {
   }
 };
 
-struct HardeningResult {
-  /// True when some upgrade set within the size bound restores the spec.
-  bool achievable = false;
-  /// A minimum-cardinality upgrade set (empty if the spec already holds).
-  std::vector<HardeningAction> upgrades;
-  /// verify() calls spent.
-  int probes = 0;
-};
-
 /// Returns `scenario` with every listed hop upgraded to a strong
 /// authenticated+integrity suite set. Idempotent: a suite already present on
 /// the pair is not appended again, so repeated application (the CEGIS loop in
@@ -45,18 +35,11 @@ class HardeningAdvisor {
  public:
   explicit HardeningAdvisor(const ScadaScenario& scenario, AnalyzerOptions options = {});
 
-  /// Searches upgrade sets of size 0..max_upgrades (increasing, so the first
-  /// hit is minimum-cardinality). Only meaningful for SecuredObservability
-  /// and BadDataDetectability — plain observability ignores crypto strength.
-  [[nodiscard]] HardeningResult advise(Property property, const ResiliencySpec& spec,
-                                       std::size_t max_upgrades = 4);
-
-  /// The candidate hops considered (insecure logical hops on some IED path).
+  /// The candidate hops considered (insecure logical hops on some IED path);
+  /// apply_hardening() applies a chosen set.
   [[nodiscard]] std::vector<HardeningAction> candidates() const;
 
  private:
-  [[nodiscard]] ScadaScenario apply(const std::vector<HardeningAction>& upgrades) const;
-
   const ScadaScenario& scenario_;
   AnalyzerOptions options_;
 };

@@ -9,13 +9,13 @@
 // min_cost_hardening() — cheapest set of crypto-profile upgrades restoring a
 //                        resiliency spec, by CEGIS: propose the cheapest
 //                        candidate subset with MaxSAT, verify it with the
-//                        full analyzer, block refuted subsets, repeat.
+//                        full analyzer, block the subsets its threat
+//                        refutes, repeat.
 // min_cost_placement() — same loop over measurement additions
 //                        (PlacementAdvisor candidates).
-// max_resiliency()     — the analyzer metric recomputed by a gallop-then-
-//                        bisect search over k on ONE incremental session
-//                        (guarded at-most-k budgets probed through
-//                        assumptions) instead of a per-k re-encoded instance.
+//
+// These are the only synthesis entry points; HardeningAdvisor and
+// PlacementAdvisor supply the action model (candidates() and apply()).
 #pragma once
 
 #include <cstdint>
@@ -69,7 +69,8 @@ struct MinCostResult {
   /// Winning actions — hardening fills `hardening`, placement `placements`.
   std::vector<HardeningAction> hardening;
   std::vector<PlacementAction> placements;
-  /// Propose-verify rounds spent.
+  /// Propose-verify rounds spent. The one-off check of the whole pool after
+  /// the first refuted proposal is not a proposal and is not counted.
   std::uint64_t cegis_iterations = 0;
   /// Closing analyzer verdict of the winning configuration (Unsat; carries
   /// the DRAT certification flag when AnalyzerOptions::certify is on).
@@ -99,18 +100,11 @@ class Optimizer {
                                                  const HardeningCostFn& cost = {});
 
   /// Cheapest measurement-addition set (over PlacementAdvisor::candidates(),
-  /// each installed on a fresh IED attached to the least-loaded RTU) whose
+  /// each installed on a fresh IED, attached round-robin to the RTUs) whose
   /// applied scenario verifies resilient. `cost` defaults to 1 per addition.
   [[nodiscard]] MinCostResult min_cost_placement(const powersys::BusSystem& grid,
                                                  Property property, const ResiliencySpec& spec,
                                                  const PlacementCostFn& cost = {});
-
-  /// Same contract as ScadaAnalyzer::max_resiliency (identical max_k and
-  /// partial-result semantics) but gallop-then-bisect searching k over one
-  /// incremental session with guarded cardinality bounds instead of
-  /// linearly re-encoding the instance per k.
-  [[nodiscard]] MaxResiliencyResult max_resiliency(Property property,
-                                                   FailureClass failure_class, int spec_r = 1);
 
   [[nodiscard]] const ScadaScenario& scenario() const noexcept { return scenario_; }
 
@@ -119,6 +113,10 @@ class Optimizer {
   /// Shared CEGIS driver: minimize selection cost, verify the applied
   /// scenario, block refuted subsets (sound because both hardening and
   /// placement are monotone — supersets of a working set keep working).
+  /// Each refuted set is first grown by every action its threat survives
+  /// (direct oracle), so one clause blocks all sets that threat refutes.
+  /// After the first refuted proposal the whole pool is verified once; if
+  /// it fails too, the spec is unachievable and the loop stops.
   /// `winning` receives the selected pool indices on success.
   MinCostResult min_cost_synthesis(
       std::size_t pool_size, const std::function<std::uint64_t(std::size_t)>& action_cost,

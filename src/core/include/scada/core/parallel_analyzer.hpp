@@ -1,55 +1,35 @@
-// ParallelAnalyzer: the multi-core threat-analysis engine.
+// ParallelAnalyzer: the multi-core threat enumeration engine.
 //
-// Three embarrassingly-parallel searches, each built on a shared-nothing
-// worker contract — every worker owns a private FormulaBuilder + Session
-// (and the brute-force shards only touch the shared *const* oracle), so the
-// only synchronization is the thread pool queue and a few atomics:
-//
-//   max_resiliency()      — portfolio of per-budget probes; the first Sat at
-//                           budget k cancels every probe with a larger
-//                           budget (first-SAT-wins, monotone in k).
-//   enumerate_threats()   — splits the model space into disjoint assumption
-//                           cubes over the highest-degree devices; each
-//                           worker enumerates its cube independently.
-//   brute_force_verify()/ — shards the C(n,k) subset ranges of the
-//   brute_force_enumerate() exhaustive baseline across workers via
-//                           lexicographic unranking.
+// enumerate_threats() splits the model space into disjoint assumption cubes
+// over the highest-degree devices; each worker enumerates its cube with the
+// shared enumerate_session_threats() loop on a private FormulaBuilder +
+// Session, so the only synchronization is the thread pool queue.
 //
 // Determinism: merged results are sorted by vector size then lexicographic
 // (threat_vector_less) and deduplicated, so parallel output is reproducible
 // and — because the minimal threat vectors of a spec form one canonical
-// antichain — equal to the serial path's output up to that ordering. The
-// brute-force shards reproduce the serial first-hit and enumeration order
-// exactly. See DESIGN.md "Parallel analysis engine".
+// antichain — equal to the serial path's output up to that ordering. See
+// DESIGN.md "Parallel analysis engine".
 #pragma once
 
 #include <cstddef>
 
 #include "scada/core/analyzer.hpp"
-#include "scada/core/brute_force.hpp"
 #include "scada/util/thread_pool.hpp"
 
 namespace scada::core {
 
 struct ParallelOptions {
   AnalyzerOptions analyzer;
-  /// Worker threads; 0 = hardware concurrency.
+  /// Worker threads; 0 = hardware concurrency. The cube split gives every
+  /// worker at least two cubes.
   std::size_t threads = 0;
-  /// log2 of the enumerate_threats search-space split (cube width over the
-  /// highest-degree devices). 0 = automatic: at least two cubes per worker.
-  std::size_t cube_bits = 0;
 };
 
 class ParallelAnalyzer {
  public:
   /// The scenario must outlive the analyzer.
   explicit ParallelAnalyzer(const ScadaScenario& scenario, ParallelOptions options = {});
-
-  /// Portfolio max-resiliency: same result as ScadaAnalyzer::max_resiliency;
-  /// `probes` reports the serial-equivalent probe count (budgets 0..k_sat)
-  /// so the result is identical to the serial path regardless of timing.
-  [[nodiscard]] MaxResiliencyResult max_resiliency(Property property, FailureClass failure_class,
-                                                   int spec_r = 1);
 
   /// Cube-split threat enumeration. Returns the canonical minimal-threat
   /// antichain (or, with !minimal_only, the violating assignments) sorted by
@@ -62,17 +42,6 @@ class ParallelAnalyzer {
                                                             std::size_t max_vectors = 1024,
                                                             bool minimal_only = true);
 
-  /// Sharded exhaustive verification: identical verdict and threat vector
-  /// to BruteForceVerifier::verify (the global first hit in size-then-lex
-  /// subset order), with each size class's C(n,k) range split across workers.
-  [[nodiscard]] VerificationResult brute_force_verify(Property property,
-                                                      const ResiliencySpec& spec);
-
-  /// Sharded exhaustive enumeration: identical output (content and order) to
-  /// BruteForceVerifier::enumerate_threats.
-  [[nodiscard]] std::vector<ThreatVector> brute_force_enumerate(Property property,
-                                                                const ResiliencySpec& spec);
-
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
   [[nodiscard]] const ScadaScenario& scenario() const noexcept { return scenario_; }
 
@@ -84,12 +53,13 @@ class ParallelAnalyzer {
  private:
   /// The `bits` highest-degree field devices (ties by ascending id).
   [[nodiscard]] std::vector<int> cube_devices(std::size_t bits) const;
-  [[nodiscard]] std::size_t auto_cube_bits() const;
+  /// log2 of the cube count: two cubes per worker, at most 6 bits and at
+  /// most one bit per field device.
+  [[nodiscard]] std::size_t cube_width() const;
 
   const ScadaScenario& scenario_;
   ParallelOptions options_;
   ScenarioOracle oracle_;
-  BruteForceVerifier brute_;
   util::ThreadPool pool_;
 };
 

@@ -1,11 +1,8 @@
-// PlacementAdvisor: configuration synthesis on the sensing side.
-//
-// The paper's future work asks for "automated synthesis of necessary
-// configurations for resilient SCADA systems". HardeningAdvisor upgrades
-// crypto profiles; this advisor adds *measurements*: it greedily selects new
-// meter placements (each installed on a fresh IED attached to an existing
-// RTU over a secured hop) until the requested resiliency specification
-// verifies, scoring candidates by how far they shrink the threat space.
+// PlacementAdvisor: the sensing-side action model for configuration
+// synthesis (the paper's future work). It lists the measurements not yet
+// placed and applies a chosen set, each installed on a fresh IED attached to
+// an existing RTU over a secured hop; core::Optimizer::min_cost_placement
+// searches for the cheapest set that makes a specification verify.
 #pragma once
 
 #include <string>
@@ -26,25 +23,12 @@ struct PlacementAction {
   [[nodiscard]] std::string to_string(const powersys::BusSystem& grid) const;
 };
 
-struct PlacementResult {
-  bool achievable = false;
-  std::vector<PlacementAction> additions;
-  /// verify()/enumerate() solver interactions spent.
-  int probes = 0;
-};
-
 class PlacementAdvisor {
  public:
   /// `grid` must be the bus system the scenario's measurement model was
   /// placed on (the advisor needs it to derive new Jacobian rows); the
   /// scenario must hold a placement-built model.
-  PlacementAdvisor(const powersys::BusSystem& grid, const ScadaScenario& scenario,
-                   AnalyzerOptions options = {});
-
-  /// Greedy synthesis: up to `max_additions` new meters. Returns the action
-  /// list that makes (property, spec) verify, or achievable=false.
-  [[nodiscard]] PlacementResult advise(Property property, const ResiliencySpec& spec,
-                                       std::size_t max_additions = 8);
+  PlacementAdvisor(const powersys::BusSystem& grid, const ScadaScenario& scenario);
 
   /// Measurements of the full 2L+n set not yet placed.
   [[nodiscard]] std::vector<powersys::Measurement> candidates() const;
@@ -56,7 +40,6 @@ class PlacementAdvisor {
  private:
   const powersys::BusSystem& grid_;
   const ScadaScenario& scenario_;
-  AnalyzerOptions options_;
 };
 
 }  // namespace scada::core

@@ -1,8 +1,9 @@
 #include "scada/core/optimize.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "scada/core/oracle.hpp"
 #include "scada/util/error.hpp"
@@ -28,18 +29,12 @@ smt::MaxSatOptions Optimizer::maxsat_options() const {
 SecurityIndexResult Optimizer::security_index(Property property, int spec_r) {
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.analyzer.encoder, builder);
-  smt::Formula prop = builder.mk_false();
-  switch (property) {
-    case Property::Observability: prop = encoder.observability(); break;
-    case Property::SecuredObservability: prop = encoder.secured_observability(); break;
-    case Property::BadDataDetectability: prop = encoder.bad_data_detectability(spec_r); break;
-  }
 
   // Hard: the property is violated. Soft (unit weight): each device/link
   // stays up. The MaxSAT optimum is then the minimum number of simultaneous
   // failures that breaks the property — the security index.
   smt::MaxSatSolver maxsat(builder, maxsat_options());
-  maxsat.add_hard(builder.mk_not(prop));
+  maxsat.add_hard(builder.mk_not(encoder.property(property, spec_r)));
   for (const int id : scenario_.ied_ids()) maxsat.add_soft(encoder.node_var(id));
   for (const int id : scenario_.rtu_ids()) maxsat.add_soft(encoder.node_var(id));
   if (options_.analyzer.encoder.links_can_fail) {
@@ -101,6 +96,13 @@ MinCostResult Optimizer::min_cost_synthesis(
     if (w > 0) maxsat.add_soft(builder.mk_not(select.back()), w);
   }
 
+  const auto verify = [&](const std::vector<std::size_t>& chosen) {
+    const ScadaScenario candidate = apply(chosen);
+    return ScadaAnalyzer(candidate, options_.analyzer).verify(property, spec);
+  };
+  // Verdict of the whole pool, taken once the first proposal is refuted.
+  std::optional<VerificationResult> full_pool;
+
   std::uint64_t iterations = 0, cores = 0, tightenings = 0;
   for (;;) {
     smt::MaxSatResult round = maxsat.solve();
@@ -115,19 +117,15 @@ MinCostResult Optimizer::min_cost_synthesis(
       out.completed = false;
       return out;
     }
-    if (round.status == SolveResult::Unsat) {
-      // Every subset (including the full pool) has been refuted.
-      return out;
-    }
+    if (round.status == SolveResult::Unsat) return out;  // every subset refuted
 
     std::vector<std::size_t> chosen;
     for (std::size_t i = 0; i < pool_size; ++i) {
       if (maxsat.value(select[i])) chosen.push_back(i);
     }
     ++out.cegis_iterations;
-    const ScadaScenario candidate = apply(chosen);
-    ScadaAnalyzer analyzer(candidate, options_.analyzer);
-    VerificationResult v = analyzer.verify(property, spec);
+    const bool whole_pool = chosen.size() == pool_size;
+    VerificationResult v = whole_pool && full_pool ? *full_pool : verify(chosen);
     if (v.result == SolveResult::Unknown) {
       out.completed = false;
       out.verification = std::move(v);
@@ -140,11 +138,37 @@ MinCostResult Optimizer::min_cost_synthesis(
       winning = std::move(chosen);
       return out;
     }
-    // Counterexample: the candidate still admits the threat v.threat. Block
-    // the chosen set and, by monotonicity (more hardening/placement never
-    // hurts), every subset of it: the next proposal must add something new.
-    // When chosen == the full pool this is mk_or({}) == false, so the next
-    // round reports Unsat and the loop terminates.
+    // Generalize the counterexample: grow the refuted set by every action
+    // under which v.threat still breaks the property on the direct oracle.
+    // By monotonicity (more hardening/placement never hurts) that threat
+    // refutes every subset of the grown set.
+    const Contingency threat = v.threat->to_contingency();
+    for (std::size_t i = 0; i < pool_size; ++i) {
+      if (std::binary_search(chosen.begin(), chosen.end(), i)) continue;
+      std::vector<std::size_t> grown = chosen;
+      grown.insert(std::upper_bound(grown.begin(), grown.end(), i), i);
+      const ScadaScenario candidate = apply(grown);
+      if (!ScenarioOracle(candidate, options_.analyzer.encoder).holds(property, threat, spec.r)) {
+        chosen = std::move(grown);
+      }
+    }
+    if (chosen.size() == pool_size) return out;  // one threat survives every action
+    if (!full_pool) {
+      // By monotonicity no subset works if the whole pool does not: one
+      // extra verification settles an unachievable spec here instead of
+      // after all 2^|pool| subsets are refuted one proposal at a time.
+      std::vector<std::size_t> all(pool_size);
+      std::iota(all.begin(), all.end(), std::size_t{0});
+      full_pool = verify(all);
+      if (full_pool->result == SolveResult::Unknown) {
+        out.completed = false;
+        out.verification = *full_pool;
+        return out;
+      }
+      if (full_pool->result == SolveResult::Sat) return out;
+    }
+    // Block the grown set and every subset of it: the next proposal must
+    // add an action outside it.
     std::vector<smt::Formula> block;
     for (std::size_t i = 0; i < pool_size; ++i) {
       if (!std::binary_search(chosen.begin(), chosen.end(), i)) block.push_back(select[i]);
@@ -178,7 +202,7 @@ MinCostResult Optimizer::min_cost_hardening(Property property, const ResiliencyS
 MinCostResult Optimizer::min_cost_placement(const powersys::BusSystem& grid, Property property,
                                             const ResiliencySpec& spec,
                                             const PlacementCostFn& cost) {
-  PlacementAdvisor advisor(grid, scenario_, options_.analyzer);
+  PlacementAdvisor advisor(grid, scenario_);
   const std::vector<powersys::Measurement> pool = advisor.candidates();
 
   // Every candidate gets a fresh IED id up front, attached round-robin over
@@ -203,122 +227,6 @@ MinCostResult Optimizer::min_cost_placement(const powersys::BusSystem& grid, Pro
       },
       property, spec, winning);
   for (const std::size_t i : winning) out.placements.push_back(action_for(i));
-  return out;
-}
-
-MaxResiliencyResult Optimizer::max_resiliency(Property property, FailureClass failure_class,
-                                              int spec_r) {
-  const int limit = [&] {
-    switch (failure_class) {
-      case FailureClass::IedOnly: return static_cast<int>(scenario_.ied_ids().size());
-      case FailureClass::RtuOnly: return static_cast<int>(scenario_.rtu_ids().size());
-      case FailureClass::Combined:
-        return static_cast<int>(scenario_.ied_ids().size() + scenario_.rtu_ids().size());
-    }
-    return 0;
-  }();
-
-  smt::FormulaBuilder builder;
-  ThreatEncoder encoder(scenario_, options_.analyzer.encoder, builder);
-  smt::Session session(builder, options_.analyzer.solver);
-  session.set_interrupt(options_.analyzer.interrupt);
-
-  smt::Formula prop = builder.mk_false();
-  switch (property) {
-    case Property::Observability: prop = encoder.observability(); break;
-    case Property::SecuredObservability: prop = encoder.secured_observability(); break;
-    case Property::BadDataDetectability: prop = encoder.bad_data_detectability(spec_r); break;
-  }
-  session.assert_formula(builder.mk_not(prop));
-
-  // One incremental session replaces the per-k re-encoding of the linear
-  // sweep: each probed k asserts "guard_k -> at-most-k failures" once, and a
-  // probe assumes the guard. Unprobed guards stay free (the solver drops
-  // them), the property encoding and learned clauses are shared across every
-  // probe, and total budget-encoding work is O(n * max_k) — the same as the
-  // linear sweep's final probe alone. Classes the budget pins (the other
-  // device type under per-type specs; links outside Combined) are asserted
-  // up, exactly as ThreatEncoder::failure_budget does.
-  std::vector<smt::Formula> leaves;
-  const auto fail_devices = [&](const std::vector<int>& ids) {
-    for (const int id : ids) leaves.push_back(builder.mk_not(encoder.node_var(id)));
-  };
-  const auto pin_devices = [&](const std::vector<int>& ids) {
-    for (const int id : ids) session.assert_formula(encoder.node_var(id));
-  };
-  switch (failure_class) {
-    case FailureClass::IedOnly:
-      fail_devices(scenario_.ied_ids());
-      pin_devices(scenario_.rtu_ids());
-      break;
-    case FailureClass::RtuOnly:
-      fail_devices(scenario_.rtu_ids());
-      pin_devices(scenario_.ied_ids());
-      break;
-    case FailureClass::Combined:
-      fail_devices(scenario_.ied_ids());
-      fail_devices(scenario_.rtu_ids());
-      break;
-  }
-  if (options_.analyzer.encoder.links_can_fail) {
-    for (const auto& link : scenario_.topology().links()) {
-      if (!link.up) continue;
-      if (failure_class == FailureClass::Combined) {
-        leaves.push_back(builder.mk_not(encoder.link_var(link.id)));
-      } else {
-        session.assert_formula(encoder.link_var(link.id));
-      }
-    }
-  }
-
-  MaxResiliencyResult out;
-  std::unordered_map<int, smt::Formula> guards;
-  const auto probe = [&](int k) {
-    ++out.probes;
-    if (static_cast<std::size_t>(k) >= leaves.size()) return session.solve();
-    auto it = guards.find(k);
-    if (it == guards.end()) {
-      const smt::Formula guard = builder.mk_var("mr_guard");
-      session.assert_formula(builder.mk_implies(
-          guard, builder.mk_at_most(leaves, static_cast<std::uint32_t>(k))));
-      it = guards.emplace(k, guard).first;
-    }
-    return session.solve({it->second});
-  };
-
-  // resilient(k) is monotone decreasing in k (a count <= k model is a
-  // count <= k+1 model), so the search and the linear sweep agree on max_k.
-  // Real systems sit at small max_k, where a plain bisection of [0, limit]
-  // opens with loosely-bounded midpoints — the most expensive budgets to
-  // encode and solve. Gallop from the low end instead (0, 1, 2, 4, ...) so
-  // the boundary is bracketed by tightly-bounded cheap probes, then bisect
-  // the remaining interval; the worst case stays O(log limit) probes.
-  int lo = 0;
-  int hi = limit;
-  int best = -1;
-  int next = 0;
-  bool gallop = true;
-  while (lo <= hi) {
-    const int mid = gallop ? std::min(next, hi) : lo + (hi - lo) / 2;
-    switch (probe(mid)) {
-      case SolveResult::Unknown:
-        // Interrupt or solver budget: report the largest proven-resilient k
-        // as a partial bound, mirroring the linear sweep's semantics.
-        out.max_k = best;
-        out.completed = false;
-        return out;
-      case SolveResult::Unsat:
-        best = mid;
-        lo = mid + 1;
-        next = mid == 0 ? 1 : 2 * mid;
-        break;
-      case SolveResult::Sat:
-        hi = mid - 1;
-        gallop = false;
-        break;
-    }
-  }
-  out.max_k = best;
   return out;
 }
 

@@ -1,14 +1,8 @@
 #include "scada/core/parallel_analyzer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <future>
-#include <limits>
 #include <utility>
-
-#include "scada/util/combinatorics.hpp"
-#include "scada/util/error.hpp"
-#include "scada/util/timer.hpp"
 
 namespace scada::core {
 
@@ -39,102 +33,9 @@ ParallelAnalyzer::ParallelAnalyzer(const ScadaScenario& scenario, ParallelOption
     : scenario_(scenario),
       options_(std::move(options)),
       oracle_(scenario, options_.analyzer.encoder),
-      brute_(scenario, options_.analyzer.encoder),
       pool_(options_.threads) {}
 
-// --- portfolio max-resiliency -------------------------------------------
-
-MaxResiliencyResult ParallelAnalyzer::max_resiliency(Property property,
-                                                     FailureClass failure_class, int spec_r) {
-  const int limit = [&] {
-    switch (failure_class) {
-      case FailureClass::IedOnly: return static_cast<int>(scenario_.ied_ids().size());
-      case FailureClass::RtuOnly: return static_cast<int>(scenario_.rtu_ids().size());
-      case FailureClass::Combined:
-        return static_cast<int>(scenario_.ied_ids().size() + scenario_.rtu_ids().size());
-    }
-    return 0;
-  }();
-  const auto spec_for = [&](int k) {
-    switch (failure_class) {
-      case FailureClass::IedOnly: return ResiliencySpec::per_type(k, 0, spec_r);
-      case FailureClass::RtuOnly: return ResiliencySpec::per_type(0, k, spec_r);
-      case FailureClass::Combined: return ResiliencySpec::total(k, spec_r);
-    }
-    throw ConfigError("unknown failure class");
-  };
-
-  // One probe per budget; Sat is monotone in k (a model within budget k fits
-  // budget k+1), so the smallest Sat budget decides the answer and every
-  // larger probe becomes moot the moment any Sat lands. first_sat only ever
-  // decreases; cancelled probes are exactly the moot ones (token j is only
-  // cancelled when some k < j returned Sat).
-  const int n_probes = limit + 1;
-  std::atomic<int> first_sat{n_probes};
-  std::vector<util::CancellationToken> tokens(static_cast<std::size_t>(n_probes));
-
-  const std::atomic<bool>* external = options_.analyzer.interrupt;
-  const auto probe = [&](int k) -> SolveResult {
-    // External cancellation (the scheduler's deadline watchdog) is honoured
-    // at probe start; probes already solving finish under their own tokens.
-    if (external != nullptr && external->load(std::memory_order_relaxed)) {
-      return SolveResult::Unknown;
-    }
-    if (k >= first_sat.load(std::memory_order_relaxed)) return SolveResult::Unknown;  // moot
-    smt::FormulaBuilder builder;
-    ThreatEncoder encoder(scenario_, options_.analyzer.encoder, builder);
-    smt::Session session(builder, options_.analyzer.solver);
-    session.set_interrupt(tokens[static_cast<std::size_t>(k)].flag());
-    session.assert_formula(encoder.threat(property, spec_for(k)));
-    const SolveResult r = session.solve();
-    if (r == SolveResult::Sat) {
-      int cur = first_sat.load(std::memory_order_relaxed);
-      while (k < cur && !first_sat.compare_exchange_weak(cur, k)) {
-      }
-      for (int j = k + 1; j < n_probes; ++j) tokens[static_cast<std::size_t>(j)].cancel();
-    }
-    return r;
-  };
-
-  std::vector<std::future<SolveResult>> futures;
-  futures.reserve(static_cast<std::size_t>(n_probes));
-  for (int k = 0; k < n_probes; ++k) {
-    futures.push_back(pool_.submit([&probe, k] { return probe(k); }));
-  }
-  std::vector<SolveResult> results;
-  results.reserve(futures.size());
-  for (auto& f : futures) results.push_back(f.get());
-
-  const int sat_k = first_sat.load();
-  // Probes below the winning budget are never cancelled, so Unknown there
-  // means an external interrupt (or solver budget) stopped that probe. The
-  // contiguous Unsat prefix is still a proven resiliency bound, so report it
-  // with completed=false instead of throwing — deadline cancellation must
-  // degrade gracefully, same contract as the serial search.
-  int proven = 0;  // budgets [0, proven) all came back Unsat
-  while (proven < std::min(sat_k, n_probes) &&
-         results[static_cast<std::size_t>(proven)] == SolveResult::Unsat) {
-    ++proven;
-  }
-
-  MaxResiliencyResult out;
-  if (proven < std::min(sat_k, n_probes)) {
-    out.max_k = proven - 1;
-    out.probes = proven + 1;
-    out.completed = false;
-  } else if (sat_k == n_probes) {
-    out.max_k = limit;
-    out.probes = n_probes;  // serial search would probe every budget
-  } else {
-    out.max_k = sat_k - 1;
-    out.probes = sat_k + 1;  // serial search stops at the first Sat budget
-  }
-  return out;
-}
-
-// --- cube-split threat enumeration --------------------------------------
-
-std::size_t ParallelAnalyzer::auto_cube_bits() const {
+std::size_t ParallelAnalyzer::cube_width() const {
   const std::size_t field_devices = scenario_.ied_ids().size() + scenario_.rtu_ids().size();
   if (field_devices == 0) return 0;
   std::size_t bits = 1;
@@ -165,11 +66,7 @@ std::vector<ThreatVector> ParallelAnalyzer::enumerate_threats(Property property,
                                                               const ResiliencySpec& spec,
                                                               std::size_t max_vectors,
                                                               bool minimal_only) {
-  const std::size_t bits =
-      options_.cube_bits != 0
-          ? std::min(options_.cube_bits, scenario_.ied_ids().size() + scenario_.rtu_ids().size())
-          : auto_cube_bits();
-  const std::vector<int> devices = cube_devices(bits);
+  const std::vector<int> devices = cube_devices(cube_width());
   const std::size_t n_cubes = std::size_t{1} << devices.size();
 
   // Each worker enumerates one cube: the threat formula plus a fixed
@@ -181,49 +78,16 @@ std::vector<ThreatVector> ParallelAnalyzer::enumerate_threats(Property property,
   const auto enumerate_cube = [&](std::size_t cube) {
     smt::FormulaBuilder builder;
     ThreatEncoder encoder(scenario_, options_.analyzer.encoder, builder);
-    smt::Session session(builder, options_.analyzer.solver);
+    smt::Session session(builder, session_options(options_.analyzer));
+    session.set_interrupt(options_.analyzer.interrupt);
     session.assert_formula(encoder.threat(property, spec));
     for (std::size_t i = 0; i < devices.size(); ++i) {
       const smt::Formula node = encoder.node_var(devices[i]);
       // Bit set — the device is failed in this cube (Node_i false).
       session.assert_formula((cube >> i) & 1u ? builder.mk_not(node) : node);
     }
-
-    std::vector<ThreatVector> local;
-    while (local.size() < max_vectors && session.solve() == SolveResult::Sat) {
-      ThreatVector v = extract_threat_vector(encoder, session);
-      if (minimal_only) {
-        v = minimize_threat(oracle_, property, spec, v);
-        // Block v and all its supersets: at least one member must survive.
-        std::vector<smt::Formula> block;
-        for (const int id : v.failed_ieds) block.push_back(encoder.node_var(id));
-        for (const int id : v.failed_rtus) block.push_back(encoder.node_var(id));
-        for (const int id : v.failed_links) block.push_back(encoder.link_var(id));
-        session.assert_formula(builder.mk_or(block));
-      } else {
-        // Block exactly this failure assignment.
-        std::vector<smt::Formula> diff;
-        const Contingency c = v.to_contingency();
-        for (const int id : scenario_.ied_ids()) {
-          const smt::Formula node = encoder.node_var(id);
-          diff.push_back(c.device_up(id) ? builder.mk_not(node) : node);
-        }
-        for (const int id : scenario_.rtu_ids()) {
-          const smt::Formula node = encoder.node_var(id);
-          diff.push_back(c.device_up(id) ? builder.mk_not(node) : node);
-        }
-        if (options_.analyzer.encoder.links_can_fail) {
-          for (const auto& link : scenario_.topology().links()) {
-            if (!link.up) continue;
-            const smt::Formula lv = encoder.link_var(link.id);
-            diff.push_back(c.link_up(link.id) ? builder.mk_not(lv) : lv);
-          }
-        }
-        session.assert_formula(builder.mk_or(diff));
-      }
-      local.push_back(std::move(v));
-    }
-    return local;
+    return enumerate_session_threats(encoder, session, oracle_, property, spec, max_vectors,
+                                     minimal_only, options_.analyzer.certify);
   };
 
   std::vector<std::future<std::vector<ThreatVector>>> futures;
@@ -242,123 +106,6 @@ std::vector<ThreatVector> ParallelAnalyzer::enumerate_threats(Property property,
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
   if (merged.size() > max_vectors) merged.resize(max_vectors);
   return merged;
-}
-
-// --- sharded brute force -------------------------------------------------
-
-VerificationResult ParallelAnalyzer::brute_force_verify(Property property,
-                                                        const ResiliencySpec& spec) {
-  util::WallTimer timer;
-  VerificationResult out;
-  out.result = SolveResult::Unsat;
-
-  const std::vector<BruteForceVerifier::Candidate> pool = brute_.candidate_pool(spec);
-  const std::size_t n = pool.size();
-  const std::size_t max_size = brute_.max_subset_size(spec, n);
-  constexpr std::uint64_t kNoHit = std::numeric_limits<std::uint64_t>::max();
-
-  for (std::size_t k = 0; k <= max_size; ++k) {
-    const std::uint64_t total = util::n_choose_k(n, k);
-    if (total == kNoHit) {
-      throw ConfigError("parallel brute force: subset space exceeds 2^64");
-    }
-    const std::uint64_t n_shards =
-        std::max<std::uint64_t>(1, std::min<std::uint64_t>(total, pool_.size() * 4));
-
-    // Size classes are searched in order (a hit at size k preempts every
-    // k' > k, like the serial verifier), and within one size the winner is
-    // the lexicographically smallest hit — best_rank lets later shards stop
-    // early without affecting which subset wins.
-    std::atomic<std::uint64_t> best_rank{kNoHit};
-    const auto scan_shard = [&](std::uint64_t begin,
-                                std::uint64_t end) -> std::pair<std::uint64_t, ThreatVector> {
-      util::KSubsetIterator it(n, k, begin);
-      for (std::uint64_t rank = begin; rank < end && it.valid(); ++rank, it.advance()) {
-        if (rank >= best_rank.load(std::memory_order_relaxed)) break;
-        ThreatVector v = BruteForceVerifier::subset_to_vector(it.subset(), pool);
-        if (!brute_.within_budget(v, spec)) continue;
-        if (brute_.violates(property, v, spec.r)) {
-          std::uint64_t cur = best_rank.load(std::memory_order_relaxed);
-          while (rank < cur && !best_rank.compare_exchange_weak(cur, rank)) {
-          }
-          return {rank, std::move(v)};
-        }
-      }
-      return {kNoHit, ThreatVector{}};
-    };
-
-    std::vector<std::future<std::pair<std::uint64_t, ThreatVector>>> futures;
-    futures.reserve(static_cast<std::size_t>(n_shards));
-    for (std::uint64_t s = 0; s < n_shards; ++s) {
-      const std::uint64_t begin = total * s / n_shards;
-      const std::uint64_t end = total * (s + 1) / n_shards;
-      futures.push_back(pool_.submit([&scan_shard, begin, end] { return scan_shard(begin, end); }));
-    }
-
-    std::uint64_t winner_rank = kNoHit;
-    ThreatVector winner;
-    for (auto& f : futures) {
-      auto [rank, v] = f.get();
-      if (rank < winner_rank) {
-        winner_rank = rank;
-        winner = std::move(v);
-      }
-    }
-    if (winner_rank != kNoHit) {
-      out.result = SolveResult::Sat;
-      out.threat = std::move(winner);
-      break;
-    }
-  }
-
-  out.solve_seconds = timer.seconds();
-  return out;
-}
-
-std::vector<ThreatVector> ParallelAnalyzer::brute_force_enumerate(Property property,
-                                                                  const ResiliencySpec& spec) {
-  const std::vector<BruteForceVerifier::Candidate> pool = brute_.candidate_pool(spec);
-  const std::size_t n = pool.size();
-  const std::size_t max_size = brute_.max_subset_size(spec, n);
-  constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
-
-  std::vector<ThreatVector> threats;
-  for (std::size_t k = 0; k <= max_size; ++k) {
-    const std::uint64_t total = util::n_choose_k(n, k);
-    if (total == kSaturated) {
-      throw ConfigError("parallel brute force: subset space exceeds 2^64");
-    }
-    const std::uint64_t n_shards =
-        std::max<std::uint64_t>(1, std::min<std::uint64_t>(total, pool_.size() * 4));
-
-    // Minimality is decided per subset via the oracle (is_minimal_threat),
-    // not against previously-found threats, so shards are order-independent;
-    // concatenating them in rank order reproduces the serial output exactly.
-    const auto scan_shard = [&](std::uint64_t begin, std::uint64_t end) {
-      std::vector<ThreatVector> local;
-      util::KSubsetIterator it(n, k, begin);
-      for (std::uint64_t rank = begin; rank < end && it.valid(); ++rank, it.advance()) {
-        ThreatVector v = BruteForceVerifier::subset_to_vector(it.subset(), pool);
-        if (!brute_.within_budget(v, spec)) continue;
-        if (brute_.is_minimal_threat(property, v, spec.r)) local.push_back(std::move(v));
-      }
-      return local;
-    };
-
-    std::vector<std::future<std::vector<ThreatVector>>> futures;
-    futures.reserve(static_cast<std::size_t>(n_shards));
-    for (std::uint64_t s = 0; s < n_shards; ++s) {
-      const std::uint64_t begin = total * s / n_shards;
-      const std::uint64_t end = total * (s + 1) / n_shards;
-      futures.push_back(pool_.submit([&scan_shard, begin, end] { return scan_shard(begin, end); }));
-    }
-    for (auto& f : futures) {
-      std::vector<ThreatVector> part = f.get();
-      threats.insert(threats.end(), std::make_move_iterator(part.begin()),
-                     std::make_move_iterator(part.end()));
-    }
-  }
-  return threats;
 }
 
 }  // namespace scada::core

@@ -1,7 +1,6 @@
 #include "scada/core/placement.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "scada/util/error.hpp"
 
@@ -33,8 +32,8 @@ std::string PlacementAction::to_string(const powersys::BusSystem& grid) const {
 }
 
 PlacementAdvisor::PlacementAdvisor(const powersys::BusSystem& grid,
-                                   const ScadaScenario& scenario, AnalyzerOptions options)
-    : grid_(grid), scenario_(scenario), options_(std::move(options)) {
+                                   const ScadaScenario& scenario)
+    : grid_(grid), scenario_(scenario) {
   if (scenario_.model().placement().empty()) {
     throw ConfigError("PlacementAdvisor needs a placement-built measurement model");
   }
@@ -84,67 +83,6 @@ ScadaScenario PlacementAdvisor::apply(const std::vector<PlacementAction>& action
                        std::move(policy), scenario_.crypto_rules(),
                        powersys::MeasurementModel(grid_, std::move(placement)),
                        std::move(mapping));
-}
-
-PlacementResult PlacementAdvisor::advise(Property property, const ResiliencySpec& spec,
-                                         std::size_t max_additions) {
-  PlacementResult result;
-
-  int next_ied = 0;
-  for (const auto& d : scenario_.topology().devices()) next_ied = std::max(next_ied, d.id);
-
-  // Attach new IEDs to the least-loaded RTUs (round robin by current load).
-  std::map<int, std::size_t> rtu_load;
-  for (const int rtu : scenario_.rtu_ids()) rtu_load[rtu] = 0;
-  for (const int ied : scenario_.ied_ids()) {
-    for (const int n : scenario_.topology().neighbors(ied)) {
-      if (rtu_load.contains(n)) ++rtu_load[n];
-    }
-  }
-  const auto pick_rtu = [&rtu_load] {
-    return std::min_element(rtu_load.begin(), rtu_load.end(),
-                            [](const auto& a, const auto& b) { return a.second < b.second; })
-        ->first;
-  };
-
-  std::vector<PlacementAction> chosen;
-  std::vector<Measurement> pool = candidates();
-
-  for (std::size_t round = 0; round <= max_additions; ++round) {
-    const ScadaScenario current = apply(chosen);
-    ScadaAnalyzer analyzer(current, options_);
-    ++result.probes;
-    if (analyzer.verify(property, spec).resilient()) {
-      result.achievable = true;
-      result.additions = std::move(chosen);
-      return result;
-    }
-    if (round == max_additions || pool.empty()) break;
-
-    // Greedy step: the candidate that leaves the smallest threat space.
-    const int rtu = pick_rtu();
-    std::size_t best_index = 0;
-    std::size_t best_score = std::numeric_limits<std::size_t>::max();
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      PlacementAction action{pool[i], next_ied + 1, rtu};
-      std::vector<PlacementAction> trial = chosen;
-      trial.push_back(action);
-      const ScadaScenario candidate_scenario = apply(trial);
-      ScadaAnalyzer candidate_analyzer(candidate_scenario, options_);
-      ++result.probes;
-      const std::size_t score =
-          candidate_analyzer.enumerate_threats(property, spec, /*max_vectors=*/33).size();
-      if (score < best_score) {
-        best_score = score;
-        best_index = i;
-        if (score == 0) break;  // cannot do better
-      }
-    }
-    chosen.push_back({pool[best_index], ++next_ied, rtu});
-    ++rtu_load[rtu];
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(best_index));
-  }
-  return result;
 }
 
 }  // namespace scada::core

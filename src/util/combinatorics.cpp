@@ -1,58 +1,10 @@
 #include "scada/util/combinatorics.hpp"
 
-#include <limits>
-#include <stdexcept>
-
 namespace scada::util {
-
-std::uint64_t n_choose_k(std::uint64_t n, std::uint64_t k) noexcept {
-  if (k > n) return 0;
-  if (k > n - k) k = n - k;
-  std::uint64_t result = 1;
-  for (std::uint64_t i = 1; i <= k; ++i) {
-    const std::uint64_t factor = n - k + i;
-    // result = result * factor / i, with saturation on overflow.
-    if (result > std::numeric_limits<std::uint64_t>::max() / factor) {
-      return std::numeric_limits<std::uint64_t>::max();
-    }
-    result = result * factor / i;
-  }
-  return result;
-}
-
-std::vector<std::size_t> unrank_k_subset(std::size_t n, std::size_t k, std::uint64_t rank) {
-  const std::uint64_t total = n_choose_k(n, k);
-  if (rank >= total || total == std::numeric_limits<std::uint64_t>::max()) {
-    throw std::invalid_argument("unrank_k_subset: rank out of range");
-  }
-  std::vector<std::size_t> subset;
-  subset.reserve(k);
-  std::uint64_t remaining = rank;
-  std::size_t next = 0;  // smallest element the current position may take
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t v = next; v < n; ++v) {
-      // Subsets starting with v at this position: choose the k-i-1 remaining
-      // elements from the v+1..n-1 suffix.
-      const std::uint64_t block = n_choose_k(n - 1 - v, k - i - 1);
-      if (remaining < block) {
-        subset.push_back(v);
-        next = v + 1;
-        break;
-      }
-      remaining -= block;
-    }
-  }
-  return subset;
-}
 
 KSubsetIterator::KSubsetIterator(std::size_t n, std::size_t k)
     : n_(n), idx_(k), valid_(k <= n) {
   for (std::size_t i = 0; i < k; ++i) idx_[i] = i;
-}
-
-KSubsetIterator::KSubsetIterator(std::size_t n, std::size_t k, std::uint64_t start_rank)
-    : n_(n), idx_(), valid_(k <= n && start_rank < n_choose_k(n, k)) {
-  if (valid_) idx_ = unrank_k_subset(n, k, start_rank);
 }
 
 void KSubsetIterator::advance() noexcept {

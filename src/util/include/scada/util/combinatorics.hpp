@@ -1,21 +1,11 @@
 // Subset enumeration used by the brute-force baseline verifier and tests.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
 #include <vector>
 
 namespace scada::util {
-
-/// Binomial coefficient with saturation at UINT64_MAX (no overflow UB).
-[[nodiscard]] std::uint64_t n_choose_k(std::uint64_t n, std::uint64_t k) noexcept;
-
-/// The `rank`-th (0-based) k-element subset of {0, ..., n-1} in
-/// lexicographic order — the combinadic unranking used to split a C(n,k)
-/// enumeration into disjoint worker ranges. Throws std::invalid_argument
-/// unless rank < C(n,k) and C(n,k) is not saturated.
-[[nodiscard]] std::vector<std::size_t> unrank_k_subset(std::size_t n, std::size_t k,
-                                                       std::uint64_t rank);
 
 /// Enumerates all k-element subsets of {0, ..., n-1} in lexicographic order.
 ///
@@ -25,10 +15,6 @@ namespace scada::util {
 class KSubsetIterator {
  public:
   KSubsetIterator(std::size_t n, std::size_t k);
-
-  /// Starts mid-sequence at the subset of the given lexicographic rank
-  /// (parallel range sharding: worker w iterates ranks [start_w, end_w)).
-  KSubsetIterator(std::size_t n, std::size_t k, std::uint64_t start_rank);
 
   [[nodiscard]] bool valid() const noexcept { return valid_; }
   [[nodiscard]] const std::vector<std::size_t>& subset() const noexcept { return idx_; }

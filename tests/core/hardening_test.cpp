@@ -1,3 +1,5 @@
+// Hardening action model (HardeningAdvisor::candidates, apply_hardening) and
+// the synthesis over it (Optimizer::min_cost_hardening) on the case study.
 #include "scada/core/hardening.hpp"
 
 #include <gtest/gtest.h>
@@ -5,6 +7,7 @@
 #include <algorithm>
 
 #include "scada/core/case_study.hpp"
+#include "scada/core/optimize.hpp"
 #include "scada/util/error.hpp"
 
 namespace scada::core {
@@ -28,50 +31,52 @@ TEST(HardeningTest, RestoresOneOneSecuredObservability) {
   ASSERT_FALSE(analyzer.verify(Property::SecuredObservability, ResiliencySpec::per_type(1, 1))
                    .resilient());
 
-  HardeningAdvisor advisor(s);
+  Optimizer optimizer(s);
   const auto result =
-      advisor.advise(Property::SecuredObservability, ResiliencySpec::per_type(1, 1));
+      optimizer.min_cost_hardening(Property::SecuredObservability, ResiliencySpec::per_type(1, 1));
   ASSERT_TRUE(result.achievable);
-  EXPECT_FALSE(result.upgrades.empty());
-  EXPECT_GT(result.probes, 0);
+  EXPECT_FALSE(result.hardening.empty());
+  EXPECT_GT(result.cegis_iterations, 0u);
 }
 
 TEST(HardeningTest, AlreadyResilientSpecNeedsNoUpgrades) {
   const ScadaScenario s = make_case_study();
-  HardeningAdvisor advisor(s);
+  Optimizer optimizer(s);
   const auto result =
-      advisor.advise(Property::SecuredObservability, ResiliencySpec::per_type(0, 1));
+      optimizer.min_cost_hardening(Property::SecuredObservability, ResiliencySpec::per_type(0, 1));
   EXPECT_TRUE(result.achievable);
-  EXPECT_TRUE(result.upgrades.empty());
-  EXPECT_EQ(result.probes, 1);
+  EXPECT_TRUE(result.hardening.empty());
+  EXPECT_EQ(result.cegis_iterations, 1u);
 }
 
 TEST(HardeningTest, ImpossibleSpecReportsUnachievable) {
   const ScadaScenario s = make_case_study();
-  HardeningAdvisor advisor(s);
+  Optimizer optimizer(s);
   // Failing all 4 RTUs always severs every path; no crypto upgrade helps.
   const auto result =
-      advisor.advise(Property::SecuredObservability, ResiliencySpec::per_type(0, 4));
+      optimizer.min_cost_hardening(Property::SecuredObservability, ResiliencySpec::per_type(0, 4));
+  EXPECT_TRUE(result.completed);
   EXPECT_FALSE(result.achievable);
 }
 
 TEST(HardeningTest, PlainObservabilityRejected) {
   const ScadaScenario s = make_case_study();
-  HardeningAdvisor advisor(s);
-  EXPECT_THROW((void)advisor.advise(Property::Observability, ResiliencySpec::per_type(1, 1)),
-               ConfigError);
+  Optimizer optimizer(s);
+  EXPECT_THROW(
+      (void)optimizer.min_cost_hardening(Property::Observability, ResiliencySpec::per_type(1, 1)),
+      ConfigError);
 }
 
 TEST(HardeningTest, UpgradedScenarioActuallyVerifies) {
   const ScadaScenario s = make_case_study();
-  HardeningAdvisor advisor(s);
+  Optimizer optimizer(s);
   const auto result =
-      advisor.advise(Property::SecuredObservability, ResiliencySpec::per_type(1, 1));
+      optimizer.min_cost_hardening(Property::SecuredObservability, ResiliencySpec::per_type(1, 1));
   ASSERT_TRUE(result.achievable);
 
-  // Re-apply the advised upgrades by hand and confirm the verdict flips.
+  // Re-apply the chosen upgrades by hand and confirm the verdict flips.
   scadanet::SecurityPolicy policy = s.policy();
-  for (const auto& action : result.upgrades) {
+  for (const auto& action : result.hardening) {
     std::vector<scadanet::CryptoSuite> suites;
     if (const auto* existing = policy.pair_suites(action.a, action.b)) suites = *existing;
     suites.push_back({"rsa", 2048});

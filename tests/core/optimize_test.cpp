@@ -1,8 +1,9 @@
 // core::Optimizer tests: the security index must equal the smallest budget
 // with a Sat (attackable) verdict from the plain analyzer, minimum-cost
-// hardening must beat (or tie) the greedy advisor, binary-search
-// max-resiliency must reproduce the linear analyzer sweep, and the CEGIS
-// placement loop must reach the requested resiliency.
+// hardening must match the smallest restoring upgrade set, the CEGIS
+// placement loop must reach the requested resiliency (and give up quickly
+// when it cannot). The analyzer's gallop-then-bisect max_resiliency is
+// checked here too, against the same kind of per-k verify() sweep.
 #include "scada/core/optimize.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "scada/core/case_study.hpp"
 #include "scada/synth/generator.hpp"
+#include "scada/util/combinatorics.hpp"
 #include "scada/util/error.hpp"
 
 namespace scada::core {
@@ -29,6 +31,44 @@ std::optional<int> index_by_sweep(const ScadaScenario& scenario, Property proper
     if (!analyzer.verify(property, ResiliencySpec::total(k)).resilient()) return k;
   }
   return std::nullopt;
+}
+
+/// Largest k whose per-k verify() is resilient for the failure class — the
+/// definition max_resiliency searches for, by a plain linear sweep.
+int max_k_by_sweep(const ScadaScenario& scenario, Property property, FailureClass cls, int r,
+                   const AnalyzerOptions& options) {
+  ScadaAnalyzer analyzer(scenario, options);
+  const int ieds = static_cast<int>(scenario.ied_ids().size());
+  const int rtus = static_cast<int>(scenario.rtu_ids().size());
+  const int limit = cls == FailureClass::IedOnly   ? ieds
+                    : cls == FailureClass::RtuOnly ? rtus
+                                                   : ieds + rtus;
+  for (int k = 0; k <= limit; ++k) {
+    const ResiliencySpec spec = cls == FailureClass::IedOnly   ? ResiliencySpec::per_type(k, 0, r)
+                                : cls == FailureClass::RtuOnly ? ResiliencySpec::per_type(0, k, r)
+                                                               : ResiliencySpec::total(k, r);
+    if (!analyzer.verify(property, spec).resilient()) return k - 1;
+  }
+  return limit;
+}
+
+/// Smallest unit-cost upgrade set restoring the spec, by trying upgrade sets
+/// in increasing size — the walk the greedy hardening advisor used to make.
+/// nullopt when even the whole pool fails.
+std::optional<std::size_t> min_upgrades_by_sweep(const ScadaScenario& scenario,
+                                                 Property property, const ResiliencySpec& spec,
+                                                 const AnalyzerOptions& options) {
+  const std::vector<HardeningAction> pool = HardeningAdvisor(scenario, options).candidates();
+  std::optional<std::size_t> best;
+  util::for_each_subset_up_to(pool.size(), pool.size(), [&](const std::vector<std::size_t>& subset) {
+    std::vector<HardeningAction> actions;
+    for (const std::size_t i : subset) actions.push_back(pool[i]);
+    const ScadaScenario upgraded = apply_hardening(scenario, actions);
+    if (!ScadaAnalyzer(upgraded, options).verify(property, spec).resilient()) return true;
+    best = subset.size();
+    return false;
+  });
+  return best;
 }
 
 class OptimizerBothBackends : public ::testing::TestWithParam<smt::Backend> {
@@ -76,16 +116,15 @@ TEST_P(OptimizerBothBackends, SecurityIndexScenario2IsTwo) {
 TEST_P(OptimizerBothBackends, MinCostHardeningBeatsOrTiesTheGreedyAdvisor) {
   const ScadaScenario s = make_case_study();
   const auto spec = ResiliencySpec::per_type(1, 1);
-
-  HardeningAdvisor advisor(s, options().analyzer);
-  const HardeningResult greedy = advisor.advise(Property::SecuredObservability, spec);
-  ASSERT_TRUE(greedy.achievable);
+  const std::optional<std::size_t> smallest =
+      min_upgrades_by_sweep(s, Property::SecuredObservability, spec, options().analyzer);
+  ASSERT_TRUE(smallest.has_value());
 
   Optimizer optimizer(s, options());
   const MinCostResult result = optimizer.min_cost_hardening(Property::SecuredObservability, spec);
   ASSERT_TRUE(result.completed);
   ASSERT_TRUE(result.achievable);
-  EXPECT_LE(result.cost, greedy.upgrades.size());
+  EXPECT_EQ(result.cost, *smallest);
   EXPECT_EQ(result.cost, result.hardening.size());  // unit default costs
   EXPECT_EQ(result.verification.result, smt::SolveResult::Unsat);
 
@@ -130,11 +169,17 @@ TEST_P(OptimizerBothBackends, MinCostHardeningZeroWhenAlreadyResilient) {
 TEST_P(OptimizerBothBackends, MinCostHardeningImpossibleSpec) {
   const ScadaScenario s = make_case_study();
   Optimizer optimizer(s, options());
-  // Failing all 4 RTUs severs every path; no crypto upgrade can help.
-  const MinCostResult result =
-      optimizer.min_cost_hardening(Property::SecuredObservability, ResiliencySpec::per_type(0, 4));
-  ASSERT_TRUE(result.completed);
-  EXPECT_FALSE(result.achievable);
+  // Failing all 4 RTUs severs every path; no crypto upgrade can help. Under
+  // (2,1) plain observability already fails, so secured observability fails
+  // with every hop upgraded, although the first threat found may be one an
+  // upgrade defeats. Either way the loop stops after its first proposal:
+  // the threat survives the whole pool, or the whole pool is verified once.
+  for (const auto spec : {ResiliencySpec::per_type(0, 4), ResiliencySpec::per_type(2, 1)}) {
+    const MinCostResult result = optimizer.min_cost_hardening(Property::SecuredObservability, spec);
+    ASSERT_TRUE(result.completed) << spec.to_string();
+    EXPECT_FALSE(result.achievable) << spec.to_string();
+    EXPECT_EQ(result.cegis_iterations, 1u) << spec.to_string();
+  }
 }
 
 TEST_P(OptimizerBothBackends, PlainObservabilityHardeningRejected) {
@@ -146,18 +191,33 @@ TEST_P(OptimizerBothBackends, PlainObservabilityHardeningRejected) {
 }
 
 TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
+  // ScadaAnalyzer::max_resiliency (gallop-then-bisect over guarded budgets)
+  // against an independent per-k verify() sweep, on every budget path
+  // ThreatEncoder::failure_budget owns: per-type classes, the combined
+  // budget, spec_r > 1 and link failures under the combined budget.
+  struct Case {
+    Property property;
+    int r;
+    bool links_can_fail;
+  };
+  const Case cases[] = {{Property::Observability, 1, false},
+                        {Property::SecuredObservability, 1, false},
+                        {Property::BadDataDetectability, 2, false},
+                        {Property::Observability, 1, true}};
   for (const auto topology : {CaseStudyTopology::Fig3, CaseStudyTopology::Fig4}) {
     const ScadaScenario s = make_case_study(topology);
-    ScadaAnalyzer analyzer(s, options().analyzer);
-    Optimizer optimizer(s, options());
-    for (const auto property : {Property::Observability, Property::SecuredObservability}) {
+    for (const Case& c : cases) {
+      AnalyzerOptions analyzer_options = options().analyzer;
+      analyzer_options.encoder.links_can_fail = c.links_can_fail;
+      ScadaAnalyzer analyzer(s, analyzer_options);
       for (const auto cls :
            {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
-        const MaxResiliencyResult linear = analyzer.max_resiliency(property, cls);
-        const MaxResiliencyResult binary = optimizer.max_resiliency(property, cls);
-        ASSERT_TRUE(linear.completed && binary.completed);
-        EXPECT_EQ(binary.max_k, linear.max_k)
-            << to_string(property) << "/" << to_string(cls) << " on "
+        if (c.links_can_fail && cls != FailureClass::Combined) continue;
+        const MaxResiliencyResult searched = analyzer.max_resiliency(c.property, cls, c.r);
+        ASSERT_TRUE(searched.completed);
+        EXPECT_EQ(searched.max_k, max_k_by_sweep(s, c.property, cls, c.r, analyzer_options))
+            << to_string(c.property) << " r=" << c.r << " links=" << c.links_can_fail << " "
+            << to_string(cls) << " on "
             << (topology == CaseStudyTopology::Fig3 ? "fig3" : "fig4");
       }
     }
@@ -184,14 +244,10 @@ TEST_P(OptimizerBothBackends, MinCostPlacementReachesTheSpec) {
   EXPECT_FALSE(result.placements.empty());
   EXPECT_EQ(result.verification.result, smt::SolveResult::Unsat);
 
-  PlacementAdvisor advisor(grid, s, options().analyzer);
+  PlacementAdvisor advisor(grid, s);
   const ScadaScenario fixed = advisor.apply(result.placements);
   EXPECT_TRUE(
       ScadaAnalyzer(fixed, options().analyzer).verify(Property::Observability, spec).resilient());
-  // Never worse than the greedy advisor.
-  const PlacementResult greedy = advisor.advise(Property::Observability, spec, 10);
-  ASSERT_TRUE(greedy.achievable);
-  EXPECT_LE(result.placements.size(), greedy.additions.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, OptimizerBothBackends,
@@ -243,10 +299,27 @@ TEST(OptimizerTest, PresetInterruptDegradesGracefully) {
       optimizer.min_cost_hardening(Property::SecuredObservability, ResiliencySpec::per_type(1, 1));
   EXPECT_FALSE(hardening.completed);
   EXPECT_FALSE(hardening.achievable);
+}
 
-  const MaxResiliencyResult resiliency =
-      optimizer.max_resiliency(Property::Observability, FailureClass::Combined);
-  EXPECT_FALSE(resiliency.completed);
+TEST(PlacementTest, UnachievableWithinBudget) {
+  // Failing every RTU can never be survived by adding meters behind the same
+  // RTUs. The loop must say so after checking the whole 27-meter pool once,
+  // not after refuting all 2^27 subsets.
+  synth::SynthConfig config;
+  config.buses = 14;
+  config.measurement_fraction = 0.5;
+  config.secured_hop_fraction = 1.0;
+  config.seed = 3;
+  const ScadaScenario s = synth::generate_scenario(config);
+  const powersys::BusSystem grid = powersys::BusSystem::ieee14();
+  const auto rtus = static_cast<int>(s.rtu_ids().size());
+
+  Optimizer optimizer(s);
+  const MinCostResult result = optimizer.min_cost_placement(
+      grid, Property::Observability, ResiliencySpec::per_type(0, rtus));
+  EXPECT_TRUE(result.completed);
+  EXPECT_FALSE(result.achievable);
+  EXPECT_LE(result.cegis_iterations, 2u);
 }
 
 }  // namespace

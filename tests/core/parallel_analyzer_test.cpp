@@ -1,6 +1,7 @@
-// Parallel engine parity: every ParallelAnalyzer operation must reproduce
-// the serial analyzer's results deterministically — same verdicts, same
-// threat sets, same probe accounting — regardless of worker count or timing.
+// Parallel engine parity: cube-split enumeration must reproduce the serial
+// analyzer's threat sets deterministically, regardless of worker count
+// (and hence cube width) or timing. The serial max-resiliency search is
+// checked against cube enumeration, and on a multi-threaded portfolio session.
 #include "scada/core/parallel_analyzer.hpp"
 
 #include <gtest/gtest.h>
@@ -55,7 +56,11 @@ TEST_P(ParallelVsSerial, EnumerationMatchesSerialAntichain) {
 }
 
 TEST_P(ParallelVsSerial, MaxResiliencyMatchesSerial) {
+  // The serial gallop-then-bisect search against the largest k whose cube
+  // enumeration finds no threat at all.
   const ScadaScenario s = make_case_study();
+  const Property property =
+      GetParam() < 4 ? Property::Observability : Property::SecuredObservability;
   ParallelOptions options;
   options.threads = 1 + GetParam() % 4;
   options.analyzer.solver.backend =
@@ -66,99 +71,72 @@ TEST_P(ParallelVsSerial, MaxResiliencyMatchesSerial) {
   const auto failure_class = GetParam() % 3 == 0   ? FailureClass::Combined
                              : GetParam() % 3 == 1 ? FailureClass::IedOnly
                                                    : FailureClass::RtuOnly;
-  const auto got = parallel.max_resiliency(Property::Observability, failure_class);
-  const auto expected = serial.max_resiliency(Property::Observability, failure_class);
-  EXPECT_EQ(got.max_k, expected.max_k);
-  EXPECT_EQ(got.probes, expected.probes);
+  const int ieds = static_cast<int>(s.ied_ids().size());
+  const int rtus = static_cast<int>(s.rtu_ids().size());
+  const int limit = failure_class == FailureClass::IedOnly   ? ieds
+                    : failure_class == FailureClass::RtuOnly ? rtus
+                                                             : ieds + rtus;
+  int expected = limit;
+  for (int k = 0; k <= limit; ++k) {
+    const ResiliencySpec spec =
+        failure_class == FailureClass::IedOnly   ? ResiliencySpec::per_type(k, 0)
+        : failure_class == FailureClass::RtuOnly ? ResiliencySpec::per_type(0, k)
+                                                 : ResiliencySpec::total(k);
+    if (!parallel.enumerate_threats(property, spec, 1).empty()) {
+      expected = k - 1;
+      break;
+    }
+  }
+
+  const auto got = serial.max_resiliency(property, failure_class);
+  ASSERT_TRUE(got.completed);
+  EXPECT_EQ(got.max_k, expected) << to_string(property) << "/" << to_string(failure_class);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelVsSerial, ::testing::Range(0, 8));
 
 TEST(ParallelAnalyzerTest, MaxResiliencyProbesCounted) {
-  // Same accounting as the serial analyzer's test: probes reports the
-  // serial-equivalent count even though the portfolio runs all budgets.
+  // The one max-resiliency search on a clause-sharing portfolio session:
+  // the parallel workers change neither the answer nor the probe sequence.
   const ScadaScenario s = make_case_study();
-  ParallelAnalyzer parallel(s, {.threads = 4});
-  const auto r = parallel.max_resiliency(Property::Observability, FailureClass::IedOnly);
+  AnalyzerOptions options;
+  options.solver.backend = smt::Backend::Cdcl;
+  options.solver.portfolio = 4;
+  ScadaAnalyzer analyzer(s, options);
+  const auto r = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly);
   EXPECT_EQ(r.max_k, 3);
-  EXPECT_EQ(r.probes, 5);  // k = 0..4, sat at 4
+  EXPECT_EQ(r.probes, 5);  // k = 0, 1, 2, 4 (sat), 3
 }
 
 TEST(ParallelAnalyzerTest, MaxResiliencyInterruptedDoesNotThrow) {
-  // Regression: Unknown probes below the winning budget used to throw
-  // SolverError; an external cancel must yield a partial result instead.
+  // An external cancel reaching the portfolio workers must yield a partial
+  // result, not a thrown SolverError for the Unknown probe.
   const ScadaScenario s = make_case_study();
   std::atomic<bool> stop{true};
-  ParallelOptions options;
-  options.threads = 3;
-  options.analyzer.solver.backend = smt::Backend::Cdcl;
-  options.analyzer.interrupt = &stop;
-  ParallelAnalyzer parallel(s, options);
+  AnalyzerOptions options;
+  options.solver.backend = smt::Backend::Cdcl;
+  options.solver.portfolio = 3;
+  options.interrupt = &stop;
+  ScadaAnalyzer analyzer(s, options);
 
   MaxResiliencyResult r;
-  ASSERT_NO_THROW(
-      r = parallel.max_resiliency(Property::Observability, FailureClass::IedOnly));
+  ASSERT_NO_THROW(r = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly));
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.max_k, -1);
 
   stop.store(false);
-  const auto full = parallel.max_resiliency(Property::Observability, FailureClass::IedOnly);
+  const auto full = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly);
   EXPECT_TRUE(full.completed);
   EXPECT_EQ(full.max_k, 3);
 }
 
-TEST(ParallelAnalyzerTest, BruteForceVerifyMatchesSerialExactly) {
-  const ScadaScenario s = make_case_study();
-  ParallelOptions options;
-  options.threads = 3;
-  ParallelAnalyzer parallel(s, options);
-  BruteForceVerifier serial(s, options.analyzer.encoder);
-  for (const Property property : {Property::Observability, Property::SecuredObservability}) {
-    for (int k = 0; k <= 2; ++k) {
-      const auto spec = ResiliencySpec::total(k);
-      const auto got = parallel.brute_force_verify(property, spec);
-      const auto expected = serial.verify(property, spec);
-      EXPECT_EQ(got.result, expected.result) << to_string(property) << " k=" << k;
-      // Same winning vector, not just the same verdict: the sharded search
-      // must keep the serial first-hit (smallest, lexicographically first).
-      EXPECT_EQ(got.threat, expected.threat) << to_string(property) << " k=" << k;
-    }
-  }
-}
-
-TEST(ParallelAnalyzerTest, BruteForceEnumerateMatchesSerialOrder) {
-  const ScadaScenario s = make_case_study();
-  ParallelOptions options;
-  options.threads = 4;
-  ParallelAnalyzer parallel(s, options);
-  BruteForceVerifier serial(s, options.analyzer.encoder);
-  const auto spec = ResiliencySpec::per_type(2, 1);
-  const auto got = parallel.brute_force_enumerate(Property::Observability, spec);
-  const auto expected = serial.enumerate_threats(Property::Observability, spec);
-  EXPECT_EQ(got, expected);  // element-wise: content AND order
-}
-
-TEST(ParallelAnalyzerTest, BruteForceHandlesLinkFailures) {
-  const ScadaScenario s = make_case_study(CaseStudyTopology::Fig3);
-  ParallelOptions options;
-  options.analyzer.encoder.links_can_fail = true;
-  options.threads = 2;
-  ParallelAnalyzer parallel(s, options);
-  BruteForceVerifier serial(s, options.analyzer.encoder);
-  const auto spec = ResiliencySpec::total(1);
-  const auto got = parallel.brute_force_verify(Property::Observability, spec);
-  const auto expected = serial.verify(Property::Observability, spec);
-  ASSERT_EQ(got.result, expected.result);
-  EXPECT_EQ(got.threat, expected.threat);
-  EXPECT_EQ(parallel.brute_force_enumerate(Property::Observability, spec),
-            serial.enumerate_threats(Property::Observability, spec));
-}
-
 TEST(ParallelAnalyzerTest, EnumerationDeterministicAcrossRunsAndThreadCounts) {
+  // The cube width follows the worker count (at least two cubes per worker):
+  // 1/2/4/16 threads split the space over 1/2/3/5 devices.
   const ScadaScenario s = make_case_study();
   const auto spec = ResiliencySpec::per_type(2, 1);
   std::vector<ThreatVector> reference;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 16u}) {
     ParallelOptions options;
     options.threads = threads;
     ParallelAnalyzer parallel(s, options);
@@ -175,18 +153,40 @@ TEST(ParallelAnalyzerTest, EnumerationDeterministicAcrossRunsAndThreadCounts) {
 }
 
 TEST(ParallelAnalyzerTest, ExplicitCubeBitsStillComplete) {
+  // Each cube width (set through the worker count: 1/4/16 threads give
+  // 1/3/5 cube devices) must still cover the whole serial antichain.
   const ScadaScenario s = make_case_study();
   const auto spec = ResiliencySpec::per_type(1, 1);
   ScadaAnalyzer serial(s);
   const auto expected = canonical(serial.enumerate_threats(Property::Observability, spec));
-  for (const std::size_t bits : {1u, 3u, 5u}) {
+  for (const std::size_t threads : {1u, 4u, 16u}) {
     ParallelOptions options;
-    options.threads = 2;
-    options.cube_bits = bits;
+    options.threads = threads;
     ParallelAnalyzer parallel(s, options);
     EXPECT_EQ(parallel.enumerate_threats(Property::Observability, spec), expected)
-        << "cube_bits=" << bits;
+        << "threads=" << threads;
   }
+}
+
+TEST(ParallelAnalyzerTest, CubeWorkersHonourInterruptAndCertify) {
+  const ScadaScenario s = make_case_study();
+  const auto spec = ResiliencySpec::per_type(1, 1);
+  std::atomic<bool> stop{true};
+  ParallelOptions options;
+  options.threads = 2;
+  options.analyzer.solver.backend = smt::Backend::Cdcl;
+  options.analyzer.interrupt = &stop;
+  // A preset interrupt stops every cube before its first model.
+  EXPECT_TRUE(ParallelAnalyzer(s, options)
+                  .enumerate_threats(Property::SecuredObservability, spec)
+                  .empty());
+
+  // Certified cube enumeration (each verdict re-checked) keeps the serial set.
+  stop.store(false);
+  options.analyzer.certify = true;
+  ScadaAnalyzer serial(s, options.analyzer);
+  EXPECT_EQ(ParallelAnalyzer(s, options).enumerate_threats(Property::SecuredObservability, spec),
+            canonical(serial.enumerate_threats(Property::SecuredObservability, spec)));
 }
 
 TEST(ParallelAnalyzerTest, NonMinimalEnumerationMatchesSerialSet) {
@@ -222,10 +222,6 @@ TEST(ParallelAnalyzerTest, SyntheticScenarioParity) {
   const auto spec = ResiliencySpec::total(2);
   EXPECT_EQ(parallel.enumerate_threats(Property::Observability, spec),
             canonical(serial.enumerate_threats(Property::Observability, spec)));
-  const auto got = parallel.max_resiliency(Property::Observability, FailureClass::Combined);
-  const auto expected = serial.max_resiliency(Property::Observability, FailureClass::Combined);
-  EXPECT_EQ(got.max_k, expected.max_k);
-  EXPECT_EQ(got.probes, expected.probes);
 }
 
 }  // namespace

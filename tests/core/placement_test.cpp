@@ -1,7 +1,10 @@
+// Placement action model (PlacementAdvisor::candidates/apply) and the
+// synthesis over it (Optimizer::min_cost_placement).
 #include "scada/core/placement.hpp"
 
 #include <gtest/gtest.h>
 
+#include "scada/core/optimize.hpp"
 #include "scada/synth/generator.hpp"
 #include "scada/util/error.hpp"
 
@@ -63,40 +66,30 @@ TEST(PlacementTest, SynthesisReachesRequestedResiliency) {
   // Precondition: the under-metered system is not 1-resilient.
   ASSERT_FALSE(analyzer.verify(Property::Observability, spec).resilient());
 
-  PlacementAdvisor advisor(f.grid, f.scenario);
-  const auto result = advisor.advise(Property::Observability, spec, 10);
+  Optimizer optimizer(f.scenario);
+  const auto result = optimizer.min_cost_placement(f.grid, Property::Observability, spec);
   ASSERT_TRUE(result.achievable);
-  EXPECT_FALSE(result.additions.empty());
+  EXPECT_FALSE(result.placements.empty());
 
-  // Applying the advised additions makes the spec verify.
-  const ScadaScenario fixed = advisor.apply(result.additions);
+  // Applying the chosen additions makes the spec verify.
+  const ScadaScenario fixed = PlacementAdvisor(f.grid, f.scenario).apply(result.placements);
   ScadaAnalyzer fixed_analyzer(fixed);
   EXPECT_TRUE(fixed_analyzer.verify(Property::Observability, spec).resilient());
 
   // Actions render against the grid.
-  for (const auto& action : result.additions) {
+  for (const auto& action : result.placements) {
     EXPECT_FALSE(action.to_string(f.grid).empty());
   }
 }
 
 TEST(PlacementTest, AlreadyResilientNeedsNothing) {
   const Fixture f = make_fixture(1.0, 7);
-  PlacementAdvisor advisor(f.grid, f.scenario);
-  const auto result = advisor.advise(Property::Observability, ResiliencySpec::total(0), 4);
+  Optimizer optimizer(f.scenario);
+  const auto result =
+      optimizer.min_cost_placement(f.grid, Property::Observability, ResiliencySpec::total(0));
   EXPECT_TRUE(result.achievable);
-  EXPECT_TRUE(result.additions.empty());
-  EXPECT_EQ(result.probes, 1);
-}
-
-TEST(PlacementTest, UnachievableWithinBudget) {
-  const Fixture f = make_fixture(0.5, 3);
-  PlacementAdvisor advisor(f.grid, f.scenario);
-  // Failing every RTU can never be survived by adding meters behind the
-  // same RTUs.
-  const auto rtus = static_cast<int>(f.scenario.rtu_ids().size());
-  const auto result = advisor.advise(Property::Observability,
-                                     ResiliencySpec::per_type(0, rtus), 2);
-  EXPECT_FALSE(result.achievable);
+  EXPECT_TRUE(result.placements.empty());
+  EXPECT_EQ(result.cegis_iterations, 1u);
 }
 
 TEST(PlacementTest, RejectsExplicitModels) {

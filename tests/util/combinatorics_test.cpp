@@ -2,32 +2,25 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
+#include <algorithm>
+#include <cstdint>
 #include <set>
-#include <stdexcept>
+#include <vector>
 
 namespace scada::util {
 namespace {
 
-TEST(CombinatoricsTest, NChooseKBasics) {
-  EXPECT_EQ(n_choose_k(5, 0), 1u);
-  EXPECT_EQ(n_choose_k(5, 5), 1u);
-  EXPECT_EQ(n_choose_k(5, 2), 10u);
-  EXPECT_EQ(n_choose_k(14, 3), 364u);
-  EXPECT_EQ(n_choose_k(3, 4), 0u);
-}
-
-TEST(CombinatoricsTest, NChooseKSaturatesInsteadOfOverflowing) {
-  EXPECT_EQ(n_choose_k(1000, 500), std::numeric_limits<std::uint64_t>::max());
-}
-
 TEST(CombinatoricsTest, KSubsetsCountMatchesBinomial) {
+  // Pascal's triangle row by row: binomial[k] == C(n, k).
+  std::vector<std::uint64_t> binomial = {1};
   for (std::size_t n = 0; n <= 8; ++n) {
     for (std::size_t k = 0; k <= n; ++k) {
       std::uint64_t count = 0;
       for (KSubsetIterator it(n, k); it.valid(); it.advance()) ++count;
-      EXPECT_EQ(count, n_choose_k(n, k)) << "n=" << n << " k=" << k;
+      EXPECT_EQ(count, binomial[k]) << "n=" << n << " k=" << k;
     }
+    binomial.push_back(0);
+    for (std::size_t k = binomial.size() - 1; k > 0; --k) binomial[k] += binomial[k - 1];
   }
 }
 
@@ -52,58 +45,6 @@ TEST(CombinatoricsTest, EmptySubsetIteratedExactlyOnce) {
 TEST(CombinatoricsTest, KGreaterThanNIsEmpty) {
   KSubsetIterator it(3, 4);
   EXPECT_FALSE(it.valid());
-}
-
-TEST(CombinatoricsTest, UnrankMatchesIterationOrder) {
-  for (std::size_t n = 1; n <= 8; ++n) {
-    for (std::size_t k = 0; k <= n; ++k) {
-      std::uint64_t rank = 0;
-      for (KSubsetIterator it(n, k); it.valid(); it.advance(), ++rank) {
-        EXPECT_EQ(unrank_k_subset(n, k, rank), it.subset())
-            << "n=" << n << " k=" << k << " rank=" << rank;
-      }
-      EXPECT_EQ(rank, n_choose_k(n, k));
-    }
-  }
-}
-
-TEST(CombinatoricsTest, UnrankOutOfRangeThrows) {
-  EXPECT_THROW((void)unrank_k_subset(5, 2, n_choose_k(5, 2)), std::invalid_argument);
-  EXPECT_THROW((void)unrank_k_subset(3, 4, 0), std::invalid_argument);
-}
-
-TEST(CombinatoricsTest, MidRankIteratorContinuesTheSequence) {
-  // Starting at rank r and advancing must replay exactly the tail of the
-  // full enumeration — the property the parallel range sharding relies on.
-  const std::size_t n = 7, k = 3;
-  std::vector<std::vector<std::size_t>> all;
-  for (KSubsetIterator it(n, k); it.valid(); it.advance()) all.push_back(it.subset());
-  ASSERT_EQ(all.size(), n_choose_k(n, k));
-  for (std::uint64_t start = 0; start < all.size(); ++start) {
-    KSubsetIterator it(n, k, start);
-    for (std::uint64_t r = start; r < all.size(); ++r, it.advance()) {
-      ASSERT_TRUE(it.valid()) << "start=" << start << " r=" << r;
-      EXPECT_EQ(it.subset(), all[r]);
-    }
-    EXPECT_FALSE(it.valid());
-  }
-}
-
-TEST(CombinatoricsTest, ShardedRangesCoverExactlyOnce) {
-  const std::size_t n = 9, k = 4;
-  const std::uint64_t total = n_choose_k(n, k);
-  std::set<std::vector<std::size_t>> seen;
-  const std::uint64_t shards = 5;
-  for (std::uint64_t s = 0; s < shards; ++s) {
-    const std::uint64_t begin = total * s / shards;
-    const std::uint64_t end = total * (s + 1) / shards;
-    KSubsetIterator it(n, k, begin);
-    for (std::uint64_t r = begin; r < end; ++r, it.advance()) {
-      ASSERT_TRUE(it.valid());
-      EXPECT_TRUE(seen.insert(it.subset()).second) << "overlap between shards";
-    }
-  }
-  EXPECT_EQ(seen.size(), total);
 }
 
 TEST(CombinatoricsTest, ForEachSubsetUpToVisitsAllSizes) {
