@@ -3,25 +3,21 @@
 // The hot loop of every capability in this repo — Table-II verification,
 // Fig. 5 enumeration, portfolio racing, MaxSAT descent, CEGIS hardening —
 // is CdclSolver search. These benchmarks measure it two ways:
-//   * time to verdict under the DEFAULT configuration (adaptive LBD-EMA
-//     restarts, tiered learned-clause DB, rephasing) on pigeonhole
-//     instances and the Fig. 5 enumeration suite — the headline the
-//     heuristics acceptance gate tracks, and
-//   * the fixed-configuration oracle: with Luby restarts, the flat DB,
-//     rephasing and chronological backtracking all off, the search must be
-//     bit-identical to the pre-heuristics engine, pinned by exact
-//     propagation counts. Any drift means a "disabled" heuristic leaks
-//     into the search path.
+//   * time to verdict of the search (adaptive LBD-EMA restarts, tiered
+//     learned-clause DB, rephasing) on pigeonhole instances and the Fig. 5
+//     enumeration suite, and
+//   * the propagation-count oracle: the search is deterministic, so exact
+//     propagation counts on both suites pin it down. Any drift means a
+//     change altered the search path.
 //
 // Besides the benchmark table, the run writes BENCH_cdcl.json with the
-// headline numbers next to the pre-heuristics baseline (measured on the
-// same hardware at the previous commit under the then-default fixed
-// configuration) so the JSON records the before/after comparison directly.
+// headline numbers next to a baseline measured on the same hardware at the
+// previous commit, so the JSON records the before/after comparison directly.
 //
 // With --quick-check the binary skips the benchmark table and timing loops
-// entirely and only runs the correctness half: verdict parity between the
-// default and fixed configurations, and the propagation-count oracle.
-// Exit 0 on success, 1 on any mismatch — cheap enough for a ctest step.
+// entirely and only runs the correctness half: the propagation-count oracle,
+// and verdict parity between the CDCL and Z3 backends. Exit 0 on success,
+// 1 on any mismatch — cheap enough for a ctest step.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -42,43 +38,22 @@ namespace {
 
 using namespace scada;
 
-/// Pre-heuristics (previous commit) numbers for this suite, measured in
-/// Release mode on the reference container (best of >=9 runs to cancel
-/// ambient container load) under the then-default fixed configuration.
-/// Recorded so BENCH_cdcl.json carries the before/after comparison;
-/// re-measure when moving to different hardware.
-constexpr double kBaselinePhpPropsPerSec = 644780.0;
-constexpr double kBaselineFig5PropsPerSec = 10001009.0;
-/// Exact propagation counts of the pre-heuristics search on the two suites
-/// — the bit-exactness oracle the fixed configuration must reproduce.
-constexpr std::uint64_t kOraclePhpPropagations = 233502;
-constexpr std::uint64_t kOracleFig5Propagations = 820014;
+/// Previous-commit numbers for this suite, measured in Release mode on a
+/// 4-core x86-64 host (best of three 9-rep runs, to cancel ambient load,
+/// interleaved with runs of this commit). Recorded so
+/// BENCH_cdcl.json carries the before/after comparison; re-measure when
+/// moving to different hardware.
+constexpr double kBaselinePhpPropsPerSec = 657860.0;
+constexpr double kBaselineFig5PropsPerSec = 7787667.0;
+/// Exact propagation counts of the search on the two suites — the
+/// bit-exactness oracle every change that keeps the search must reproduce.
+constexpr std::uint64_t kOraclePhpPropagations = 184926;
+constexpr std::uint64_t kOracleFig5Propagations = 588183;
 /// Derived time-to-verdict baselines (propagations / props-per-sec).
 constexpr double kBaselinePhpMs =
     1e3 * static_cast<double>(kOraclePhpPropagations) / kBaselinePhpPropsPerSec;
 constexpr double kBaselineFig5Ms =
     1e3 * static_cast<double>(kOracleFig5Propagations) / kBaselineFig5PropsPerSec;
-
-/// The pre-heuristics search, expressed in today's configuration space:
-/// fixed Luby cadence, flat learned DB, no rephasing, no chrono.
-smt::CdclConfig fixed_search_config() {
-  smt::CdclConfig config;
-  config.restart_mode = smt::RestartMode::Luby;
-  config.tiered_db = false;
-  config.rephase_interval = 0;
-  config.chrono = false;
-  return config;
-}
-
-smt::SessionOptions fixed_session_options() {
-  smt::SessionOptions options;
-  options.backend = smt::Backend::Cdcl;
-  options.restart_mode = smt::RestartMode::Luby;
-  options.tiered_db = false;
-  options.rephase_interval = 0;
-  options.chrono = false;
-  return options;
-}
 
 smt::SessionOptions default_session_options() {
   smt::SessionOptions options;
@@ -253,38 +228,30 @@ void BM_Fig5Enumeration(benchmark::State& state) {
 BENCHMARK(BM_Fig5Enumeration)->Arg(0)->Arg(30)->Arg(57)->ArgName("buses")
     ->Unit(benchmark::kMillisecond);
 
-/// Searches under the fixed configuration must be bit-identical to the
-/// pre-heuristics engine: the exact propagation counts pin that down.
-/// Returns false (and explains on stderr) when the oracle is violated.
-bool check_fixed_config_oracle() {
+/// The search must be bit-identical to the one the oracle counts were taken
+/// from: the exact propagation counts pin that down. Returns false (and
+/// explains on stderr) when the oracle is violated.
+bool check_oracle(const Throughput& php, const Throughput& fig5) {
   bool ok = true;
-  const Throughput php = php_throughput(9, fixed_search_config());
-  if (php.propagations != kOraclePhpPropagations) {
+  const auto check = [&](const char* suite, std::uint64_t got, std::uint64_t want) {
+    if (got == want) return;
     std::fprintf(stderr,
-                 "bench_cdcl: fixed-config php propagations %llu != oracle %llu "
-                 "(a disabled heuristic changed the search)\n",
-                 static_cast<unsigned long long>(php.propagations),
-                 static_cast<unsigned long long>(kOraclePhpPropagations));
+                 "bench_cdcl: %s propagations %llu != oracle %llu (the search changed)\n",
+                 suite, static_cast<unsigned long long>(got),
+                 static_cast<unsigned long long>(want));
     ok = false;
-  }
-  const Throughput fig5 = fig5_throughput(fixed_session_options());
-  if (fig5.propagations != kOracleFig5Propagations) {
-    std::fprintf(stderr,
-                 "bench_cdcl: fixed-config fig5 propagations %llu != oracle %llu "
-                 "(a disabled heuristic changed the search)\n",
-                 static_cast<unsigned long long>(fig5.propagations),
-                 static_cast<unsigned long long>(kOracleFig5Propagations));
-    ok = false;
-  }
+  };
+  check("php", php.propagations, kOraclePhpPropagations);
+  check("fig5", fig5.propagations, kOracleFig5Propagations);
   return ok;
 }
 
-/// Verdict parity between the default (all heuristics on) and fixed
-/// configurations: php stays unsat by construction (php_throughput aborts
-/// otherwise), and the minimal-threat antichain of every Fig. 5 suite member
-/// must be the same size. The raw CNF-level enumeration is model-dependent
-/// (different models block different supersets), so parity is checked on the
-/// analyzer's minimized enumeration, which is canonical per scenario.
+/// Verdict parity between the CDCL and Z3 backends: php stays unsat by
+/// construction (php_throughput aborts otherwise), and the minimal-threat
+/// antichain of every Fig. 5 suite member must be the same size. The raw
+/// CNF-level enumeration is model-dependent (different models block
+/// different supersets), so parity is checked on the analyzer's minimized
+/// enumeration, which is canonical per scenario.
 bool check_verdict_parity() {
   bool ok = true;
   for (const int buses : {0, 30, 57}) {
@@ -292,7 +259,7 @@ bool check_verdict_parity() {
     std::size_t counts[2] = {0, 0};
     for (int i = 0; i < 2; ++i) {
       core::AnalyzerOptions options;
-      options.solver = i == 0 ? default_session_options() : fixed_session_options();
+      options.solver.backend = i == 0 ? smt::Backend::Cdcl : smt::Backend::Z3;
       core::ScadaAnalyzer analyzer(scenario, options);
       counts[i] = analyzer
                       .enumerate_threats(core::Property::Observability,
@@ -302,7 +269,7 @@ bool check_verdict_parity() {
     if (counts[0] != counts[1]) {
       std::fprintf(stderr,
                    "bench_cdcl: threat-count divergence on %d buses "
-                   "(default config %zu, fixed config %zu)\n",
+                   "(cdcl %zu, z3 %zu)\n",
                    buses, counts[0], counts[1]);
       ok = false;
     }
@@ -314,8 +281,8 @@ void write_summary(const char* path) {
   // Best of nine: one solve is a single wall-clock sample and ambient
   // container load would otherwise dominate the before/after ratio; the min
   // time over enough reps converges on the unloaded verdict time. The
-  // propagation counts are identical across reps (each configuration's
-  // search is deterministic) — only wall time varies.
+  // propagation counts are identical across reps (the search is
+  // deterministic) — only wall time varies.
   Throughput php;
   Throughput fig5;
   for (int rep = 0; rep < 9; ++rep) {
@@ -324,7 +291,7 @@ void write_summary(const char* path) {
     const Throughput f = fig5_throughput(default_session_options());
     if (rep == 0 || f.seconds < fig5.seconds) fig5 = f;
   }
-  const bool oracle_ok = check_fixed_config_oracle();
+  const bool oracle_ok = check_oracle(php, fig5);
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -336,7 +303,7 @@ void write_summary(const char* path) {
   std::fprintf(
       f,
       "{\"bench\":\"cdcl\",\"suite\":\"php(9,8)+fig5-enumerate(case,30,57;k1=2,max=64)\","
-      "\"config\":\"default (adaptive restarts, tiered db, rephasing)\","
+      "\"config\":\"adaptive restarts, tiered db, rephasing\","
       "\"php_time_to_verdict_ms\":%.1f,\"php_props_per_sec\":%.0f,"
       "\"php_propagations\":%llu,\"php_peak_arena_bytes\":%llu,"
       "\"fig5_time_to_verdict_ms\":%.1f,\"fig5_props_per_sec\":%.0f,"
@@ -346,7 +313,7 @@ void write_summary(const char* path) {
       "\"baseline_fig5_time_to_verdict_ms\":%.1f,\"baseline_fig5_props_per_sec\":%.0f,"
       "\"baseline_fig5_propagations\":%llu,"
       "\"php_speedup\":%.3f,\"fig5_speedup\":%.3f,"
-      "\"fixed_config_oracle_ok\":%s}\n",
+      "\"oracle_ok\":%s}\n",
       php_ms, php.props_per_sec, static_cast<unsigned long long>(php.propagations),
       static_cast<unsigned long long>(php.peak_arena_bytes), fig5_ms, fig5.props_per_sec,
       static_cast<unsigned long long>(fig5.propagations),
@@ -368,7 +335,8 @@ void write_summary(const char* path) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick-check") == 0) {
-      const bool oracle_ok = check_fixed_config_oracle();
+      const bool oracle_ok = check_oracle(php_throughput(9, smt::CdclConfig{}),
+                                          fig5_throughput(default_session_options()));
       const bool parity_ok = check_verdict_parity();
       std::printf("bench_cdcl --quick-check: oracle %s, verdict parity %s\n",
                   oracle_ok ? "ok" : "VIOLATED", parity_ok ? "ok" : "VIOLATED");

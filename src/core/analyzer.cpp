@@ -219,7 +219,7 @@ MaxResiliencyResult ScadaAnalyzer::max_resiliency(Property property, FailureClas
   // unprobed budgets are never encoded.
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
-  smt::Session session(builder, options_.solver);
+  smt::Session session(builder, session_options(options_));
   // Same cancellation wiring as verify()/enumerate_threats(): service
   // deadlines and user cancels must be able to stop the search mid-probe.
   session.set_interrupt(options_.interrupt);

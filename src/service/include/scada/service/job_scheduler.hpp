@@ -192,8 +192,10 @@ class JobScheduler {
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
-  /// (deadline, job) min-heap; lapsed entries cancel the job's token.
-  std::vector<std::pair<Clock::time_point, StatePtr>> deadlines_;
+  /// (deadline, job) min-heap; lapsed entries cancel the job's token. The
+  /// heap holds weak references so a finished job's request, key and
+  /// outcome are released right away, not when its deadline lapses.
+  std::vector<std::pair<Clock::time_point, std::weak_ptr<JobState>>> deadlines_;
   std::thread watchdog_;
 
   /// Declared last: destroyed (drained and joined) first, while the queues,

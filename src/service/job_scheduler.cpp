@@ -157,9 +157,9 @@ void JobScheduler::watchdog_loop() {
       continue;
     }
     std::pop_heap(deadlines_.begin(), deadlines_.end(), heap_greater);
-    const StatePtr job = std::move(deadlines_.back().second);
+    const StatePtr job = deadlines_.back().second.lock();
     deadlines_.pop_back();
-    if (!job->finished.load()) {
+    if (job && !job->finished.load()) {
       job->deadline_hit.store(true);
       job->token.cancel();
       metrics_->counter("scheduler.deadline_expiries").inc();
@@ -235,13 +235,12 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
       metrics_->counter("solver.clauses_strengthened").inc(ss.clauses_strengthened);
       metrics_->counter("solver.failed_literals").inc(ss.failed_literals);
       metrics_->counter("solver.simplify_rounds").inc(ss.simplify_rounds);
-      // Search-heuristic health: restart/rephase/chrono activity as counters,
+      // Search-heuristic health: restart/rephase activity as counters,
       // learned-DB tier populations as point-in-time gauges (the tier split
       // of the verdict's solver, refreshed per verify).
       metrics_->counter("smt.restarts").inc(ss.restarts);
       metrics_->counter("smt.restarts_blocked").inc(ss.restarts_blocked);
       metrics_->counter("smt.rephases").inc(ss.rephases);
-      metrics_->counter("smt.chrono_backtracks").inc(ss.chrono_backtracks);
       metrics_->gauge("smt.db_core").set(static_cast<std::int64_t>(ss.db_core));
       metrics_->gauge("smt.db_tier2").set(static_cast<std::int64_t>(ss.db_tier2));
       metrics_->gauge("smt.db_local").set(static_cast<std::int64_t>(ss.db_local));

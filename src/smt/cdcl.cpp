@@ -10,6 +10,28 @@
 
 namespace scada::smt {
 
+namespace {
+
+/// Learned-clause activity decay factor.
+constexpr double kClauseDecay = 0.999;
+/// Three-tier learned-clause database: clauses with LBD <= kTierCoreLbd are
+/// kept forever, LBD <= kTierMidLbd start in tier 2 and demote to the local
+/// tier after kTierMidMaxAge reductions without use.
+constexpr std::uint32_t kTierCoreLbd = 2;
+constexpr std::uint32_t kTierMidLbd = 6;
+constexpr std::uint32_t kTierMidMaxAge = 2;
+/// Vivify the learned DB every Nth restart.
+constexpr std::uint32_t kVivifyRestartInterval = 8;
+
+/// Tier a learned clause of this LBD starts in.
+std::uint32_t tier_for(std::uint32_t lbd) noexcept {
+  if (lbd <= kTierCoreLbd) return ClauseArena::kTierCore;
+  if (lbd <= kTierMidLbd) return ClauseArena::kTierMid;
+  return ClauseArena::kTierLocal;
+}
+
+}  // namespace
+
 CdclSolver::CdclSolver(CdclConfig config)
     : config_(config), branch_rng_(config.branch_seed),
       restart_policy_(config.restart), rephase_rng_(config.rephase_seed) {
@@ -334,7 +356,7 @@ void CdclSolver::analyze(ClauseRef conflict, std::vector<Lit>& learned,
     assert(reason_ref != kNoReason);
     if (arena_.learned(reason_ref)) {
       bump_clause(reason_ref);
-      if (config_.tiered_db) update_clause_on_use(reason_ref);
+      update_clause_on_use(reason_ref);
     }
     for (const Lit q : arena_.clause(reason_ref)) {
       if (have_p && q == p) continue;
@@ -491,7 +513,7 @@ void CdclSolver::bump_clause(ClauseRef cref) {
   }
 }
 
-void CdclSolver::decay_clause_activity() { clause_inc_ /= config_.clause_decay; }
+void CdclSolver::decay_clause_activity() { clause_inc_ /= kClauseDecay; }
 
 Lit CdclSolver::pick_branch_literal() {
   // Portfolio diversification: with probability random_branch_freq pick a
@@ -533,18 +555,44 @@ Lit CdclSolver::pick_branch_literal() {
 }
 
 void CdclSolver::reduce_learned_db() {
-  if (config_.tiered_db) {
-    reduce_learned_db_tiered();
-    return;
-  }
-  std::sort(learned_refs_.begin(), learned_refs_.end(), [this](ClauseRef a, ClauseRef b) {
-    return arena_.activity(a) < arena_.activity(b);
-  });
-  const std::size_t target = learned_refs_.size() / 2;
-  std::size_t removed = 0;
+  // Three-tier policy (Glucose/CaDiCaL lineage): core clauses (LBD at
+  // allocation or after on-use recomputation <= kTierCoreLbd) are kept
+  // forever; tier-2 clauses survive while used, age while idle, and demote to
+  // the local tier after kTierMidMaxAge idle reductions; the local tier is
+  // halved by activity.
+  std::vector<ClauseRef> local;
   std::vector<ClauseRef> kept;
   kept.reserve(learned_refs_.size());
   for (const ClauseRef r : learned_refs_) {
+    std::uint32_t tier = arena_.tier(r);
+    if (tier == ClauseArena::kTierMid) {
+      if (arena_.used(r)) {
+        arena_.set_used(r, false);
+        arena_.set_age(r, 0);
+      } else {
+        const std::uint32_t age = arena_.age(r) + 1;
+        if (age >= kTierMidMaxAge) {
+          arena_.set_tier(r, ClauseArena::kTierLocal);
+          tier = ClauseArena::kTierLocal;
+          ++stats_.tier_demotions;
+        } else {
+          arena_.set_age(r, age);
+        }
+      }
+    }
+    if (tier == ClauseArena::kTierLocal) {
+      arena_.set_used(r, false);
+      local.push_back(r);
+    } else {
+      kept.push_back(r);
+    }
+  }
+  std::sort(local.begin(), local.end(), [this](ClauseRef a, ClauseRef b) {
+    return arena_.activity(a) < arena_.activity(b);
+  });
+  const std::size_t target = local.size() / 2;
+  std::size_t removed = 0;
+  for (const ClauseRef r : local) {
     const bool is_reason = [&] {
       // A clause currently acting as a reason must stay. While a variable is
       // assigned, its reason clause keeps that variable's literal at index 0
@@ -573,68 +621,6 @@ void CdclSolver::reduce_learned_db() {
   maybe_collect_garbage();
 }
 
-void CdclSolver::reduce_learned_db_tiered() {
-  // Three-tier policy (Glucose/CaDiCaL lineage): core clauses (LBD at
-  // allocation or after on-use recomputation <= tier_core_lbd) are kept
-  // forever; tier-2 clauses survive while used, age while idle, and demote to
-  // the local tier after tier_mid_max_age idle reductions; the local tier is
-  // halved by activity exactly like the flat policy.
-  std::vector<ClauseRef> local;
-  std::vector<ClauseRef> kept;
-  kept.reserve(learned_refs_.size());
-  for (const ClauseRef r : learned_refs_) {
-    std::uint32_t tier = arena_.tier(r);
-    if (tier == ClauseArena::kTierMid) {
-      if (arena_.used(r)) {
-        arena_.set_used(r, false);
-        arena_.set_age(r, 0);
-      } else {
-        const std::uint32_t age = arena_.age(r) + 1;
-        if (age >= config_.tier_mid_max_age) {
-          arena_.set_tier(r, ClauseArena::kTierLocal);
-          tier = ClauseArena::kTierLocal;
-          ++stats_.tier_demotions;
-        } else {
-          arena_.set_age(r, age);
-        }
-      }
-    }
-    if (tier == ClauseArena::kTierLocal) {
-      arena_.set_used(r, false);
-      local.push_back(r);
-    } else {
-      kept.push_back(r);
-    }
-  }
-  std::sort(local.begin(), local.end(), [this](ClauseRef a, ClauseRef b) {
-    return arena_.activity(a) < arena_.activity(b);
-  });
-  const std::size_t target = local.size() / 2;
-  std::size_t removed = 0;
-  for (const ClauseRef r : local) {
-    const bool is_reason = [&] {
-      // Same one-probe reason test as the flat policy: an assigned variable's
-      // reason clause keeps that variable's literal at index 0.
-      const Lit first = arena_.lits(r)[0];
-      const auto v = static_cast<std::size_t>(first.var());
-      return var_value(first.var()) != LBool::Undef && reason_[v] == r;
-    }();
-    if (removed < target && arena_.size(r) > 2 && !is_reason) {
-      if (proof_ != nullptr) proof_->delete_clause(arena_.clause(r));
-      arena_.free_clause(r);
-      ++removed;
-      ++stats_.removed_clauses;
-    } else {
-      kept.push_back(r);
-    }
-  }
-  learned_refs_ = std::move(kept);
-  for (auto& ws : watches_) {
-    std::erase_if(ws, [this](const Watcher& w) { return arena_.removed(w.cref); });
-  }
-  maybe_collect_garbage();
-}
-
 DbTierSizes CdclSolver::db_tier_sizes() const noexcept {
   DbTierSizes sizes;
   for (const ClauseRef r : learned_refs_) {
@@ -651,7 +637,7 @@ DbTierSizes CdclSolver::db_tier_sizes() const noexcept {
 void CdclSolver::update_clause_on_use(ClauseRef cref) {
   arena_.set_used(cref, true);
   const std::uint32_t stored = arena_.lbd(cref);
-  if (stored <= config_.tier_core_lbd) return;  // already in the top tier
+  if (stored <= kTierCoreLbd) return;  // already in the top tier
   const std::uint32_t fresh = clause_lbd(arena_.clause(cref));
   if (fresh >= stored) return;
   arena_.set_lbd(cref, fresh);
@@ -710,8 +696,8 @@ void CdclSolver::check_trail_invariants() const {
     const Lit l = trail_[i];
     const auto v = static_cast<std::size_t>(l.var());
     if (value(l) != LBool::True) fail("trail literal not true");
-    // Weak chronological backtracking never assigns out of order, so trail
-    // levels stay monotone — the invariant analyze() depends on.
+    // Backjumping never assigns out of order, so trail levels stay
+    // monotone — the invariant analyze() depends on.
     const std::uint32_t lv = level_[v];
     if (lv < prev_level) fail("trail levels not monotone");
     prev_level = lv;
@@ -780,24 +766,6 @@ std::uint32_t CdclSolver::clause_lbd(std::span<const Lit> lits) {
   return lbd;
 }
 
-std::uint32_t CdclSolver::luby(std::uint32_t i) noexcept {
-  // MiniSat formulation over the 0-based index x: find the finite
-  // subsequence containing x and the position of x within it.
-  std::uint32_t x = i - 1;
-  std::uint32_t size = 1;
-  std::uint32_t seq = 0;
-  while (size < x + 1) {
-    ++seq;
-    size = 2 * size + 1;
-  }
-  while (size - 1 != x) {
-    size = (size - 1) >> 1;
-    --seq;
-    x %= size;
-  }
-  return 1u << seq;
-}
-
 SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
   core_.clear();
   if (unsat_) return SolveResult::Unsat;
@@ -819,9 +787,6 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
   if (exchange_ != nullptr && !import_shared_clauses()) return SolveResult::Unsat;
 
   std::vector<Lit> learned;
-  std::uint32_t restart_count = 0;
-  std::uint64_t conflicts_until_restart =
-      static_cast<std::uint64_t>(luby(++restart_count)) * config_.restart_base;
   std::uint64_t conflicts_this_solve = 0;
 
   for (;;) {
@@ -847,37 +812,25 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
         ++stats_.clauses_exported;
         exchange_->export_clause(learned, lbd);
       }
-      // Heuristic bookkeeping reads the pre-backtrack trail: the adaptive
+      // Heuristic bookkeeping reads the pre-backtrack trail: the restart
       // policy's depth signal and the best-phase snapshot both mean the trail
       // at conflict detection, not the post-jump remnant.
-      if (config_.restart_mode == RestartMode::Adaptive &&
-          restart_policy_.on_conflict(lbd, trail_.size())) {
+      if (restart_policy_.on_conflict(lbd, trail_.size())) {
         ++stats_.restarts_blocked;
       }
       if (config_.rephase_interval != 0) {
         ++conflicts_since_rephase_;
         note_trail_for_rephase();
       }
-      std::uint32_t target_level = backtrack_level;
-      if (config_.chrono && learned.size() > 1 &&
-          decision_level() - backtrack_level > config_.chrono_distance) {
-        // Chronological backtracking (weak form): undo only the conflicting
-        // level instead of the long jump. The asserting literal is still unit
-        // there — every other literal of the clause stays false at or below
-        // decision_level()-1 — so assignment levels never go out of order and
-        // first-UIP analysis (and with it DRAT logging) is untouched.
-        target_level = decision_level() - 1;
-        ++stats_.chrono_backtracks;
-      }
       // Backtracking below the assumption prefix is fine: the loop below
       // re-places assumptions, and a now-false assumption yields Unsat there.
-      cancel_until(target_level);
+      cancel_until(backtrack_level);
       if (learned.size() == 1) {
         enqueue(learned[0], kNoReason);
       } else {
         const ClauseRef cref = alloc_clause(learned, true);
         arena_.set_lbd(cref, lbd);
-        if (config_.tiered_db) arena_.set_tier(cref, tier_for(lbd));
+        arena_.set_tier(cref, tier_for(lbd));
         ++stats_.learned_clauses;
         attach_clause(cref);
         bump_clause(cref);
@@ -895,7 +848,6 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
         cancel_until(0);
         return SolveResult::Unknown;
       }
-      if (conflicts_until_restart > 0) --conflicts_until_restart;
       continue;
     }
 
@@ -906,17 +858,9 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
       cancel_until(0);
       return SolveResult::Unknown;
     }
-    const bool restart_due = config_.restart_mode == RestartMode::Luby
-                                 ? conflicts_until_restart == 0
-                                 : restart_policy_.should_restart();
-    if (restart_due && decision_level() > assumptions.size()) {
+    if (restart_policy_.should_restart() && decision_level() > assumptions.size()) {
       ++stats_.restarts;
-      if (config_.restart_mode == RestartMode::Luby) {
-        conflicts_until_restart =
-            static_cast<std::uint64_t>(luby(++restart_count)) * config_.restart_base;
-      } else {
-        restart_policy_.on_restart();
-      }
+      restart_policy_.on_restart();
       cancel_until(static_cast<std::uint32_t>(assumptions.size()));
       // Rephasing rides the restart boundary: the saved-phase reset lands on
       // an (assumption-prefix-only) trail, so no live assignment is disturbed.
@@ -933,8 +877,8 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
       }
       // Inprocessing between solves: vivify the learned DB every few
       // restarts (only at level 0, i.e. without an assumption prefix).
-      if (config_.simplify && config_.vivify_restart_interval != 0 && assumptions.empty() &&
-          ++restarts_since_vivify_ >= config_.vivify_restart_interval) {
+      if (config_.simplify && assumptions.empty() &&
+          ++restarts_since_vivify_ >= kVivifyRestartInterval) {
         restarts_since_vivify_ = 0;
         if (!vivify_learned()) return SolveResult::Unsat;
       }
@@ -943,13 +887,11 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
     if (learned_refs_.size() >= static_cast<std::size_t>(learned_limit_)) {
       reduce_learned_db();
       learned_limit_ *= config_.learned_growth;
-      if (config_.tiered_db) {
-        // Core/tier-2 clauses are not removable, so a protected-heavy DB
-        // could sit at the limit and re-trigger reduction every decision;
-        // keep 50% headroom over whatever survived.
-        learned_limit_ = std::max(
-            learned_limit_, static_cast<double>(learned_refs_.size()) * 1.5);
-      }
+      // Core/tier-2 clauses are not removable, so a protected-heavy DB could
+      // sit at the limit and re-trigger reduction every decision; keep 50%
+      // headroom over whatever survived.
+      learned_limit_ =
+          std::max(learned_limit_, static_cast<double>(learned_refs_.size()) * 1.5);
     }
 
     // Place pending assumptions as decisions.
@@ -1044,7 +986,7 @@ bool CdclSolver::import_clause(const Clause& clause_in) {
   // upper bound, and on-use recomputation tightens (and promotes) it later.
   const auto size_bound = static_cast<std::uint32_t>(normalized.size());
   arena_.set_lbd(cref, size_bound);
-  if (config_.tiered_db) arena_.set_tier(cref, tier_for(size_bound));
+  arena_.set_tier(cref, tier_for(size_bound));
   attach_clause(cref);
   return true;
 }

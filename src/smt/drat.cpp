@@ -326,7 +326,10 @@ class DratChecker {
     const std::size_t cid = clauses_.size();
     clauses_.push_back(CheckerClause{Clause(lits.begin(), lits.end()), false, false, is_input});
     for (const Lit l : lits) occ_[static_cast<std::size_t>(l.code)].push_back(cid);
-    if (lits.size() == 1) unit_ids_.push_back(cid);
+    if (!lits.empty() && std::all_of(lits.begin(), lits.end(),
+                                     [&](Lit l) { return l == lits[0]; })) {
+      unit_ids_.push_back(cid);
+    }
     by_key_[clause_key(lits)].push_back(cid);
     return cid;
   }
@@ -364,7 +367,8 @@ class DratChecker {
             satisfied = true;
             break;
           }
-          if (v == LBool::Undef) {
+          // A repeated literal (DIMACS allows "1 1 2") counts once.
+          if (v == LBool::Undef && (unassigned == 0 || l != unit)) {
             unit = l;
             if (++unassigned > 1) break;
           }
@@ -398,7 +402,7 @@ class DratChecker {
     for (const Lit l : c.lits) {
       const LBool v = value(l);
       if (v == LBool::True) return kNoClause;
-      if (v == LBool::Undef) {
+      if (v == LBool::Undef && (unassigned == 0 || l != unit)) {
         unit = l;
         if (++unassigned > 1) return kNoClause;
       }

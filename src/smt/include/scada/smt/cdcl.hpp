@@ -6,8 +6,9 @@
 //   * first-UIP conflict analysis with learned-clause minimization,
 //   * EVSIDS variable activity with an indexed binary heap,
 //   * phase saving,
-//   * Luby-sequence restarts,
-//   * learned-clause database reduction by activity,
+//   * adaptive restarts (fast/slow LBD moving averages, trail blocking),
+//   * a three-tier learned-clause database (core / tier-2 / local by LBD),
+//   * rephasing (best / original / inverted / random saved phases),
 //   * incremental use: clauses may be added between solve() calls, and
 //     solve() accepts assumption literals,
 //   * SatELite-style inprocessing (simplify.cpp): subsumption, self-subsuming
@@ -148,36 +149,16 @@ class AdaptiveRestartPolicy {
 
 struct CdclConfig {
   double var_decay = 0.95;          ///< EVSIDS decay factor
-  double clause_decay = 0.999;      ///< learned clause activity decay
-  std::uint32_t restart_base = 100; ///< conflicts per Luby unit
   std::size_t learned_base = 4000;  ///< initial learned-DB soft limit
   double learned_growth = 1.1;      ///< limit growth per reduction
-  // --- search heuristics (Glucose/Kissat era; each independently toggleable) ---
-  /// Adaptive LBD-EMA restarts by default; Luby keeps the search bit-identical
-  /// to the fixed-cadence engine (the propagation-count oracle configuration).
-  RestartMode restart_mode = RestartMode::Adaptive;
-  AdaptiveRestartConfig restart;  ///< adaptive-mode parameters
-  /// Three-tier learned-clause database: core (LBD <= tier_core_lbd, kept
-  /// forever), tier2 (LBD <= tier_mid_lbd, aged out after tier_mid_max_age
-  /// reductions without use), local (activity halving). Off = flat
-  /// activity-sorted halving, bit-identical to the pre-tier engine.
-  bool tiered_db = true;
-  std::uint32_t tier_core_lbd = 2;
-  std::uint32_t tier_mid_lbd = 6;
-  std::uint32_t tier_mid_max_age = 2;
+  /// Adaptive LBD-EMA restart parameters (the only restart schedule).
+  AdaptiveRestartConfig restart;
   /// Conflicts between saved-phase resets (cycling best/original/inverted/
   /// random); 0 disables rephasing.
   std::uint32_t rephase_interval = 1024;
   /// Seeds the xorshift64 stream of the random rephase step (deterministic
   /// for a fixed seed; must be nonzero for the stream to move).
   std::uint64_t rephase_seed = 0x9e3779b97f4a7c15ULL;
-  /// Chronological backtracking: when first-UIP analysis would jump back more
-  /// than chrono_distance levels, backtrack one level instead and let the
-  /// asserting clause propagate from there (Nadel & Ryvchin 2018, without
-  /// out-of-order assignment levels). Off by default so fixed-config
-  /// propagation-count oracles and differential baselines stay valid.
-  bool chrono = false;
-  std::uint32_t chrono_distance = 100;
   /// Test hook: verify trail/watch invariants after every conflict (trail
   /// level monotonicity, reason-clause implication shape). Throws ScadaError
   /// on violation. Expensive — tests only.
@@ -190,17 +171,6 @@ struct CdclConfig {
   /// assumption variables are never eliminated; Sat models are reconstructed
   /// over eliminated variables, and every derivation is DRAT-logged.
   bool simplify = true;
-  /// BVE budget: a variable is eliminated only when the number of non-taut
-  /// resolvents is at most (occurrences + simplify_grow).
-  std::uint32_t simplify_grow = 0;
-  /// BVE skips variables occurring in more clauses than this.
-  std::uint32_t simplify_occ_limit = 20;
-  /// Propagation budget for one failed-literal probing pass.
-  std::uint64_t probe_budget = 200000;
-  /// Vivify the learned DB every Nth restart (0 disables vivification).
-  std::uint32_t vivify_restart_interval = 8;
-  /// Most-active learned clauses vivified per pass.
-  std::size_t vivify_max_clauses = 64;
   // --- portfolio diversification knobs ---
   /// Initial phase of fresh variables (phase saving overrides after the first
   /// assignment). The portfolio flips this on some workers so they explore
@@ -252,8 +222,6 @@ struct CdclStats {
   std::uint64_t restarts_blocked = 0;
   /// Saved-phase vector resets (best/original/inverted/random cycle).
   std::uint64_t rephases = 0;
-  /// Conflicts resolved by backtracking one level instead of the full jump.
-  std::uint64_t chrono_backtracks = 0;
   /// Tier moves driven by on-use LBD recomputation / reduction-pass aging.
   std::uint64_t tier_promotions = 0;
   std::uint64_t tier_demotions = 0;
@@ -364,7 +332,7 @@ class CdclSolver {
 
   [[nodiscard]] const CdclStats& stats() const noexcept { return stats_; }
   /// Live learned clauses per tier (O(learned) scan; called for stats export,
-  /// not from the search loop). With tiered_db off everything is local.
+  /// not from the search loop).
   [[nodiscard]] DbTierSizes db_tier_sizes() const noexcept;
   [[nodiscard]] std::size_t num_clauses() const noexcept { return num_problem_clauses_; }
   /// Current clause-arena footprint (headers + literals, removed-but-not-yet-
@@ -428,19 +396,11 @@ class CdclSolver {
   void decay_clause_activity();
   [[nodiscard]] Lit pick_branch_literal();
   void reduce_learned_db();
-  void reduce_learned_db_tiered();
-  [[nodiscard]] static std::uint32_t luby(std::uint32_t i) noexcept;
   /// LBD (number of distinct decision levels) of a clause on the live trail.
   [[nodiscard]] std::uint32_t clause_lbd(std::span<const Lit> lits);
-  /// Tier a learned clause of this LBD starts in.
-  [[nodiscard]] std::uint32_t tier_for(std::uint32_t lbd) const noexcept {
-    if (lbd <= config_.tier_core_lbd) return ClauseArena::kTierCore;
-    if (lbd <= config_.tier_mid_lbd) return ClauseArena::kTierMid;
-    return ClauseArena::kTierLocal;
-  }
-  /// On-use upkeep of a learned reason clause under the tiered DB: marks it
-  /// used, re-computes its LBD against the live trail, and promotes it when
-  /// the LBD improved across a tier boundary.
+  /// On-use upkeep of a learned reason clause: marks it used, re-computes
+  /// its LBD against the live trail, and promotes it when the LBD improved
+  /// across a tier boundary.
   void update_clause_on_use(ClauseRef cref);
   /// Snapshots the current assignment's phases into best_phase_ when this is
   /// the deepest trail seen since the last rephase.
@@ -577,7 +537,7 @@ class CdclSolver {
   std::uint32_t restarts_since_vivify_ = 0;
 
   // --- search-heuristic state ---
-  AdaptiveRestartPolicy restart_policy_;  ///< adaptive-mode trigger/block EMAs
+  AdaptiveRestartPolicy restart_policy_;  ///< restart trigger/block EMAs
   std::vector<bool> best_phase_;          ///< phases of the deepest trail seen
   std::size_t best_trail_size_ = 0;       ///< depth of that trail (resets on rephase)
   std::uint64_t conflicts_since_rephase_ = 0;

@@ -1,10 +1,10 @@
 // Portfolio CDCL solving with learned-clause sharing.
 //
 // A PortfolioSolver runs N diversified CdclSolver workers over the same CNF
-// (varied restart mode and cadence, rephase schedule, chronological
-// backtracking, branching randomization, initial phase polarity, and
-// inprocessing on/off) and returns the first Sat/Unsat verdict, cancelling
-// the losers through their cooperative interrupt flags. Workers exchange
+// (varied restart trigger, rephase schedule, branching randomization,
+// initial phase polarity, and inprocessing on/off) and returns the first
+// Sat/Unsat verdict, cancelling the losers through their cooperative
+// interrupt flags. Workers exchange
 // short / low-LBD learned clauses through a bounded, mutex-sharded pool
 // (SharedClausePool): each worker publishes only into its own shard, so
 // publishing never contends with other publishers, and importers skip their
@@ -143,9 +143,9 @@ struct PortfolioConfig {
 };
 
 /// The diversification table: worker 0 is the base configuration, the others
-/// vary restart mode and cadence, rephase schedule, chronological
-/// backtracking, initial phase, random branching, activity decay and
-/// (when no proof is attached) inprocessing. Deterministic in (base, worker).
+/// vary the adaptive-restart trigger (margin and re-arm window), rephase
+/// schedule, initial phase, random branching, activity decay and (when no
+/// proof is attached) inprocessing. Deterministic in (base, worker).
 [[nodiscard]] CdclConfig diversified_cdcl_config(const CdclConfig& base, unsigned worker);
 
 struct PortfolioResultStats {

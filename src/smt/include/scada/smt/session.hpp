@@ -44,18 +44,6 @@ struct SessionOptions {
   /// merged DRAT log, at the cost of forcing `simplify` off (see
   /// portfolio.hpp for the soundness argument).
   unsigned portfolio = 0;
-  /// CDCL only: restart schedule. Adaptive (LBD-EMA with trail blocking) by
-  /// default; Luby keeps the search identical to the fixed-cadence engine
-  /// (differential-oracle and propagation-count-baseline configurations).
-  RestartMode restart_mode = RestartMode::Adaptive;
-  /// CDCL only: three-tier learned-clause database (core/tier2/local).
-  /// Off = flat activity halving, identical to the pre-tier engine.
-  bool tiered_db = true;
-  /// CDCL only: conflicts between saved-phase resets (0 disables rephasing).
-  std::uint32_t rephase_interval = 1024;
-  /// CDCL only: chronological backtracking for shallow conflicts. Off by
-  /// default so fixed-config baselines stay propagation-count-identical.
-  bool chrono = false;
   /// Z3 only: lower cardinality atoms to integer arithmetic
   /// (sum of ite(b,1,0) <= k) instead of native pseudo-Boolean atmost/atleast.
   /// This mirrors the paper's "Boolean and integer terms" encoding; the
@@ -86,9 +74,8 @@ struct SessionStats {
   /// Search-heuristic counters (CDCL backend; see CdclStats for semantics).
   std::uint64_t restarts_blocked = 0;
   std::uint64_t rephases = 0;
-  std::uint64_t chrono_backtracks = 0;
   /// Learned-DB tier populations at the last counter refresh (gauges, not
-  /// cumulative; all clauses count as local when the tiered DB is off).
+  /// cumulative).
   std::uint64_t db_core = 0;
   std::uint64_t db_tier2 = 0;
   std::uint64_t db_local = 0;

@@ -60,26 +60,6 @@ enum class Backend {
   return "?";
 }
 
-/// Restart schedule of the CDCL backend. Lives here (not in cdcl.hpp) so the
-/// Session facade can expose the choice without pulling in solver internals.
-enum class RestartMode {
-  /// Fast/slow exponential moving averages of learned-clause LBD: restart
-  /// when recent clause quality degrades against the long-run average,
-  /// blocked while the trail is unusually deep (Glucose/CaDiCaL lineage).
-  Adaptive,
-  /// Fixed Luby-sequence cadence (the MiniSat-era schedule; keeps the search
-  /// reproducible against pre-heuristics propagation-count baselines).
-  Luby,
-};
-
-[[nodiscard]] inline const char* to_string(RestartMode m) noexcept {
-  switch (m) {
-    case RestartMode::Adaptive: return "adaptive";
-    case RestartMode::Luby: return "luby";
-  }
-  return "?";
-}
-
 /// How cardinality constraints are lowered to CNF (CDCL backend only;
 /// Z3 receives them natively as pseudo-Boolean constraints).
 enum class CardinalityEncoding {

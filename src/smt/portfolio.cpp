@@ -1,6 +1,5 @@
 #include "scada/smt/portfolio.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -90,22 +89,20 @@ CdclConfig diversified_cdcl_config(const CdclConfig& base, unsigned worker) {
   if (worker == 0) return c;  // serial parity: worker 0 is the base engine
   // Golden-ratio mixing keeps the per-worker random streams decorrelated.
   const std::uint64_t seed = (0x9e3779b97f4a7c15ULL * (worker + 1)) | 1ULL;
-  // Every non-base worker gets its own rephase stream; the restart-mode /
-  // rephase-cadence / chrono dimensions below are the main diversification
-  // axes (complementary search schedules find complementary conflicts, which
-  // is what makes clause sharing pay off).
+  // Every non-base worker gets its own rephase stream; the restart-trigger /
+  // rephase-cadence dimensions below are the main diversification axes
+  // (complementary search schedules find complementary conflicts, which is
+  // what makes clause sharing pay off).
   c.rephase_seed = seed ^ (seed << 32);
   switch (worker % 4) {
-    case 1:  // Luby cadence, inverted initial phase, chrono on: the classic
-             // fixed-schedule engine exploring the complementary half-space
-      c.restart_mode = RestartMode::Luby;
-      c.restart_base = std::max(base.restart_base / 2, 25u);
+    case 1:  // patient restarts, inverted initial phase: a steadier search
+             // exploring the complementary half-space
+      c.restart.margin = 1.25;
+      c.restart.min_conflicts = 128;
       c.default_phase = !base.default_phase;
-      c.chrono = true;
       break;
-    case 2:  // adaptive restarts on a hair trigger, rapid rephasing, light
-             // random branching
-      c.restart_mode = RestartMode::Adaptive;
+    case 2:  // restarts on a hair trigger, rapid rephasing, light random
+             // branching
       c.restart.margin = 1.05;
       c.restart.min_conflicts = 32;
       c.rephase_interval = base.rephase_interval == 0 ? 0 : 256;
@@ -121,12 +118,11 @@ CdclConfig diversified_cdcl_config(const CdclConfig& base, unsigned worker) {
       c.random_branch_freq = 0.05;
       c.simplify = false;
       break;
-    default:  // workers 4, 8, ...: slow Luby cadence, lazy rephasing, chrono,
-              // a fresh random stream
-      c.restart_mode = RestartMode::Luby;
-      c.restart_base = base.restart_base * 2;
+    default:  // workers 4, 8, ...: rare restarts, lazy rephasing, a fresh
+              // random stream
+      c.restart.margin = 1.4;
+      c.restart.min_conflicts = 256;
       c.rephase_interval = base.rephase_interval == 0 ? 0 : 4096;
-      c.chrono = true;
       c.branch_seed = seed;
       c.random_branch_freq = 0.01;
       break;
@@ -330,11 +326,7 @@ class PortfolioSessionImpl final : public SessionImpl {
   PortfolioSessionImpl(const FormulaBuilder& builder, const SessionOptions& options)
       : builder_(builder),
         solver_(PortfolioConfig{.workers = options.portfolio < 1 ? 1 : options.portfolio,
-                                .base = CdclConfig{.restart_mode = options.restart_mode,
-                                                   .tiered_db = options.tiered_db,
-                                                   .rephase_interval = options.rephase_interval,
-                                                   .chrono = options.chrono,
-                                                   .max_conflicts = options.max_conflicts,
+                                .base = CdclConfig{.max_conflicts = options.max_conflicts,
                                                    .simplify = options.simplify}}),
         recorder_(options.certify ? std::make_unique<DratProofRecorder>() : nullptr),
         sink_(solver_, recorder_ ? &cnf_ : nullptr),
@@ -394,7 +386,6 @@ class PortfolioSessionImpl final : public SessionImpl {
     stats.removed_clauses = s.removed_clauses;
     stats.restarts_blocked = s.restarts_blocked;
     stats.rephases = s.rephases;
-    stats.chrono_backtracks = s.chrono_backtracks;
     const DbTierSizes tiers = solver_.winner_db_tier_sizes();
     stats.db_core = tiers.core;
     stats.db_tier2 = tiers.mid;

@@ -34,11 +34,7 @@ class CdclSessionImpl final : public SessionImpl {
  public:
   CdclSessionImpl(const FormulaBuilder& builder, const SessionOptions& options)
       : builder_(builder),
-        solver_(CdclConfig{.restart_mode = options.restart_mode,
-                           .tiered_db = options.tiered_db,
-                           .rephase_interval = options.rephase_interval,
-                           .chrono = options.chrono,
-                           .max_conflicts = options.max_conflicts,
+        solver_(CdclConfig{.max_conflicts = options.max_conflicts,
                            .simplify = options.simplify}),
         recorder_(options.certify ? std::make_unique<DratProofRecorder>() : nullptr),
         sink_(solver_, recorder_ ? &cnf_ : nullptr),
@@ -93,7 +89,6 @@ class CdclSessionImpl final : public SessionImpl {
     stats.removed_clauses = s.removed_clauses;
     stats.restarts_blocked = s.restarts_blocked;
     stats.rephases = s.rephases;
-    stats.chrono_backtracks = s.chrono_backtracks;
     const DbTierSizes tiers = solver_.db_tier_sizes();
     stats.db_core = tiers.core;
     stats.db_tier2 = tiers.mid;

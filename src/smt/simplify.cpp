@@ -11,6 +11,16 @@ namespace scada::smt {
 
 namespace {
 
+/// BVE eliminates a variable only when its non-tautological resolvents
+/// number at most (occurrences + kBveGrow), and skips variables occurring in
+/// more than kBveOccLimit clauses.
+constexpr std::size_t kBveGrow = 0;
+constexpr std::size_t kBveOccLimit = 20;
+/// Propagation budget for one failed-literal probing pass.
+constexpr std::uint64_t kProbeBudget = 200000;
+/// Most-active learned clauses vivified per pass.
+constexpr std::size_t kVivifyMaxClauses = 64;
+
 std::uint64_t lit_bit(Lit l) noexcept {
   return std::uint64_t{1} << (static_cast<std::uint32_t>(l.code) & 63u);
 }
@@ -415,13 +425,13 @@ bool Simplifier::bve_pass(bool& changed) {
     for (const ClauseRef r : occ(neg)) {
       if (!s_.arena_.removed(r)) ns.push_back(r);
     }
-    if (ps.size() + ns.size() > s_.config_.simplify_occ_limit) continue;
+    if (ps.size() + ns.size() > kBveOccLimit) continue;
 
     // The SatELite criterion: eliminate only when the non-tautological
     // resolvent count stays within the removed-clause count plus the budget.
     // Counting pass first — rejected candidates allocate nothing, which
     // matters because most candidates fail the budget every round.
-    const std::size_t budget = ps.size() + ns.size() + s_.config_.simplify_grow;
+    const std::size_t budget = ps.size() + ns.size() + kBveGrow;
     std::size_t surviving = 0;
     bool too_many = false;
     for (const ClauseRef pr : ps) {
@@ -525,10 +535,7 @@ bool Simplifier::probe_pass() {
   const std::uint64_t start = s_.stats_.propagations;
   for (const Lit p : probes) {
     if (s_.interrupted()) break;
-    if (s_.config_.probe_budget != 0 &&
-        s_.stats_.propagations - start > s_.config_.probe_budget) {
-      break;
-    }
+    if (s_.stats_.propagations - start > kProbeBudget) break;
     if (s_.value(p) != LBool::Undef) continue;
     s_.trail_lim_.push_back(static_cast<std::uint32_t>(s_.trail_.size()));
     s_.enqueue(p, CdclSolver::kNoReason);
@@ -592,7 +599,7 @@ bool CdclSolver::simplify() {
 bool CdclSolver::vivify_learned() {
   if (unsat_) return false;
   assert(decision_level() == 0);
-  if (config_.vivify_max_clauses == 0 || learned_refs_.empty()) return true;
+  if (learned_refs_.empty()) return true;
   clear_level0_reasons();
 
   // The most active learned clauses steer the current search; shortening
@@ -601,7 +608,7 @@ bool CdclSolver::vivify_learned() {
   for (const ClauseRef r : learned_refs_) {
     if (!arena_.removed(r) && arena_.size(r) >= 3) cands.push_back(r);
   }
-  const std::size_t take = std::min(cands.size(), config_.vivify_max_clauses);
+  const std::size_t take = std::min(cands.size(), kVivifyMaxClauses);
   std::partial_sort(cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(take),
                     cands.end(), [this](ClauseRef a, ClauseRef b) {
                       return arena_.activity(a) > arena_.activity(b);

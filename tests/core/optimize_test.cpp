@@ -194,7 +194,9 @@ TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
   // ScadaAnalyzer::max_resiliency (gallop-then-bisect over guarded budgets)
   // against an independent per-k verify() sweep, on every budget path
   // ThreatEncoder::failure_budget owns: per-type classes, the combined
-  // budget, spec_r > 1 and link failures under the combined budget.
+  // budget, spec_r > 1 and link failures under the combined budget. On CDCL
+  // the search also runs certified, so AnalyzerOptions::certify reaches the
+  // incremental session (proof logging under guarded budget assumptions).
   struct Case {
     Property property;
     int r;
@@ -204,21 +206,26 @@ TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
                         {Property::SecuredObservability, 1, false},
                         {Property::BadDataDetectability, 2, false},
                         {Property::Observability, 1, true}};
+  std::vector<bool> certify_modes = {false};
+  if (GetParam() == smt::Backend::Cdcl) certify_modes.push_back(true);
   for (const auto topology : {CaseStudyTopology::Fig3, CaseStudyTopology::Fig4}) {
     const ScadaScenario s = make_case_study(topology);
     for (const Case& c : cases) {
-      AnalyzerOptions analyzer_options = options().analyzer;
-      analyzer_options.encoder.links_can_fail = c.links_can_fail;
-      ScadaAnalyzer analyzer(s, analyzer_options);
-      for (const auto cls :
-           {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
-        if (c.links_can_fail && cls != FailureClass::Combined) continue;
-        const MaxResiliencyResult searched = analyzer.max_resiliency(c.property, cls, c.r);
-        ASSERT_TRUE(searched.completed);
-        EXPECT_EQ(searched.max_k, max_k_by_sweep(s, c.property, cls, c.r, analyzer_options))
-            << to_string(c.property) << " r=" << c.r << " links=" << c.links_can_fail << " "
-            << to_string(cls) << " on "
-            << (topology == CaseStudyTopology::Fig3 ? "fig3" : "fig4");
+      for (const bool certify : certify_modes) {
+        AnalyzerOptions analyzer_options = options().analyzer;
+        analyzer_options.encoder.links_can_fail = c.links_can_fail;
+        analyzer_options.certify = certify;
+        ScadaAnalyzer analyzer(s, analyzer_options);
+        for (const auto cls :
+             {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
+          if (c.links_can_fail && cls != FailureClass::Combined) continue;
+          const MaxResiliencyResult searched = analyzer.max_resiliency(c.property, cls, c.r);
+          ASSERT_TRUE(searched.completed);
+          EXPECT_EQ(searched.max_k, max_k_by_sweep(s, c.property, cls, c.r, analyzer_options))
+              << to_string(c.property) << " r=" << c.r << " links=" << c.links_can_fail << " "
+              << to_string(cls) << " certify=" << certify << " on "
+              << (topology == CaseStudyTopology::Fig3 ? "fig3" : "fig4");
+        }
       }
     }
   }

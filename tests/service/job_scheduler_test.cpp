@@ -5,6 +5,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <thread>
 
 #include "scada/core/case_study.hpp"
 #include "scada/synth/generator.hpp"
@@ -73,6 +74,30 @@ TEST(JobSchedulerTest, VerifyDeliversVerdictThenCacheHit) {
   EXPECT_EQ(second.analysis.verdict.result, smt::SolveResult::Unsat);
   EXPECT_EQ(second.fingerprint, first.fingerprint);
   EXPECT_GE(scheduler.cache().stats().hits, 1u);
+}
+
+TEST(JobSchedulerTest, FinishedJobsDoNotOutliveTheirOutcomeUntilTheirDeadline) {
+  // Fifty jobs with generous deadlines, submitted one after another so none
+  // coalesces; every job after the first is a cache hit. Once a job has
+  // delivered, nothing may keep its request (and with it the scenario)
+  // alive until the deadline lapses: the only references left are the
+  // test's own and the scheduler's fingerprint memo.
+  JobScheduler scheduler(single_threaded());
+  const auto scenario = case_study();
+  for (int i = 0; i < 50; ++i) {
+    JobRequest request = verify_request(scenario, 1, 1);
+    request.deadline_ms = 60000.0;
+    const JobOutcome outcome = scheduler.submit(std::move(request)).outcome.get();
+    ASSERT_EQ(outcome.status, JobStatus::Done);
+    EXPECT_EQ(outcome.cache_hit, i > 0);
+  }
+  // The worker drops its own handle on the last job just after publishing
+  // the outcome; give it that moment.
+  const auto give_up = std::chrono::steady_clock::now() + 5s;
+  while (scenario.use_count() > 2 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_LE(scenario.use_count(), 2);
 }
 
 TEST(JobSchedulerTest, SatVerdictCarriesThreatVector) {

@@ -213,6 +213,22 @@ TEST(DratCheckTest, HandlesInputEmptyClauseAndTautologies) {
   EXPECT_TRUE(check_drat(taut, proof).ok);
 }
 
+TEST(DratCheckTest, RepeatedLiteralsCountOnce) {
+  // DIMACS allows a literal to repeat within a clause: (x1 x1) is the unit
+  // x1, and (~x1 x2 x2) is unit under x1. Counting a repeat as a second
+  // unassigned literal would stall propagation and reject valid proofs.
+  DimacsInstance up_unsat;
+  up_unsat.num_vars = 2;
+  up_unsat.clauses = {{pos(1), pos(1)}, {neg(1), pos(2), pos(2)}, {neg(2), neg(2)}};
+  EXPECT_TRUE(check_drat(up_unsat, {}).ok);
+
+  // A solver proof over clauses with repeats must replay as well.
+  DimacsInstance inst = pigeonhole(3);
+  for (Clause& c : inst.clauses) c.push_back(c.front());
+  const DratCheckResult result = check_drat(inst, solve_with_proof(inst, SolveResult::Unsat));
+  EXPECT_TRUE(result.ok) << result.error;
+}
+
 TEST(DratModelTest, CheckModelEvaluatesClauses) {
   DimacsInstance inst;
   inst.num_vars = 3;

@@ -1,9 +1,9 @@
-// Unit tests for the modern search heuristics: the adaptive-restart EMA
+// Unit tests for the search heuristics: the adaptive-restart EMA
 // trigger/block state machine on scripted conflict sequences, tier
 // promotion/demotion and reason protection of the three-tier learned-clause
-// database under GC churn, determinism of the rephase cycle under a fixed
-// seed, and the trail invariants of chronological backtracking (verified by
-// the solver's own check_invariants hook after every conflict).
+// database under GC churn, and the rephase cycle — deterministic under a
+// fixed seed, and with the solver's own check_invariants hook verifying the
+// trail after every conflict while its proofs replay through the checker.
 //
 // Every solver-level test cross-checks verdicts against an oracle that
 // cannot share a heuristic bug: brute-force model search, the pigeonhole
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "scada/smt/cdcl.hpp"
@@ -191,7 +192,6 @@ TEST(TieredDbTest, ReductionChurnMovesClausesAcrossTiersWithoutChangingVerdicts)
   // (promotions are possible but not guaranteed — only demotions are
   // asserted). The verdict is pinned by the pigeonhole principle.
   CdclConfig config;
-  config.tiered_db = true;
   config.learned_base = 20;
   config.learned_growth = 1.0;
   config.simplify = false;
@@ -214,7 +214,6 @@ TEST(TieredDbTest, CoreClausesSurviveReductionStorms) {
   // be non-empty (PHP learns many binary/glue clauses) and the local tier
   // must have been cut down repeatedly.
   CdclConfig config;
-  config.tiered_db = true;
   config.learned_base = 10;
   config.learned_growth = 1.0;
   config.simplify = false;
@@ -236,7 +235,6 @@ TEST(TieredDbTest, IncrementalAssumptionSweepStaysCorrectAcrossGc) {
   const int n = 7;
   const auto var = [&](int p, int h) { return static_cast<Var>(p * n + h + 1); };
   CdclConfig config;
-  config.tiered_db = true;
   config.learned_base = 25;
   config.learned_growth = 1.0;
   CdclSolver s(config);
@@ -254,51 +252,28 @@ TEST(TieredDbTest, IncrementalAssumptionSweepStaysCorrectAcrossGc) {
   EXPECT_GT(s.stats().arena_collections, 0u) << "GC never triggered";
 }
 
-TEST(TieredDbTest, FlatAndTieredPoliciesAgreeWithBruteForce) {
-  util::Rng rng(4242);
-  for (int round = 0; round < 25; ++round) {
-    const int nv = 10;
-    std::vector<Clause> clauses;
-    for (int i = 0; i < 4 * nv; ++i) {
-      Clause c;
-      for (int j = 0; j < 3; ++j) {
-        const auto v = static_cast<Var>(1 + rng.index(nv));
-        c.push_back(Lit{v, rng.chance(0.5)});
-      }
-      clauses.push_back(c);
-    }
-    DimacsInstance inst;
-    inst.num_vars = nv;
-    inst.clauses = clauses;
-    const SolveResult expected =
-        brute_sat(clauses, nv) ? SolveResult::Sat : SolveResult::Unsat;
-    for (const bool tiered : {false, true}) {
-      CdclConfig config;
-      config.tiered_db = tiered;
-      config.learned_base = 15;
-      config.learned_growth = 1.0;
-      config.simplify = false;
-      EXPECT_EQ(solve_instance(inst, config), expected)
-          << "round " << round << " tiered " << tiered;
-    }
-  }
-}
-
 // --- rephasing ----------------------------------------------------------
+
+/// Rephasing fires at restart boundaries, so this configuration restarts
+/// often: a margin below 1 arms the adaptive trigger on every conflict
+/// window, and a short window makes the windows frequent. An interval small
+/// enough for PHP(7,6) to cycle through all six rephase steps exercises the
+/// xorshift stream.
+CdclConfig frequent_rephase_config() {
+  CdclConfig config;
+  config.restart.min_conflicts = 10;
+  config.restart.margin = 0.5;
+  config.rephase_interval = 8;
+  config.simplify = false;
+  return config;
+}
 
 TEST(RephaseTest, FixedSeedRunsAreBitIdentical) {
   // Two solvers with the same configuration (including the rephase seed)
   // must take the same search path: every counter, including the random
-  // rephase steps, has to match. An interval small enough for PHP(7,6) to
-  // cycle through all six rephase steps exercises the xorshift stream.
+  // rephase steps, has to match.
   const DimacsInstance inst = pigeonhole(7, 6);
-  CdclConfig config;
-  // Rephasing fires at restart boundaries, so a short fixed Luby cadence
-  // guarantees enough boundaries for the full six-step cycle.
-  config.restart_mode = RestartMode::Luby;
-  config.restart_base = 10;
-  config.rephase_interval = 8;
-  config.simplify = false;
+  const CdclConfig config = frequent_rephase_config();
   CdclStats first;
   for (int run = 0; run < 2; ++run) {
     CdclSolver s(config);
@@ -322,12 +297,8 @@ TEST(RephaseTest, FixedSeedRunsAreBitIdentical) {
 TEST(RephaseTest, SeedAndToggleChangeOnlyTheSearchPathNotTheVerdict) {
   const DimacsInstance inst = pigeonhole(7, 6);
   for (const std::uint64_t seed : {1ULL, 0xDEADBEEFULL}) {
-    CdclConfig config;
-    config.restart_mode = RestartMode::Luby;
-    config.restart_base = 10;
-    config.rephase_interval = 8;
+    CdclConfig config = frequent_rephase_config();
     config.rephase_seed = seed;
-    config.simplify = false;
     EXPECT_EQ(solve_instance(inst, config), SolveResult::Unsat) << "seed " << seed;
   }
   CdclConfig off;
@@ -340,68 +311,52 @@ TEST(RephaseTest, SeedAndToggleChangeOnlyTheSearchPathNotTheVerdict) {
   EXPECT_EQ(s.stats().rephases, 0u) << "interval 0 must disable rephasing";
 }
 
-// --- chronological backtracking -----------------------------------------
-
-/// Chrono at its most aggressive (any jump longer than one level is taken
-/// chronologically) with the solver's own invariant checker verifying trail
-/// level monotonicity and reason-clause shape after every conflict.
-CdclConfig chrono_stress_config() {
-  CdclConfig config;
-  config.chrono = true;
-  config.chrono_distance = 1;
+TEST(RephaseTest, ProofsStayCheckable) {
+  // Rephasing rewrites saved phases between restarts; it may steer the
+  // search but never what is derived. With the trail invariant checker
+  // armed after every conflict, each unsat run's DRAT log must replay
+  // through the independent backward checker and each verdict must match
+  // the pigeonhole principle or brute force.
+  CdclConfig config = frequent_rephase_config();
   config.check_invariants = true;
-  config.simplify = false;
-  return config;
-}
+  const auto solve_and_check = [&](const DimacsInstance& inst) {
+    CdclSolver s(config);
+    DratProofRecorder recorder;
+    s.set_proof(&recorder);
+    s.ensure_var(inst.num_vars);
+    for (const Clause& c : inst.clauses) s.add_clause(c);
+    const SolveResult r = s.solve();  // throws on any invariant breach
+    if (r == SolveResult::Unsat) {
+      const DratCheckResult check = check_drat(inst, recorder.proof());
+      EXPECT_TRUE(check.ok) << check.error;
+    }
+    return std::make_pair(r, s.stats().rephases);
+  };
 
-TEST(ChronoBacktrackTest, FiresAndKeepsTrailInvariantsOnPigeonhole) {
-  CdclConfig config = chrono_stress_config();
-  CdclSolver s(config);
-  const DimacsInstance inst = pigeonhole(6, 5);
-  s.ensure_var(inst.num_vars);
-  for (const Clause& c : inst.clauses) s.add_clause(c);
-  ASSERT_EQ(s.solve(), SolveResult::Unsat);  // throws on any invariant breach
-  EXPECT_GT(s.stats().chrono_backtracks, 0u) << "chrono never fired";
-}
+  const auto [php_result, php_rephases] = solve_and_check(pigeonhole(6, 5));
+  EXPECT_EQ(php_result, SolveResult::Unsat);
+  EXPECT_GT(php_rephases, 0u) << "rephasing never fired";
 
-TEST(ChronoBacktrackTest, AgreesWithBruteForceUnderInvariantChecking) {
   util::Rng rng(31337);
+  int unsat = 0;
   for (int round = 0; round < 20; ++round) {
     const int nv = 10;
-    std::vector<Clause> clauses;
-    for (int i = 0; i < 4 * nv; ++i) {
+    DimacsInstance inst;
+    inst.num_vars = nv;
+    for (int i = 0; i < 5 * nv; ++i) {
       Clause c;
       for (int j = 0; j < 3; ++j) {
         const auto v = static_cast<Var>(1 + rng.index(nv));
         c.push_back(Lit{v, rng.chance(0.5)});
       }
-      clauses.push_back(c);
+      inst.clauses.push_back(c);
     }
-    DimacsInstance inst;
-    inst.num_vars = nv;
-    inst.clauses = clauses;
     const SolveResult expected =
-        brute_sat(clauses, nv) ? SolveResult::Sat : SolveResult::Unsat;
-    EXPECT_EQ(solve_instance(inst, chrono_stress_config()), expected)
-        << "round " << round;
+        brute_sat(inst.clauses, nv) ? SolveResult::Sat : SolveResult::Unsat;
+    EXPECT_EQ(solve_and_check(inst).first, expected) << "round " << round;
+    if (expected == SolveResult::Unsat) ++unsat;
   }
-}
-
-TEST(ChronoBacktrackTest, ProofsStayCheckableWithChronoOn) {
-  // Chronological backtracking changes where the asserting clause
-  // propagates from, not what is derived: the DRAT log of a chrono run must
-  // replay through the independent backward checker unchanged.
-  const DimacsInstance inst = pigeonhole(6, 5);
-  CdclConfig config = chrono_stress_config();
-  CdclSolver s(config);
-  DratProofRecorder recorder;
-  s.set_proof(&recorder);
-  s.ensure_var(inst.num_vars);
-  for (const Clause& c : inst.clauses) s.add_clause(c);
-  ASSERT_EQ(s.solve(), SolveResult::Unsat);
-  ASSERT_GT(s.stats().chrono_backtracks, 0u) << "chrono never fired";
-  const DratCheckResult result = check_drat(inst, recorder.proof());
-  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_GT(unsat, 0) << "corpus produced no unsat instance — no proof checked";
 }
 
 }  // namespace

@@ -114,9 +114,11 @@ TEST(SharedClausePoolTest, CursorsDeliverEachClauseOnce) {
 
 TEST(DiversificationTest, WorkerZeroRunsBaseConfigVerbatim) {
   CdclConfig base;
-  base.restart_base = 123;
+  base.restart.margin = 1.3;
+  base.restart.min_conflicts = 123;
   const CdclConfig w0 = diversified_cdcl_config(base, 0);
-  EXPECT_EQ(w0.restart_base, base.restart_base);
+  EXPECT_EQ(w0.restart.margin, base.restart.margin);
+  EXPECT_EQ(w0.restart.min_conflicts, base.restart.min_conflicts);
   EXPECT_EQ(w0.branch_seed, base.branch_seed);
   EXPECT_EQ(w0.default_phase, base.default_phase);
   EXPECT_EQ(w0.random_branch_freq, base.random_branch_freq);
@@ -128,13 +130,31 @@ TEST(DiversificationTest, WorkersDifferAndAreDeterministic) {
     const CdclConfig a = diversified_cdcl_config(base, w);
     const CdclConfig b = diversified_cdcl_config(base, w);
     EXPECT_EQ(a.branch_seed, b.branch_seed) << "worker " << w;
-    EXPECT_EQ(a.restart_base, b.restart_base) << "worker " << w;
+    EXPECT_EQ(a.restart.margin, b.restart.margin) << "worker " << w;
+    EXPECT_EQ(a.restart.min_conflicts, b.restart.min_conflicts) << "worker " << w;
     // Every non-base worker must differ from the base somewhere.
-    EXPECT_TRUE(a.restart_base != base.restart_base || a.branch_seed != base.branch_seed ||
-                a.default_phase != base.default_phase ||
+    EXPECT_TRUE(a.restart.margin != base.restart.margin ||
+                a.restart.min_conflicts != base.restart.min_conflicts ||
+                a.branch_seed != base.branch_seed || a.default_phase != base.default_phase ||
                 a.random_branch_freq != base.random_branch_freq || a.simplify != base.simplify)
         << "worker " << w << " is not diversified";
   }
+}
+
+TEST(DiversificationTest, RestartTriggerVariesAcrossWorkers) {
+  // The restart-schedule axis is the adaptive trigger: the patient
+  // (worker 1), hair-trigger (worker 2) and rare-restart (worker 4) rows must
+  // each move it away from the base and from one another.
+  const CdclConfig base;
+  const CdclConfig w1 = diversified_cdcl_config(base, 1);
+  const CdclConfig w2 = diversified_cdcl_config(base, 2);
+  const CdclConfig w4 = diversified_cdcl_config(base, 4);
+  EXPECT_GT(w1.restart.margin, base.restart.margin);
+  EXPECT_LT(w2.restart.margin, base.restart.margin);
+  EXPECT_GT(w4.restart.margin, w1.restart.margin);
+  EXPECT_GT(w1.restart.min_conflicts, base.restart.min_conflicts);
+  EXPECT_LT(w2.restart.min_conflicts, base.restart.min_conflicts);
+  EXPECT_GT(w4.restart.min_conflicts, w1.restart.min_conflicts);
 }
 
 // --- portfolio solver -----------------------------------------------------

@@ -43,16 +43,11 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--proof FILE | --binary-proof FILE] [--timeout-ms N] [--no-simplify] "
-               "[--restart-mode MODE] [--no-rephase] [--chrono] "
                "[--portfolio N] [--assume LIT]... <dimacs.cnf>\n"
                "  --proof FILE         stream a text DRAT proof to FILE\n"
                "  --binary-proof FILE  stream a binary DRAT proof to FILE\n"
                "  --timeout-ms N       give up after N ms with 's UNKNOWN' (exit 0)\n"
                "  --no-simplify        disable inprocessing (subsumption/BVE/probing)\n"
-               "  --restart-mode MODE  restart schedule: adaptive (LBD-EMA, default)\n"
-               "                       or luby (fixed cadence)\n"
-               "  --no-rephase         disable periodic saved-phase resets\n"
-               "  --chrono             chronological backtracking for shallow conflicts\n"
                "  --portfolio N        race N diversified clause-sharing workers;\n"
                "                       with --proof, forces --no-simplify and merges\n"
                "                       all workers' derivations into one DRAT log\n"
@@ -99,9 +94,6 @@ int main(int argc, char** argv) {
   const char* proof_path = nullptr;
   bool binary_proof = false;
   bool simplify = true;
-  RestartMode restart_mode = RestartMode::Adaptive;
-  bool rephase = true;
-  bool chrono = false;
   long long timeout_ms = 0;
   unsigned portfolio = 1;
   std::vector<int> assume_ints;
@@ -113,20 +105,6 @@ int main(int argc, char** argv) {
       proof_path = argv[++i];
     } else if (std::strcmp(argv[i], "--no-simplify") == 0) {
       simplify = false;
-    } else if (std::strcmp(argv[i], "--restart-mode") == 0) {
-      const char* mode = next_token(i);
-      if (mode == nullptr) return usage(argv[0]);
-      if (std::strcmp(mode, "adaptive") == 0) {
-        restart_mode = RestartMode::Adaptive;
-      } else if (std::strcmp(mode, "luby") == 0) {
-        restart_mode = RestartMode::Luby;
-      } else {
-        return usage(argv[0]);
-      }
-    } else if (std::strcmp(argv[i], "--no-rephase") == 0) {
-      rephase = false;
-    } else if (std::strcmp(argv[i], "--chrono") == 0) {
-      chrono = true;
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
       timeout_ms = scada::util::cli_long_in("--timeout-ms", next_token(i), 1,
                                             std::numeric_limits<long long>::max());
@@ -157,9 +135,6 @@ int main(int argc, char** argv) {
     PortfolioConfig config;
     config.workers = portfolio;
     config.base.simplify = simplify;
-    config.base.restart_mode = restart_mode;
-    if (!rephase) config.base.rephase_interval = 0;
-    config.base.chrono = chrono;
     PortfolioSolver solver(config);
     if (proof_path != nullptr) {
       proof_out.open(proof_path, binary_proof ? std::ios::binary : std::ios::out);
@@ -199,13 +174,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.vars_eliminated),
                 static_cast<unsigned long long>(stats.clauses_subsumed));
     const DbTierSizes tiers = solver.winner_db_tier_sizes();
-    std::printf("c search: restarts=%llu blocked=%llu rephases=%llu chrono=%llu "
+    std::printf("c search: restarts=%llu blocked=%llu rephases=%llu "
                 "db-core=%zu db-tier2=%zu db-local=%zu\n",
                 static_cast<unsigned long long>(stats.restarts),
                 static_cast<unsigned long long>(stats.restarts_blocked),
-                static_cast<unsigned long long>(stats.rephases),
-                static_cast<unsigned long long>(stats.chrono_backtracks),
-                tiers.core, tiers.mid, tiers.local);
+                static_cast<unsigned long long>(stats.rephases), tiers.core, tiers.mid, tiers.local);
     if (solver.num_workers() >= 2) {
       const PortfolioResultStats p = solver.stats();
       std::printf("c portfolio: workers=%u winner=%d shared=%llu imported=%llu\n", p.workers,

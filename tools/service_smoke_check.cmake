@@ -86,7 +86,7 @@ endif()
 # the activity counters — the small smoke instances may legitimately finish
 # without a blocked restart or a rephase — but all keys must exist, and the
 # tier gauges must appear in the gauges section.
-foreach(key "smt.restarts" "smt.restarts_blocked" "smt.rephases" "smt.chrono_backtracks")
+foreach(key "smt.restarts" "smt.restarts_blocked" "smt.rephases")
   if(NOT out MATCHES "\"${key}\":[0-9]")
     message(FATAL_ERROR "stats: expected ${key} counter to be exported")
   endif()
