@@ -3,7 +3,8 @@
 //   * solver backend: Z3 (the paper's engine) vs the native CDCL engine,
 //   * cardinality encoding for the CDCL path: sequential counter vs totalizer,
 //   * SMT search vs the exhaustive brute-force baseline,
-//   * threat-vector minimization on/off.
+//   * threat-vector minimization on/off,
+//   * certified (DRAT-recorded, re-checked) vs plain CDCL verification.
 #include <benchmark/benchmark.h>
 
 #include "scada/core/analyzer.hpp"
@@ -149,6 +150,29 @@ BENCHMARK(BM_Z3CardinalityStyle)
     ->Arg(0)   // native pseudo-Boolean atmost/atleast
     ->Arg(1)   // the paper's integer-arithmetic sum style
     ->ArgName("int_arith")
+    ->Unit(benchmark::kMillisecond);
+
+/// CDCL verification with certification off (certify=0) vs on (certify=1):
+/// quantifies the cost of DRAT recording plus the independent re-check of
+/// every verdict. The certify=0 row doubles as the regression guard that
+/// proof logging disabled stays free (the hook is one branch per conflict).
+void BM_CertifiedVerify(benchmark::State& state) {
+  const core::ScadaScenario scenario = synthetic(static_cast<int>(state.range(0)), 11);
+  core::AnalyzerOptions options = options_for(smt::Backend::Cdcl);
+  options.certify = state.range(1) != 0;
+  core::ScadaAnalyzer analyzer(scenario, options);
+  int certified = 0;
+  for (auto _ : state) {
+    const auto result =
+        analyzer.verify(Property::SecuredObservability, ResiliencySpec::total(2));
+    benchmark::DoNotOptimize(result);
+    certified += result.certified ? 1 : 0;
+  }
+  state.counters["certified"] = static_cast<double>(certified);
+}
+BENCHMARK(BM_CertifiedVerify)
+    ->ArgsProduct({{14, 30}, {0, 1}})
+    ->ArgNames({"buses", "certify"})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Search benchmarks for the CDCL core (google-benchmark).
 //
 // The hot loop of every capability in this repo — Table-II verification,
-// Fig. 5 enumeration, portfolio racing, MaxSAT descent, CEGIS hardening —
+// Fig. 5 enumeration, MaxSAT descent, CEGIS hardening —
 // is CdclSolver search. These benchmarks measure it two ways:
 //   * time to verdict of the search (adaptive LBD-EMA restarts, tiered
 //     learned-clause DB, rephasing) on pigeonhole instances and the Fig. 5

@@ -118,49 +118,6 @@ ThreatVector minimize_threat(const ScenarioOracle& oracle, Property property,
   return threat;
 }
 
-std::vector<ThreatVector> enumerate_session_threats(ThreatEncoder& encoder, smt::Session& session,
-                                                    const ScenarioOracle& oracle,
-                                                    Property property, const ResiliencySpec& spec,
-                                                    std::size_t max_vectors, bool minimal_only,
-                                                    bool certify) {
-  smt::FormulaBuilder& builder = encoder.builder();
-  const ScadaScenario& scenario = encoder.scenario();
-  std::vector<ThreatVector> vectors;
-  while (vectors.size() < max_vectors) {
-    const SolveResult r = session.solve();
-    // Certify every verdict of the enumeration, including the final unsat
-    // that closes the threat space (the claim that the antichain is total).
-    check_certificate(session, certify);
-    // Unknown (an interrupt fired mid-enumeration) stops here and reports
-    // the vectors found so far — the partial threat space a deadline allows.
-    if (r != SolveResult::Sat) break;
-    ThreatVector v = extract_threat_vector(encoder, session);
-    std::vector<smt::Formula> block;
-    if (minimal_only) {
-      v = minimize_threat(oracle, property, spec, std::move(v));
-      // Block v and all its supersets: at least one member must survive.
-      for (const int id : v.failed_ieds) block.push_back(encoder.node_var(id));
-      for (const int id : v.failed_rtus) block.push_back(encoder.node_var(id));
-      for (const int id : v.failed_links) block.push_back(encoder.link_var(id));
-    } else {
-      // Block exactly this failure assignment: some variable must flip.
-      const auto flip = [&](smt::Formula var) {
-        block.push_back(session.value(var) ? builder.mk_not(var) : var);
-      };
-      for (const int id : scenario.ied_ids()) flip(encoder.node_var(id));
-      for (const int id : scenario.rtu_ids()) flip(encoder.node_var(id));
-      if (encoder.options().links_can_fail) {
-        for (const auto& link : scenario.topology().links()) {
-          if (link.up) flip(encoder.link_var(link.id));
-        }
-      }
-    }
-    session.assert_formula(builder.mk_or(block));
-    vectors.push_back(std::move(v));
-  }
-  return vectors;
-}
-
 VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec& spec) {
   VerificationResult out;
   util::WallTimer encode_timer;
@@ -193,8 +150,40 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
   smt::Session session(builder, session_options(options_));
   session.set_interrupt(options_.interrupt);
   session.assert_formula(encoder.threat(property, spec));
-  return enumerate_session_threats(encoder, session, oracle_, property, spec, max_vectors,
-                                   minimal_only, options_.certify);
+  std::vector<ThreatVector> vectors;
+  while (vectors.size() < max_vectors) {
+    const SolveResult r = session.solve();
+    // Certify every verdict of the enumeration, including the final unsat
+    // that closes the threat space (the claim that the antichain is total).
+    check_certificate(session, options_.certify);
+    // Unknown (an interrupt fired mid-enumeration) stops here and reports
+    // the vectors found so far — the partial threat space a deadline allows.
+    if (r != SolveResult::Sat) break;
+    ThreatVector v = extract_threat_vector(encoder, session);
+    std::vector<smt::Formula> block;
+    if (minimal_only) {
+      v = minimize_threat(oracle_, property, spec, std::move(v));
+      // Block v and all its supersets: at least one member must survive.
+      for (const int id : v.failed_ieds) block.push_back(encoder.node_var(id));
+      for (const int id : v.failed_rtus) block.push_back(encoder.node_var(id));
+      for (const int id : v.failed_links) block.push_back(encoder.link_var(id));
+    } else {
+      // Block exactly this failure assignment: some variable must flip.
+      const auto flip = [&](smt::Formula var) {
+        block.push_back(session.value(var) ? builder.mk_not(var) : var);
+      };
+      for (const int id : scenario_.ied_ids()) flip(encoder.node_var(id));
+      for (const int id : scenario_.rtu_ids()) flip(encoder.node_var(id));
+      if (encoder.options().links_can_fail) {
+        for (const auto& link : scenario_.topology().links()) {
+          if (link.up) flip(encoder.link_var(link.id));
+        }
+      }
+    }
+    session.assert_formula(builder.mk_or(block));
+    vectors.push_back(std::move(v));
+  }
+  return vectors;
 }
 
 MaxResiliencyResult ScadaAnalyzer::max_resiliency(Property property, FailureClass failure_class,

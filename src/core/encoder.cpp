@@ -220,6 +220,12 @@ Formula ThreatEncoder::bad_data_detectability(int r) {
 }
 
 Formula ThreatEncoder::failure_budget(const ResiliencySpec& spec) {
+  // AtMost takes an unsigned bound, and a negative budget cast to one would
+  // be no budget at all.
+  const auto bound = [](int k) {
+    if (k < 0) throw ConfigError("failure budget must be >= 0, got " + std::to_string(k));
+    return static_cast<std::uint32_t>(k);
+  };
   std::vector<Formula> failed_ieds;
   std::vector<Formula> failed_rtus;
   for (const int id : scenario_.ied_ids()) failed_ieds.push_back(builder_.mk_not(node_var(id)));
@@ -232,15 +238,13 @@ Formula ThreatEncoder::failure_budget(const ResiliencySpec& spec) {
     if (options_.links_can_fail) {
       for (const auto& [id, v] : link_vars_) all.push_back(builder_.mk_not(v));
     }
-    terms.push_back(builder_.mk_at_most(all, static_cast<std::uint32_t>(*spec.k_total)));
+    terms.push_back(builder_.mk_at_most(all, bound(*spec.k_total)));
   }
   if (spec.k_ied.has_value()) {
-    terms.push_back(
-        builder_.mk_at_most(failed_ieds, static_cast<std::uint32_t>(*spec.k_ied)));
+    terms.push_back(builder_.mk_at_most(failed_ieds, bound(*spec.k_ied)));
   }
   if (spec.k_rtu.has_value()) {
-    terms.push_back(
-        builder_.mk_at_most(failed_rtus, static_cast<std::uint32_t>(*spec.k_rtu)));
+    terms.push_back(builder_.mk_at_most(failed_rtus, bound(*spec.k_rtu)));
   }
   if ((spec.k_ied.has_value() || spec.k_rtu.has_value()) && options_.links_can_fail) {
     // Per-type budgets don't constrain links; keep link failures inside the

@@ -93,23 +93,11 @@ struct AnalyzerOptions {
 [[nodiscard]] smt::SessionOptions session_options(const AnalyzerOptions& options);
 
 /// Reads the failure assignment of the last Sat model out of a session as a
-/// ThreatVector (id lists ascending). Shared by the serial analyzer and the
-/// per-worker enumeration loops of the parallel engine.
+/// ThreatVector (id lists ascending). Used by verify() and
+/// enumerate_threats(), and by callers that drive their own Session over a
+/// ThreatEncoder's formulas.
 [[nodiscard]] ThreatVector extract_threat_vector(const ThreatEncoder& encoder,
                                                  const smt::Session& session);
-
-/// The solve → extract → minimize → block loop behind every threat
-/// enumeration (ScadaAnalyzer and the parallel engine's cube workers). The
-/// session must already hold the threat formula (plus any cube restriction).
-/// With `minimal_only` each vector is shrunk against the oracle and its
-/// supersets are blocked; otherwise exactly its failure assignment is. With
-/// `certify`, every verdict (including the closing unsat) is re-checked; a
-/// rejected certificate throws ScadaError. Stops at max_vectors, at Unsat, or
-/// at Unknown (an interrupt), returning the vectors found so far.
-[[nodiscard]] std::vector<ThreatVector> enumerate_session_threats(
-    ThreatEncoder& encoder, smt::Session& session, const ScenarioOracle& oracle,
-    Property property, const ResiliencySpec& spec, std::size_t max_vectors, bool minimal_only,
-    bool certify);
 
 /// Greedy irreducible shrink against the direct oracle: drop any failure
 /// whose removal still violates the property. Throws ScadaError if the
@@ -128,7 +116,11 @@ class ScadaAnalyzer {
   /// Enumerates distinct threat vectors by repeated solving with blocking
   /// constraints. With `minimal_only` (default) each reported vector is
   /// locally minimal and its supersets are suppressed — the count of
-  /// "different threat vectors" the paper reports. Stops after max_vectors.
+  /// "different threat vectors" the paper reports; otherwise exactly each
+  /// failure assignment is blocked. With AnalyzerOptions::certify every
+  /// verdict, the closing unsat included, is re-checked. Stops after
+  /// max_vectors, at Unsat, or at Unknown (an interrupt), returning the
+  /// vectors found so far.
   [[nodiscard]] std::vector<ThreatVector> enumerate_threats(Property property,
                                                             const ResiliencySpec& spec,
                                                             std::size_t max_vectors = 1024,

@@ -64,6 +64,7 @@ class ThreatEncoder {
   [[nodiscard]] smt::Formula property(Property p, int r);
 
   /// Failure budget of a specification (AtMost over failed devices/links).
+  /// Throws ConfigError when no budget is set or a set budget is negative.
   [[nodiscard]] smt::Formula failure_budget(const ResiliencySpec& spec);
 
   /// budget ∧ ¬property — sat models of this are threat vectors.

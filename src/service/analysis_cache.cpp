@@ -70,7 +70,6 @@ JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property
   key += smt::to_string(options.solver.backend);
   key += "\ncard=" + std::to_string(static_cast<int>(options.solver.card_encoding));
   key += "\nmax_conflicts=" + std::to_string(options.solver.max_conflicts);
-  key += "\nportfolio=" + std::to_string(options.solver.portfolio);
   key += "\nz3_timeout_ms=" + std::to_string(options.solver.z3_timeout_ms);
   key += options.solver.certify ? "\ncertify=1" : "\ncertify=0";
   key += options.solver.simplify ? "\nsimplify=1" : "\nsimplify=0";

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "scada/core/case_study.hpp"
@@ -32,13 +33,26 @@ core::Property parse_property(const std::string& name) {
   throw ParseError("unknown property '" + name + "'");
 }
 
+/// Reads the integer field `name` as an int in [min, INT_MAX]. Every int
+/// the protocol carries goes through here, so an out-of-range value is a
+/// request error rather than a silently truncated one.
+int int_field(const JsonValue& value, const char* name,
+              int min = std::numeric_limits<int>::min()) {
+  const std::int64_t v = value.as_int();
+  if (v < min || v > std::numeric_limits<int>::max()) {
+    throw ParseError(std::string("'") + name + "' must be in [" + std::to_string(min) + ", " +
+                     std::to_string(std::numeric_limits<int>::max()) + "]");
+  }
+  return static_cast<int>(v);
+}
+
 core::ResiliencySpec parse_spec(const JsonValue& spec_json) {
   if (!spec_json.is_object()) throw ParseError("'spec' must be an object");
   core::ResiliencySpec spec;
-  if (const JsonValue* k = spec_json.find("k")) spec.k_total = static_cast<int>(k->as_int());
-  if (const JsonValue* k1 = spec_json.find("k1")) spec.k_ied = static_cast<int>(k1->as_int());
-  if (const JsonValue* k2 = spec_json.find("k2")) spec.k_rtu = static_cast<int>(k2->as_int());
-  if (const JsonValue* r = spec_json.find("r")) spec.r = static_cast<int>(r->as_int());
+  if (const JsonValue* k = spec_json.find("k")) spec.k_total = int_field(*k, "k", 0);
+  if (const JsonValue* k1 = spec_json.find("k1")) spec.k_ied = int_field(*k1, "k1", 0);
+  if (const JsonValue* k2 = spec_json.find("k2")) spec.k_rtu = int_field(*k2, "k2", 0);
+  if (const JsonValue* r = spec_json.find("r")) spec.r = int_field(*r, "r", 0);
   if (!spec.k_total && !spec.k_ied && !spec.k_rtu) {
     throw ParseError("'spec' needs at least one of k, k1, k2");
   }
@@ -89,12 +103,12 @@ std::shared_ptr<const core::ScadaScenario> BatchServer::resolve_scenario(
   } else if (const JsonValue* synth = source.find("synth")) {
     if (!synth->is_object()) throw ParseError("'synth' must be an object");
     synth::SynthConfig config;
-    if (const JsonValue* v = synth->find("buses")) config.buses = static_cast<int>(v->as_int());
+    if (const JsonValue* v = synth->find("buses")) config.buses = int_field(*v, "buses");
     if (const JsonValue* v = synth->find("seed")) {
       config.seed = static_cast<std::uint64_t>(v->as_int());
     }
     if (const JsonValue* v = synth->find("hierarchy")) {
-      config.hierarchy_level = static_cast<int>(v->as_int());
+      config.hierarchy_level = int_field(*v, "hierarchy");
     }
     if (const JsonValue* v = synth->find("measurement_fraction")) {
       config.measurement_fraction = v->as_double();
@@ -172,18 +186,11 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
   if (const JsonValue* v = request.find("max_conflicts")) {
     job.options.solver.max_conflicts = static_cast<std::uint64_t>(v->as_int());
   }
-  if (const JsonValue* v = request.find("portfolio")) {
-    const auto workers = v->as_int();
-    if (workers < 0 || workers > 64) throw ParseError("'portfolio' must be in [0, 64]");
-    job.options.solver.portfolio = static_cast<unsigned>(workers);
-  }
   if (const JsonValue* v = request.find("max_vectors")) {
     job.max_vectors = static_cast<std::size_t>(v->as_int());
   }
   if (const JsonValue* v = request.find("minimal_only")) job.minimal_only = v->as_bool();
-  if (const JsonValue* v = request.find("priority")) {
-    job.priority = static_cast<int>(v->as_int());
-  }
+  if (const JsonValue* v = request.find("priority")) job.priority = int_field(*v, "priority");
   if (const JsonValue* v = request.find("deadline_ms")) job.deadline_ms = v->as_double();
 
   out.ticket = scheduler_.submit(std::move(job));

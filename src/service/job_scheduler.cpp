@@ -244,16 +244,6 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
       metrics_->gauge("smt.db_core").set(static_cast<std::int64_t>(ss.db_core));
       metrics_->gauge("smt.db_tier2").set(static_cast<std::int64_t>(ss.db_tier2));
       metrics_->gauge("smt.db_local").set(static_cast<std::int64_t>(ss.db_local));
-      // Portfolio sharing effectiveness (zero when portfolio mode is off).
-      if (ss.portfolio_workers >= 2) {
-        metrics_->counter("solver.portfolio_solves").inc();
-        metrics_->counter("solver.portfolio_clauses_exported").inc(ss.portfolio_clauses_exported);
-        metrics_->counter("solver.portfolio_clauses_imported").inc(ss.portfolio_clauses_imported);
-        if (ss.portfolio_winner >= 0) {
-          metrics_->histogram("solver.portfolio_winner").record(
-              static_cast<double>(ss.portfolio_winner));
-        }
-      }
     } else if (req.kind == JobKind::SecurityIndex || req.kind == JobKind::Harden) {
       core::OptimizerOptions opt_options;
       opt_options.analyzer = options;

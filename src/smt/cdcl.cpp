@@ -12,8 +12,13 @@ namespace scada::smt {
 
 namespace {
 
+/// EVSIDS variable activity decay factor.
+constexpr double kVarDecay = 0.95;
 /// Learned-clause activity decay factor.
 constexpr double kClauseDecay = 0.999;
+/// Saved phase of a fresh variable (phase saving overrides it after the
+/// first assignment) and the "original" step of the rephase cycle.
+constexpr bool kInitialPhase = false;
 /// Three-tier learned-clause database: clauses with LBD <= kTierCoreLbd are
 /// kept forever, LBD <= kTierMidLbd start in tier 2 and demote to the local
 /// tier after kTierMidMaxAge reductions without use.
@@ -33,14 +38,13 @@ std::uint32_t tier_for(std::uint32_t lbd) noexcept {
 }  // namespace
 
 CdclSolver::CdclSolver(CdclConfig config)
-    : config_(config), branch_rng_(config.branch_seed),
-      restart_policy_(config.restart), rephase_rng_(config.rephase_seed) {
+    : config_(config), restart_policy_(config.restart), rephase_rng_(config.rephase_seed) {
   // Var 0 is reserved; allocate its slots so indexing by Var is direct.
   assign_.resize(2, LBool::Undef);  // two slots per var: one per literal
   level_.push_back(0);
   reason_.push_back(kNoReason);
-  saved_phase_.push_back(config_.default_phase);
-  best_phase_.push_back(config_.default_phase);
+  saved_phase_.push_back(kInitialPhase);
+  best_phase_.push_back(kInitialPhase);
   activity_.push_back(0.0);
   heap_pos_.push_back(-1);
   seen_.push_back(false);
@@ -57,8 +61,8 @@ Var CdclSolver::new_var() {
   assign_.push_back(LBool::Undef);
   level_.push_back(0);
   reason_.push_back(kNoReason);
-  saved_phase_.push_back(config_.default_phase);
-  best_phase_.push_back(config_.default_phase);
+  saved_phase_.push_back(kInitialPhase);
+  best_phase_.push_back(kInitialPhase);
   activity_.push_back(0.0);
   heap_pos_.push_back(-1);
   seen_.push_back(false);
@@ -500,7 +504,7 @@ void CdclSolver::bump_var(Var v) {
   if (heap_contains(v)) heap_update(v);
 }
 
-void CdclSolver::decay_var_activity() { var_inc_ /= config_.var_decay; }
+void CdclSolver::decay_var_activity() { var_inc_ /= kVarDecay; }
 
 void CdclSolver::bump_clause(ClauseRef cref) {
   const double bumped = arena_.activity(cref) + clause_inc_;
@@ -516,32 +520,6 @@ void CdclSolver::bump_clause(ClauseRef cref) {
 void CdclSolver::decay_clause_activity() { clause_inc_ /= kClauseDecay; }
 
 Lit CdclSolver::pick_branch_literal() {
-  // Portfolio diversification: with probability random_branch_freq pick a
-  // uniform unassigned variable instead of the activity maximum. The variable
-  // stays in the heap — the activity loop below skips assigned entries lazily.
-  if (branch_rng_ != 0 && config_.random_branch_freq > 0.0 && !heap_.empty()) {
-    const auto draw = [this]() noexcept {
-      branch_rng_ ^= branch_rng_ << 13;
-      branch_rng_ ^= branch_rng_ >> 7;
-      branch_rng_ ^= branch_rng_ << 17;
-      return branch_rng_;
-    };
-    if (static_cast<double>(draw() >> 11) * 0x1.0p-53 < config_.random_branch_freq) {
-      // Unbiased bounded draw: 2^64 mod n values at the bottom of the stream
-      // would overrepresent the first slots under a plain modulo, so redraw
-      // while the sample falls in that remainder band (rejection sampling;
-      // for any realistic heap size the first draw is accepted).
-      const std::uint64_t n = heap_.size();
-      const std::uint64_t reject_below = (0 - n) % n;  // == 2^64 mod n
-      std::uint64_t sample = draw();
-      while (sample < reject_below) sample = draw();
-      const Var v = heap_[sample % n];
-      const auto vi = static_cast<std::size_t>(v);
-      if (var_value(v) == LBool::Undef && !eliminated_[vi]) {
-        return Lit{v, !saved_phase_[vi]};
-      }
-    }
-  }
   while (!heap_.empty()) {
     const Var v = heap_pop();
     const auto vi = static_cast<std::size_t>(v);
@@ -663,10 +641,10 @@ void CdclSolver::apply_rephase() {
   ++stats_.rephases;
   switch (rephase_count_++ % 6) {
     case 1:  // original phase
-      std::fill(saved_phase_.begin(), saved_phase_.end(), config_.default_phase);
+      std::fill(saved_phase_.begin(), saved_phase_.end(), kInitialPhase);
       break;
     case 3:  // inverted phase
-      std::fill(saved_phase_.begin(), saved_phase_.end(), !config_.default_phase);
+      std::fill(saved_phase_.begin(), saved_phase_.end(), !kInitialPhase);
       break;
     case 5:  // seeded-random phase (deterministic xorshift64 stream)
       for (std::size_t i = 0; i < saved_phase_.size(); ++i) {
@@ -784,7 +762,6 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
   if (config_.simplify && should_simplify() && !simplify()) {
     return SolveResult::Unsat;
   }
-  if (exchange_ != nullptr && !import_shared_clauses()) return SolveResult::Unsat;
 
   std::vector<Lit> learned;
   std::uint64_t conflicts_this_solve = 0;
@@ -806,12 +783,6 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
       if (proof_ != nullptr) proof_->add_clause(learned);
       // LBD uses the pre-backtrack levels, so compute it before cancel_until.
       const std::uint32_t lbd = clause_lbd(learned);
-      // Offer the clause to the portfolio pool strictly AFTER proof logging:
-      // an importer may rely on the clause already being in the shared log.
-      if (exchange_ != nullptr) {
-        ++stats_.clauses_exported;
-        exchange_->export_clause(learned, lbd);
-      }
       // Heuristic bookkeeping reads the pre-backtrack trail: the restart
       // policy's depth signal and the best-phase snapshot both mean the trail
       // at conflict detection, not the post-jump remnant.
@@ -853,8 +824,8 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
 
     // No conflict.
     if (interrupted()) {
-      // Losing portfolio workers land here between conflicts; the solver
-      // stays reusable (a later solve() restarts from level 0).
+      // An interrupt between conflicts; the solver stays reusable (a later
+      // solve() restarts from level 0).
       cancel_until(0);
       return SolveResult::Unknown;
     }
@@ -867,13 +838,6 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
       if (config_.rephase_interval != 0 &&
           conflicts_since_rephase_ >= config_.rephase_interval) {
         apply_rephase();
-      }
-      // Pull foreign portfolio clauses in at level 0 — the only place the
-      // two-watched-literal invariant can be (re)established trivially. Any
-      // assumption prefix undone here is re-placed by the loop below.
-      if (exchange_ != nullptr) {
-        cancel_until(0);
-        if (!import_shared_clauses()) return SolveResult::Unsat;
       }
       // Inprocessing between solves: vivify the learned DB every few
       // restarts (only at level 0, i.e. without an assumption prefix).
@@ -931,64 +895,6 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
     trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
     enqueue(next, kNoReason);
   }
-}
-
-bool CdclSolver::import_shared_clauses() {
-  assert(decision_level() == 0);
-  import_buffer_.clear();
-  if (exchange_->import_clauses(import_buffer_) == 0) return !unsat_;
-  for (const Clause& clause : import_buffer_) {
-    if (!import_clause(clause)) return false;
-  }
-  return true;
-}
-
-bool CdclSolver::import_clause(const Clause& clause_in) {
-  if (unsat_) return false;
-  assert(decision_level() == 0);
-
-  // Normalize against THIS worker's level-0 facts (pool clauses already have
-  // distinct literals, but every worker's root assignment differs). Unlike
-  // add_clause, nothing is proof-logged here: the exporting worker appended
-  // the clause to the shared log before publishing it, so in the merged
-  // portfolio proof it is already derived by the time we use it.
-  std::vector<Lit> lits(clause_in.begin(), clause_in.end());
-  for (const Lit l : lits) {
-    ensure_var(l.var());
-    if (eliminated_[static_cast<std::size_t>(l.var())]) restore_variable(l.var());
-  }
-  if (unsat_) return false;  // a restored clause may conflict
-  std::sort(lits.begin(), lits.end(), [](Lit a, Lit b) { return a.code < b.code; });
-  std::vector<Lit> normalized;
-  normalized.reserve(lits.size());
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    const Lit l = lits[i];
-    if (i + 1 < lits.size() && lits[i + 1].code == (l.code ^ 1)) return true;  // tautology
-    if (i > 0 && lits[i - 1] == l) continue;
-    const LBool v = value(l);
-    if (v == LBool::True) return true;  // already satisfied at level 0
-    if (v == LBool::False) continue;
-    normalized.push_back(l);
-  }
-
-  ++stats_.clauses_imported;
-  if (normalized.empty()) {
-    mark_unsat();
-    return false;
-  }
-  if (normalized.size() == 1) {
-    enqueue(normalized[0], kNoReason);
-    if (propagate() != kNoReason) mark_unsat();
-    return !unsat_;
-  }
-  const ClauseRef cref = alloc_clause(normalized, true);
-  // A foreign clause arrives without a live-trail LBD; its size is a sound
-  // upper bound, and on-use recomputation tightens (and promotes) it later.
-  const auto size_bound = static_cast<std::uint32_t>(normalized.size());
-  arena_.set_lbd(cref, size_bound);
-  arena_.set_tier(cref, tier_for(size_bound));
-  attach_clause(cref);
-  return true;
 }
 
 bool CdclSolver::model_value(Var v) const {

@@ -148,7 +148,6 @@ class AdaptiveRestartPolicy {
 };
 
 struct CdclConfig {
-  double var_decay = 0.95;          ///< EVSIDS decay factor
   std::size_t learned_base = 4000;  ///< initial learned-DB soft limit
   double learned_growth = 1.1;      ///< limit growth per reduction
   /// Adaptive LBD-EMA restart parameters (the only restart schedule).
@@ -171,34 +170,6 @@ struct CdclConfig {
   /// assumption variables are never eliminated; Sat models are reconstructed
   /// over eliminated variables, and every derivation is DRAT-logged.
   bool simplify = true;
-  // --- portfolio diversification knobs ---
-  /// Initial phase of fresh variables (phase saving overrides after the first
-  /// assignment). The portfolio flips this on some workers so they explore
-  /// complementary halves of the assignment space first.
-  bool default_phase = false;
-  /// Nonzero seeds an xorshift64 stream for occasional random branching.
-  std::uint64_t branch_seed = 0;
-  /// Fraction of decisions taken uniformly at random from the unassigned
-  /// pool instead of by activity (only when branch_seed != 0).
-  double random_branch_freq = 0.0;
-};
-
-/// Learned-clause exchange between cooperating solvers (the portfolio's
-/// shared pool implements this). Both hooks are called from inside solve():
-/// export_clause right after a clause is learned (and after it reaches any
-/// attached proof writer — the ordering the merged portfolio proof relies
-/// on), import_clauses only at level 0. Implementations must be thread-safe;
-/// the solver never retains the spans it passes.
-class ClauseExchange {
- public:
-  virtual ~ClauseExchange() = default;
-  /// Offers a freshly learned clause (distinct literals) with its LBD — the
-  /// number of distinct decision levels among its literals. The exchange
-  /// decides whether to keep it.
-  virtual void export_clause(std::span<const Lit> lits, std::uint32_t lbd) = 0;
-  /// Appends foreign clauses learned since the last call into `out`
-  /// (without clearing it). Returns the number appended.
-  virtual std::size_t import_clauses(std::vector<Clause>& out) = 0;
 };
 
 struct CdclStats {
@@ -234,9 +205,6 @@ struct CdclStats {
   std::uint64_t failed_literals = 0;      ///< units learned by probing
   std::uint64_t vivified_clauses = 0;     ///< learned clauses shortened by vivification
   std::uint64_t restored_vars = 0;        ///< eliminated vars brought back on demand
-  // --- clause-exchange counters (portfolio mode) ---
-  std::uint64_t clauses_exported = 0;     ///< learned clauses offered to the exchange
-  std::uint64_t clauses_imported = 0;     ///< foreign clauses accepted from the exchange
 };
 
 class Simplifier;
@@ -311,8 +279,7 @@ class CdclSolver {
   /// keep it alive) reads true, solve() aborts at the next conflict/decision
   /// boundary and returns Unknown. Solver state stays consistent — solve()
   /// may be called again after the flag clears. Thread-safe: the flag may be
-  /// flipped from any thread (the parallel engine's first-SAT-wins
-  /// cancellation). Pass nullptr to detach.
+  /// flipped from any thread (a deadline watchdog). Pass nullptr to detach.
   void set_interrupt(const std::atomic<bool>* flag) noexcept { interrupt_ = flag; }
 
   /// Streams the solver's derivations (learned clauses, database deletions,
@@ -322,13 +289,6 @@ class CdclSolver {
   /// with nullptr. Off (nullptr) by default — the logging hook is a single
   /// branch per learned clause.
   void set_proof(DratWriter* writer) noexcept { proof_ = writer; }
-
-  /// Attaches a clause exchange (portfolio clause sharing). Learned clauses
-  /// are offered to the exchange right after being logged to any attached
-  /// proof; foreign clauses are pulled in at level 0 (solve() entry and
-  /// restart boundaries). The exchange (owned by the caller) must outlive the
-  /// solver or be detached with nullptr.
-  void set_exchange(ClauseExchange* exchange) noexcept { exchange_ = exchange; }
 
   [[nodiscard]] const CdclStats& stats() const noexcept { return stats_; }
   /// Live learned clauses per tier (O(learned) scan; called for stats export,
@@ -467,15 +427,6 @@ class CdclSolver {
   /// unchanged clause database only revisits what actually changed.
   std::vector<Var> fresh_clause_vars_;
 
-  /// Pulls foreign clauses from the attached exchange (decision level 0 only)
-  /// and integrates them as learned clauses. Returns false iff the instance
-  /// is now known unsat.
-  [[nodiscard]] bool import_shared_clauses();
-  /// Integrates one foreign clause as a learned clause (no proof logging —
-  /// the exporter already logged it to the shared proof). Returns false iff
-  /// the instance is now known unsat.
-  [[nodiscard]] bool import_clause(const Clause& clause);
-
   void attach_clause(ClauseRef cref);
   /// Appends a clause to the arena and registers it in the matching ref list
   /// (problem_refs_ / learned_refs_ — the lists GC walks to find live data).
@@ -496,9 +447,6 @@ class CdclSolver {
   std::size_t num_problem_clauses_ = 0;
   const std::atomic<bool>* interrupt_ = nullptr;
   DratWriter* proof_ = nullptr;
-  ClauseExchange* exchange_ = nullptr;
-  std::uint64_t branch_rng_ = 0;        ///< xorshift64 state for random branching
-  std::vector<Clause> import_buffer_;   ///< scratch for exchange pulls
   LevelStampCounter lbd_marks_;         ///< O(n) LBD computation state
 
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::code

@@ -38,12 +38,6 @@ struct SessionOptions {
   /// assumptions always see live variables. Composes with certify: every
   /// simplifier derivation lands in the DRAT trace. On by default.
   bool simplify = true;
-  /// CDCL only: run a clause-sharing portfolio of N diversified CDCL workers
-  /// per solve() (first Sat/Unsat wins, losers are cancelled). 0 and 1 mean
-  /// the plain serial engine. Certify composes: all workers stream into one
-  /// merged DRAT log, at the cost of forcing `simplify` off (see
-  /// portfolio.hpp for the soundness argument).
-  unsigned portfolio = 0;
   /// Z3 only: lower cardinality atoms to integer arithmetic
   /// (sum of ite(b,1,0) <= k) instead of native pseudo-Boolean atmost/atleast.
   /// This mirrors the paper's "Boolean and integer terms" encoding; the
@@ -66,7 +60,7 @@ struct SessionStats {
   std::uint64_t watch_inspections = 0;
   std::uint64_t blocker_hits = 0;
   /// High-water mark of the backend's clause-arena footprint in bytes
-  /// (CDCL backend; the winning worker under the portfolio).
+  /// (CDCL backend).
   std::uint64_t arena_peak_bytes = 0;
   std::uint64_t restarts = 0;
   std::uint64_t learned_clauses = 0;
@@ -90,12 +84,6 @@ struct SessionStats {
   /// Total solver variables allocated (Tseitin + cardinality auxiliaries);
   /// vars_eliminated / solver_vars is the BVE reduction ratio.
   std::uint64_t solver_vars = 0;
-  /// Portfolio counters (CDCL backend with SessionOptions::portfolio >= 2;
-  /// zero otherwise). Winner is the worker of the last verdict, -1 if none.
-  std::uint64_t portfolio_workers = 0;
-  std::int64_t portfolio_winner = -1;
-  std::uint64_t portfolio_clauses_exported = 0;
-  std::uint64_t portfolio_clauses_imported = 0;
 };
 
 /// Verdict of re-checking a solve result against its certificate.
@@ -149,14 +137,6 @@ std::unique_ptr<SessionImpl> make_z3_impl(const FormulaBuilder& builder,
 /// Factory implemented in session.cpp.
 std::unique_ptr<SessionImpl> make_cdcl_impl(const FormulaBuilder& builder,
                                             const SessionOptions& options);
-/// Factory implemented in portfolio.cpp (clause-sharing CDCL portfolio).
-std::unique_ptr<SessionImpl> make_portfolio_impl(const FormulaBuilder& builder,
-                                                 const SessionOptions& options);
-/// Maps a solver-level assumption core back to positions in the assumption
-/// span whose CNF-defined literals are `assumption_lits` (session.cpp).
-/// Deduplicated, ascending.
-std::vector<std::size_t> map_core_to_indices(std::span<const Lit> core,
-                                             std::span<const Lit> assumption_lits);
 }  // namespace detail
 
 class Session {
@@ -195,8 +175,8 @@ class Session {
   /// core-guided strategy is built on this.
   [[nodiscard]] std::vector<Formula> unsat_core() const;
 
-  /// Cooperative cancellation for portfolio solving: while `flag` (owned by
-  /// the caller, e.g. a util::CancellationToken) reads true, solve() returns
+  /// Cooperative cancellation: while `flag` (owned by the caller, e.g. a
+  /// util::CancellationToken) reads true, solve() returns
   /// Unknown — immediately when already set, and mid-solve at the next
   /// conflict/decision boundary on the CDCL backend. The Z3 backend only
   /// honors the flag between solve() calls. Pass nullptr to detach.

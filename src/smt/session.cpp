@@ -12,6 +12,28 @@ namespace scada::smt {
 namespace detail {
 namespace {
 
+/// Maps a solver-level assumption core back to positions in the assumption
+/// span whose CNF-defined literals are `assumption_lits`. Deduplicated,
+/// ascending.
+std::vector<std::size_t> map_core_to_indices(std::span<const Lit> core,
+                                             std::span<const Lit> assumption_lits) {
+  std::vector<std::size_t> indices;
+  indices.reserve(core.size());
+  for (const Lit c : core) {
+    // Duplicate assumption formulas define the same literal; the first
+    // position represents them all.
+    for (std::size_t i = 0; i < assumption_lits.size(); ++i) {
+      if (assumption_lits[i] == c) {
+        indices.push_back(i);
+        break;
+      }
+    }
+  }
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  return indices;
+}
+
 /// Feeds the CNF pipeline straight into the native CDCL solver; when
 /// certifying, also tees every clause into a DIMACS copy so the proof can be
 /// checked against exactly what the solver was given.
@@ -182,25 +204,6 @@ std::unique_ptr<SessionImpl> make_cdcl_impl(const FormulaBuilder& builder,
   return std::make_unique<CdclSessionImpl>(builder, options);
 }
 
-std::vector<std::size_t> map_core_to_indices(std::span<const Lit> core,
-                                             std::span<const Lit> assumption_lits) {
-  std::vector<std::size_t> indices;
-  indices.reserve(core.size());
-  for (const Lit c : core) {
-    // Duplicate assumption formulas define the same literal; the first
-    // position represents them all.
-    for (std::size_t i = 0; i < assumption_lits.size(); ++i) {
-      if (assumption_lits[i] == c) {
-        indices.push_back(i);
-        break;
-      }
-    }
-  }
-  std::sort(indices.begin(), indices.end());
-  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  return indices;
-}
-
 }  // namespace detail
 
 Session::Session(const FormulaBuilder& builder, SessionOptions options) : builder_(&builder) {
@@ -209,8 +212,7 @@ Session::Session(const FormulaBuilder& builder, SessionOptions options) : builde
       impl_ = detail::make_z3_impl(builder, options);
       break;
     case Backend::Cdcl:
-      impl_ = options.portfolio >= 2 ? detail::make_portfolio_impl(builder, options)
-                                     : detail::make_cdcl_impl(builder, options);
+      impl_ = detail::make_cdcl_impl(builder, options);
       break;
   }
   if (!impl_) throw SolverError("unknown solver backend");

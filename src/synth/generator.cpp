@@ -40,8 +40,20 @@ BusSystem make_grid(const SynthConfig& config, util::Rng& rng) {
 
 core::ScadaScenario generate_scenario(const SynthConfig& config) {
   if (config.buses < 2) throw ConfigError("synth: need at least 2 buses");
-  if (config.measurement_fraction <= 0.0 || config.measurement_fraction > 1.0) {
+  // Each range check is written so that NaN fails it too; a negative
+  // rtus_per_bus would otherwise size the RTU layer at ~2^64 devices.
+  if (!(config.measurement_fraction > 0.0 && config.measurement_fraction <= 1.0)) {
     throw ConfigError("synth: measurement_fraction must be in (0, 1]");
+  }
+  if (!(config.rtus_per_bus >= 0.0 && config.rtus_per_bus <= 1.0)) {
+    throw ConfigError("synth: rtus_per_bus must be in [0, 1]");
+  }
+  if (!(config.redundant_uplink_probability >= 0.0 &&
+        config.redundant_uplink_probability <= 1.0)) {
+    throw ConfigError("synth: redundant_uplink_probability must be in [0, 1]");
+  }
+  if (!(config.secured_hop_fraction >= 0.0 && config.secured_hop_fraction <= 1.0)) {
+    throw ConfigError("synth: secured_hop_fraction must be in [0, 1]");
   }
   if (config.hierarchy_level < 1) throw ConfigError("synth: hierarchy_level must be >= 1");
 

@@ -28,14 +28,16 @@ struct SynthConfig {
   /// means an average of h RTUs on an IED's path — the x-axis of Fig. 6 and
   /// Fig. 7(b).
   int hierarchy_level = 1;
-  /// RTU count as a fraction of the bus count (RTU and IED counts are
-  /// "usually proportional with the number of buses", §V-A).
+  /// RTU count as a fraction of the bus count, in [0, 1] (RTU and IED
+  /// counts are "usually proportional with the number of buses", §V-A).
   double rtus_per_bus = 0.3;
-  /// Probability that an RTU gets a second (redundant) uplink; drives the
-  /// "more connectivity among the RTUs" effect of higher hierarchies.
+  /// Probability in [0, 1] that an RTU gets a second (redundant) uplink;
+  /// drives the "more connectivity among the RTUs" effect of higher
+  /// hierarchies.
   double redundant_uplink_probability = 0.35;
-  /// Probability that a logical hop receives an authenticated+integrity
-  /// profile (the rest get a weak authentication-only profile).
+  /// Probability in [0, 1] that a logical hop receives an
+  /// authenticated+integrity profile (the rest get a weak
+  /// authentication-only profile).
   double secured_hop_fraction = 0.8;
   std::uint64_t seed = 1;
 };
@@ -53,6 +55,7 @@ struct SynthStats {
 };
 
 /// Generates one synthetic scenario. Same config (incl. seed) — same output.
+/// Throws ConfigError when a field is out of its documented range.
 [[nodiscard]] core::ScadaScenario generate_scenario(const SynthConfig& config);
 
 /// Statistics of the scenario a config would generate (or of any scenario).

@@ -1,10 +1,10 @@
-// Fixed-size worker pool for the parallel analysis engine.
+// Fixed-size worker pool behind the service's job scheduler.
 //
 // The pool is deliberately small: a work queue, futures for results, and a
 // cooperative CancellationToken that solver backends poll (see
 // Session::set_interrupt). Workers never share mutable analysis state — each
-// parallel task builds its own FormulaBuilder/Session — so the pool itself is
-// the only synchronization point.
+// job builds its own FormulaBuilder/Session and solves serially — so the pool
+// itself is the only synchronization point.
 #pragma once
 
 #include <atomic>

@@ -76,6 +76,45 @@ TEST_P(AnalyzerVsBruteForce, ThreatSpacesMatchOnCaseStudy) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, AnalyzerVsBruteForce, ::testing::Range(0, 8));
 
+class MaxResiliencyVsEnumeration : public ::testing::TestWithParam<int> {};
+
+TEST_P(MaxResiliencyVsEnumeration, MatchesLargestThreatFreeBudget) {
+  // The gallop-then-bisect search against the largest k whose enumeration
+  // finds no threat at all: 3 failure classes x 2 properties x 2 backends.
+  const ScadaScenario s = make_case_study();
+  const Property property =
+      GetParam() < 4 ? Property::Observability : Property::SecuredObservability;
+  AnalyzerOptions options;
+  options.solver.backend = GetParam() % 2 == 0 ? smt::Backend::Z3 : smt::Backend::Cdcl;
+  ScadaAnalyzer analyzer(s, options);
+
+  const auto failure_class = GetParam() % 3 == 0   ? FailureClass::Combined
+                             : GetParam() % 3 == 1 ? FailureClass::IedOnly
+                                                   : FailureClass::RtuOnly;
+  const int ieds = static_cast<int>(s.ied_ids().size());
+  const int rtus = static_cast<int>(s.rtu_ids().size());
+  const int limit = failure_class == FailureClass::IedOnly   ? ieds
+                    : failure_class == FailureClass::RtuOnly ? rtus
+                                                             : ieds + rtus;
+  int expected = limit;
+  for (int k = 0; k <= limit; ++k) {
+    const ResiliencySpec spec =
+        failure_class == FailureClass::IedOnly   ? ResiliencySpec::per_type(k, 0)
+        : failure_class == FailureClass::RtuOnly ? ResiliencySpec::per_type(0, k)
+                                                 : ResiliencySpec::total(k);
+    if (!analyzer.enumerate_threats(property, spec, 1).empty()) {
+      expected = k - 1;
+      break;
+    }
+  }
+
+  const auto got = analyzer.max_resiliency(property, failure_class);
+  ASSERT_TRUE(got.completed);
+  EXPECT_EQ(got.max_k, expected) << to_string(property) << "/" << to_string(failure_class);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MaxResiliencyVsEnumeration, ::testing::Range(0, 8));
+
 TEST(AnalyzerTest, LinkFailureVerdictsMatchBruteForce) {
   // Regression: with links_can_fail the encoder lets links fail under a
   // combined budget, but the brute-force baseline used to enumerate device
@@ -329,28 +368,36 @@ TEST(AnalyzerTest, MaxResiliencyInterruptedMidSearchKeepsProvenBound) {
   }
 }
 
-TEST(AnalyzerTest, PortfolioVerifyIsCertified) {
-  // End to end through the analyzer: a CDCL portfolio session (3 clause-
-  // sharing workers) must produce the same verdicts as the serial engine and
-  // its unsat verdicts must carry a certificate built from the merged DRAT
-  // log that the independent checker accepts.
+TEST(AnalyzerTest, EnumerationHonoursInterruptAndCertify) {
   const ScadaScenario s = make_case_study();
+  const auto spec = ResiliencySpec::per_type(1, 1);
+  std::atomic<bool> stop{true};
   AnalyzerOptions options;
   options.solver.backend = smt::Backend::Cdcl;
-  options.solver.portfolio = 3;
+  options.interrupt = &stop;
+  // A preset interrupt stops the enumeration before its first model: an
+  // empty partial result, not a throw.
+  std::vector<ThreatVector> interrupted;
+  ASSERT_NO_THROW(interrupted = ScadaAnalyzer(s, options).enumerate_threats(
+                      Property::SecuredObservability, spec));
+  EXPECT_TRUE(interrupted.empty());
+
+  // Certified enumeration (every verdict re-checked, the closing unsat
+  // included) keeps the uncertified set.
+  stop.store(false);
+  const auto canon = [](std::vector<ThreatVector> v) {
+    std::sort(v.begin(), v.end(), [](const ThreatVector& a, const ThreatVector& b) {
+      return std::tie(a.failed_ieds, a.failed_rtus) < std::tie(b.failed_ieds, b.failed_rtus);
+    });
+    return v;
+  };
+  const auto plain =
+      canon(ScadaAnalyzer(s, options).enumerate_threats(Property::SecuredObservability, spec));
+  ASSERT_FALSE(plain.empty());
   options.certify = true;
-  ScadaAnalyzer analyzer(s, options);
-
-  const auto unsat = analyzer.verify(Property::Observability, ResiliencySpec::per_type(1, 1));
-  ASSERT_EQ(unsat.result, smt::SolveResult::Unsat);
-  EXPECT_TRUE(unsat.certified);
-  EXPECT_EQ(unsat.solver_stats.portfolio_workers, 3u);
-  EXPECT_GE(unsat.solver_stats.portfolio_winner, 0);
-
-  const auto sat = analyzer.verify(Property::Observability, ResiliencySpec::per_type(2, 1));
-  ASSERT_EQ(sat.result, smt::SolveResult::Sat);
-  EXPECT_TRUE(sat.certified);
-  ASSERT_TRUE(sat.threat.has_value());
+  EXPECT_EQ(canon(ScadaAnalyzer(s, options).enumerate_threats(Property::SecuredObservability,
+                                                               spec)),
+            plain);
 }
 
 TEST(AnalyzerTest, SimplifyOffProducesSameVerdicts) {

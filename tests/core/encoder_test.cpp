@@ -144,6 +144,18 @@ TEST(EncoderTest, FailureBudgetRequiresSomeSpec) {
   EXPECT_THROW((void)encoder.failure_budget(ResiliencySpec{}), ConfigError);
 }
 
+TEST(EncoderTest, NegativeFailureBudgetRejected) {
+  // A negative budget used to wrap to AtMost(2^32 - 1): no budget at all,
+  // so k = -1 answered sat with a two-device threat.
+  const ScadaScenario s = make_case_study();
+  smt::FormulaBuilder fb;
+  ThreatEncoder encoder(s, {}, fb);
+  EXPECT_THROW((void)encoder.failure_budget(ResiliencySpec::total(-1)), ConfigError);
+  EXPECT_THROW((void)encoder.failure_budget(ResiliencySpec::per_type(-1, 1)), ConfigError);
+  EXPECT_THROW((void)encoder.failure_budget(ResiliencySpec::per_type(1, -1)), ConfigError);
+  EXPECT_NO_THROW((void)encoder.failure_budget(ResiliencySpec::total(0)));
+}
+
 TEST(EncoderTest, NegativeRRejected) {
   const ScadaScenario s = make_case_study();
   smt::FormulaBuilder fb;

@@ -67,8 +67,8 @@ TEST(ScenarioTest, MeasurementIndexOutOfRangeQueryThrows) {
 }
 
 TEST(ScenarioTest, DeviceIdListsAreSortedRegardlessOfDeclarationOrder) {
-  // Regression: BruteForceVerifier and the parallel engine binary-search and
-  // merge on ied_ids()/rtu_ids() being ascending; a scenario built from a
+  // Regression: BruteForceVerifier relies on ied_ids()/rtu_ids() being
+  // ascending; a scenario built from a
   // shuffled device inventory must still expose sorted id lists.
   std::vector<scadanet::Device> devices = {
       {.id = 7, .type = scadanet::DeviceType::Ied},

@@ -11,21 +11,20 @@
 // evaluation for sat) by the independent checker — a fourth oracle that a
 // rejected certificate fails via ScadaError, same as a divergence. A fifth
 // configuration repeats the CDCL run with inprocessing disabled so
-// simplifier-induced divergences are attributable, and a sixth runs the
-// clause-sharing portfolio (3 diversified workers racing over the same CNF,
-// certification on) so sharing and winner-cancellation face the same gate.
-// A seventh configuration gates the optimization subsystem: the MaxSAT
-// security index (both strategies, both backends) must equal the brute-force
-// minimum attack cardinality.
+// simplifier-induced divergences are attributable. A sixth configuration
+// gates the optimization subsystem: the MaxSAT security index (both
+// strategies, both backends) must equal the brute-force minimum attack
+// cardinality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "scada/core/analyzer.hpp"
 #include "scada/core/brute_force.hpp"
 #include "scada/core/optimize.hpp"
-#include "scada/core/parallel_analyzer.hpp"
 #include "scada/synth/generator.hpp"
 #include "scada/util/rng.hpp"
 
@@ -91,35 +90,23 @@ TEST(DifferentialFuzzTest, AllEnginesAgreeOnRandomScenarios) {
     // rather than by the encoder or search.
     AnalyzerOptions plain_options = cdcl_options;
     plain_options.solver.simplify = false;
-    // Sixth configuration: the clause-sharing portfolio, certified. Any
-    // unsoundness in clause import, winner selection, or the merged proof
-    // shows up as a divergence or a rejected certificate here.
-    AnalyzerOptions portfolio_options = cdcl_options;
-    portfolio_options.solver.portfolio = 3;
 
     ScadaAnalyzer z3(s, z3_options);
     ScadaAnalyzer cdcl(s, cdcl_options);
     ScadaAnalyzer plain(s, plain_options);
-    ScadaAnalyzer portfolio(s, portfolio_options);
     BruteForceVerifier brute(s, c.encoder);
 
     const auto z3_result = z3.verify(c.property, c.spec);
     const auto cdcl_result = cdcl.verify(c.property, c.spec);
     const auto plain_result = plain.verify(c.property, c.spec);
-    const auto portfolio_result = portfolio.verify(c.property, c.spec);
     const auto brute_result = brute.verify(c.property, c.spec);
     EXPECT_EQ(z3_result.result, cdcl_result.result) << "Z3 vs CDCL: " << describe(c);
     EXPECT_EQ(z3_result.result, brute_result.result) << "SMT vs brute: " << describe(c);
     EXPECT_EQ(cdcl_result.result, plain_result.result)
         << "CDCL simplify on vs off: " << describe(c);
-    EXPECT_EQ(cdcl_result.result, portfolio_result.result)
-        << "CDCL serial vs portfolio: " << describe(c);
     EXPECT_TRUE(cdcl_result.certified) << "CDCL verdict without certificate: " << describe(c);
     EXPECT_TRUE(plain_result.certified)
         << "no-simplify CDCL verdict without certificate: " << describe(c);
-    EXPECT_TRUE(portfolio_result.certified)
-        << "portfolio verdict without certificate: " << describe(c);
-    EXPECT_EQ(portfolio_result.solver_stats.portfolio_workers, 3u) << describe(c);
   }
 }
 
@@ -148,8 +135,8 @@ TEST(DifferentialFuzzTest, UnsatVerdictsCarryCheckedProofs) {
 
 TEST(DifferentialFuzzTest, ThreatSetsAgreeOnRandomScenarios) {
   // Deeper (and slower) check on fewer rounds: the full minimal-threat
-  // antichain must be identical across the SMT backends, the brute-force
-  // baseline, and the parallel engine.
+  // antichain must be identical across the SMT backends and the brute-force
+  // baseline.
   util::Rng rng(3);
   int nonempty = 0;
   for (int round = 0; round < 8; ++round) {
@@ -165,27 +152,24 @@ TEST(DifferentialFuzzTest, ThreatSetsAgreeOnRandomScenarios) {
     options.certify = true;
     ScadaAnalyzer serial(s, options);
     BruteForceVerifier brute(s, c.encoder);
-    ParallelOptions parallel_options;
-    parallel_options.analyzer = options;
-    parallel_options.threads = 2 + round % 3;
-    ParallelAnalyzer parallel(s, parallel_options);
 
     auto canon = [](std::vector<ThreatVector> v) {
-      std::sort(v.begin(), v.end(), ParallelAnalyzer::threat_vector_less);
+      std::sort(v.begin(), v.end(), [](const ThreatVector& a, const ThreatVector& b) {
+        return std::tie(a.failed_ieds, a.failed_rtus, a.failed_links) <
+               std::tie(b.failed_ieds, b.failed_rtus, b.failed_links);
+      });
       return v;
     };
     const auto smt_set = canon(serial.enumerate_threats(c.property, c.spec));
     const auto brute_set = canon(brute.enumerate_threats(c.property, c.spec));
-    const auto parallel_set = parallel.enumerate_threats(c.property, c.spec);
     EXPECT_EQ(smt_set, brute_set) << "SMT vs brute: " << describe(c);
-    EXPECT_EQ(parallel_set, smt_set) << "parallel vs serial: " << describe(c);
     if (!smt_set.empty()) ++nonempty;
   }
   EXPECT_GT(nonempty, 0) << "fuzz corpus never produced a threat — weak test";
 }
 
 TEST(DifferentialFuzzTest, SecurityIndexMatchesTheBruteForceMinimum) {
-  // Seventh configuration: for small random scenarios the MaxSAT security
+  // Sixth configuration: for small random scenarios the MaxSAT security
   // index must equal the smallest total failure budget k with an attackable
   // (Sat) brute-force verdict, across both backends and both strategies. Any
   // disagreement is a soft-clause encoding, core-extraction, or bound bug.

@@ -114,11 +114,21 @@ TEST(BatchServerTest, MalformedRequestsAreErrorsNotCrashes) {
       R"("property":"telepathy","spec":{"k":1}})",
       R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},"spec":{"k":1},)"
       R"("backend":"minisat"})",
+      // A negative budget used to mean no budget at all (a sat verdict), and
+      // 2^32 + 1 was truncated to k = 1.
+      R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},)"
+      R"("property":"observability","spec":{"k":-1}})",
+      R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},)"
+      R"("property":"observability","spec":{"k":4294967297}})",
+      // A negative RTU fraction used to request ~2^64 RTUs and never answer.
+      R"({"op":"verify","scenario":{"synth":{"buses":14,"seed":1,"rtus_per_bus":-1}},)"
+      R"("spec":{"k":1}})",
   };
   for (const std::string& line : bad) {
     const io::JsonValue r = response(server, line);
     EXPECT_FALSE(field(r, "ok").as_bool()) << line;
     EXPECT_FALSE(field(r, "error").as_string().empty()) << line;
+    EXPECT_EQ(r.find("verification"), nullptr) << line;
   }
   // The server still works after a run of garbage.
   const io::JsonValue ok = response(

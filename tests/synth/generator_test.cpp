@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "scada/core/analyzer.hpp"
 #include "scada/core/oracle.hpp"
 #include "scada/util/error.hpp"
@@ -146,6 +148,18 @@ TEST(GeneratorTest, ConfigValidation) {
   config = SynthConfig{};
   config.hierarchy_level = 0;
   EXPECT_THROW((void)generate_scenario(config), ConfigError);
+  // The fractions must lie in [0, 1]; NaN fails every comparison and must
+  // be rejected too (a negative rtus_per_bus used to request ~2^64 RTUs).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-1.0, 2.0, nan}) {
+    for (double SynthConfig::*field :
+         {&SynthConfig::rtus_per_bus, &SynthConfig::redundant_uplink_probability,
+          &SynthConfig::secured_hop_fraction, &SynthConfig::measurement_fraction}) {
+      config = SynthConfig{};
+      config.*field = bad;
+      EXPECT_THROW((void)generate_scenario(config), ConfigError) << bad;
+    }
+  }
 }
 
 TEST(GeneratorTest, CustomBusSizeUsesSyntheticGrid) {

@@ -91,9 +91,9 @@ TEST(StringsDeathTest, CliDoubleRejectsGarbage) {
 }
 
 TEST(StringsDeathTest, CliLongInRejectsOutOfRange) {
-  EXPECT_EXIT((void)cli_long_in("--portfolio", "65", 1, 64), ::testing::ExitedWithCode(1),
+  EXPECT_EXIT((void)cli_long_in("--passes", "1001", 1, 1000), ::testing::ExitedWithCode(1),
               "out of range");
-  EXPECT_EXIT((void)cli_long_in("--portfolio", "0", 1, 64), ::testing::ExitedWithCode(1),
+  EXPECT_EXIT((void)cli_long_in("--passes", "0", 1, 1000), ::testing::ExitedWithCode(1),
               "out of range");
 }
 

@@ -33,7 +33,6 @@
 #include "scada/smt/cdcl.hpp"
 #include "scada/smt/dimacs.hpp"
 #include "scada/smt/drat.hpp"
-#include "scada/smt/portfolio.hpp"
 #include "scada/util/error.hpp"
 #include "scada/util/strings.hpp"
 #include "scada/util/timer.hpp"
@@ -43,14 +42,11 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--proof FILE | --binary-proof FILE] [--timeout-ms N] [--no-simplify] "
-               "[--portfolio N] [--assume LIT]... <dimacs.cnf>\n"
+               "[--assume LIT]... <dimacs.cnf>\n"
                "  --proof FILE         stream a text DRAT proof to FILE\n"
                "  --binary-proof FILE  stream a binary DRAT proof to FILE\n"
                "  --timeout-ms N       give up after N ms with 's UNKNOWN' (exit 0)\n"
                "  --no-simplify        disable inprocessing (subsumption/BVE/probing)\n"
-               "  --portfolio N        race N diversified clause-sharing workers;\n"
-               "                       with --proof, forces --no-simplify and merges\n"
-               "                       all workers' derivations into one DRAT log\n"
                "  --assume LIT         solve under the DIMACS literal (repeatable);\n"
                "                       an unsat verdict then also prints the subset of\n"
                "                       assumptions used ('v LIT... 0' core line)\n",
@@ -95,7 +91,6 @@ int main(int argc, char** argv) {
   bool binary_proof = false;
   bool simplify = true;
   long long timeout_ms = 0;
-  unsigned portfolio = 1;
   std::vector<int> assume_ints;
   const auto next_token = [&](int& i) { return i + 1 < argc ? argv[++i] : nullptr; };
   for (int i = 1; i < argc; ++i) {
@@ -108,9 +103,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
       timeout_ms = scada::util::cli_long_in("--timeout-ms", next_token(i), 1,
                                             std::numeric_limits<long long>::max());
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      portfolio =
-          static_cast<unsigned>(scada::util::cli_long_in("--portfolio", next_token(i), 1, 64));
     } else if (std::strcmp(argv[i], "--assume") == 0) {
       const long long lit = scada::util::cli_long_in(
           "--assume", next_token(i), std::numeric_limits<std::int32_t>::min() / 2,
@@ -132,10 +124,7 @@ int main(int argc, char** argv) {
 
     std::ofstream proof_out;
     std::unique_ptr<DratWriter> proof_writer;
-    PortfolioConfig config;
-    config.workers = portfolio;
-    config.base.simplify = simplify;
-    PortfolioSolver solver(config);
+    CdclSolver solver(CdclConfig{.simplify = simplify});
     if (proof_path != nullptr) {
       proof_out.open(proof_path, binary_proof ? std::ios::binary : std::ios::out);
       if (!proof_out) throw scada::ParseError(std::string("cannot open ") + proof_path);
@@ -165,7 +154,7 @@ int main(int argc, char** argv) {
     scada::util::WallTimer timer;
     const SolveResult result = solver.solve(assumptions);
     watchdog.reset();  // disarm before reporting
-    const CdclStats& stats = solver.winner_stats();
+    const CdclStats& stats = solver.stats();
     std::printf("c vars=%d clauses=%zu time=%.3fs conflicts=%llu decisions=%llu\n",
                 instance.num_vars, instance.clauses.size(), timer.seconds(),
                 static_cast<unsigned long long>(stats.conflicts),
@@ -173,18 +162,12 @@ int main(int argc, char** argv) {
     std::printf("c simplify: vars-eliminated=%llu clauses-subsumed=%llu\n",
                 static_cast<unsigned long long>(stats.vars_eliminated),
                 static_cast<unsigned long long>(stats.clauses_subsumed));
-    const DbTierSizes tiers = solver.winner_db_tier_sizes();
+    const DbTierSizes tiers = solver.db_tier_sizes();
     std::printf("c search: restarts=%llu blocked=%llu rephases=%llu "
                 "db-core=%zu db-tier2=%zu db-local=%zu\n",
                 static_cast<unsigned long long>(stats.restarts),
                 static_cast<unsigned long long>(stats.restarts_blocked),
                 static_cast<unsigned long long>(stats.rephases), tiers.core, tiers.mid, tiers.local);
-    if (solver.num_workers() >= 2) {
-      const PortfolioResultStats p = solver.stats();
-      std::printf("c portfolio: workers=%u winner=%d shared=%llu imported=%llu\n", p.workers,
-                  p.winner, static_cast<unsigned long long>(p.pool.accepted),
-                  static_cast<unsigned long long>(p.clauses_imported));
-    }
     switch (result) {
       case SolveResult::Sat: {
         std::printf("s SATISFIABLE\nv");
