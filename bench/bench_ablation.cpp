@@ -1,7 +1,6 @@
 // Ablation study (google-benchmark): design choices the paper leaves open.
 //
 //   * solver backend: Z3 (the paper's engine) vs the native CDCL engine,
-//   * cardinality encoding for the CDCL path: sequential counter vs totalizer,
 //   * SMT search vs the exhaustive brute-force baseline,
 //   * threat-vector minimization on/off,
 //   * certified (DRAT-recorded, re-checked) vs plain CDCL verification.
@@ -27,12 +26,9 @@ core::ScadaScenario synthetic(int buses, std::uint64_t seed) {
   return synth::generate_scenario(config);
 }
 
-core::AnalyzerOptions options_for(smt::Backend backend,
-                                  smt::CardinalityEncoding encoding =
-                                      smt::CardinalityEncoding::SequentialCounter) {
+core::AnalyzerOptions options_for(smt::Backend backend) {
   core::AnalyzerOptions o;
   o.solver.backend = backend;
-  o.solver.card_encoding = encoding;
   return o;
 }
 
@@ -64,21 +60,6 @@ BENCHMARK(BM_Backend_Synthetic30)
     ->Arg(static_cast<int>(smt::Backend::Z3))
     ->Arg(static_cast<int>(smt::Backend::Cdcl))
     ->ArgName("backend")
-    ->Unit(benchmark::kMillisecond);
-
-void BM_CardinalityEncoding_Cdcl(benchmark::State& state) {
-  const auto encoding = static_cast<smt::CardinalityEncoding>(state.range(0));
-  const core::ScadaScenario scenario = synthetic(30, 2);
-  for (auto _ : state) {
-    core::ScadaAnalyzer analyzer(scenario, options_for(smt::Backend::Cdcl, encoding));
-    benchmark::DoNotOptimize(
-        analyzer.verify(Property::Observability, ResiliencySpec::total(2)));
-  }
-}
-BENCHMARK(BM_CardinalityEncoding_Cdcl)
-    ->Arg(static_cast<int>(smt::CardinalityEncoding::SequentialCounter))
-    ->Arg(static_cast<int>(smt::CardinalityEncoding::Totalizer))
-    ->ArgName("encoding")
     ->Unit(benchmark::kMillisecond);
 
 void BM_SmtVsBruteForce(benchmark::State& state) {
@@ -134,24 +115,6 @@ BENCHMARK(BM_ThreatEnumeration)
     ->ArgName("backend")
     ->Unit(benchmark::kMillisecond);
 
-
-void BM_Z3CardinalityStyle(benchmark::State& state) {
-  const bool integer_style = state.range(0) != 0;
-  const core::ScadaScenario scenario = synthetic(30, 3);
-  core::AnalyzerOptions options;
-  options.solver.z3_integer_cardinality = integer_style;
-  for (auto _ : state) {
-    core::ScadaAnalyzer analyzer(scenario, options);
-    benchmark::DoNotOptimize(
-        analyzer.verify(Property::Observability, ResiliencySpec::total(2)));
-  }
-}
-BENCHMARK(BM_Z3CardinalityStyle)
-    ->Arg(0)   // native pseudo-Boolean atmost/atleast
-    ->Arg(1)   // the paper's integer-arithmetic sum style
-    ->ArgName("int_arith")
-    ->Unit(benchmark::kMillisecond);
-
 /// CDCL verification with certification off (certify=0) vs on (certify=1):
 /// quantifies the cost of DRAT recording plus the independent re-check of
 /// every verdict. The certify=0 row doubles as the regression guard that
@@ -159,7 +122,7 @@ BENCHMARK(BM_Z3CardinalityStyle)
 void BM_CertifiedVerify(benchmark::State& state) {
   const core::ScadaScenario scenario = synthetic(static_cast<int>(state.range(0)), 11);
   core::AnalyzerOptions options = options_for(smt::Backend::Cdcl);
-  options.certify = state.range(1) != 0;
+  options.solver.certify = state.range(1) != 0;
   core::ScadaAnalyzer analyzer(scenario, options);
   int certified = 0;
   for (auto _ : state) {

@@ -55,7 +55,7 @@ constexpr double kBaselinePhpMs =
 constexpr double kBaselineFig5Ms =
     1e3 * static_cast<double>(kOracleFig5Propagations) / kBaselineFig5PropsPerSec;
 
-smt::SessionOptions default_session_options() {
+smt::SessionOptions default_cdcl_options() {
   smt::SessionOptions options;
   options.backend = smt::Backend::Cdcl;
   return options;
@@ -222,7 +222,7 @@ BENCHMARK(BM_PropagateRandom3Sat)->Arg(150)->Arg(200)->ArgName("vars")
 void BM_Fig5Enumeration(benchmark::State& state) {
   const core::ScadaScenario scenario = scenario_for(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enumerate_member(scenario, 64, default_session_options()));
+    benchmark::DoNotOptimize(enumerate_member(scenario, 64, default_cdcl_options()));
   }
 }
 BENCHMARK(BM_Fig5Enumeration)->Arg(0)->Arg(30)->Arg(57)->ArgName("buses")
@@ -288,7 +288,7 @@ void write_summary(const char* path) {
   for (int rep = 0; rep < 9; ++rep) {
     const Throughput p = php_throughput(9, smt::CdclConfig{});
     if (rep == 0 || p.seconds < php.seconds) php = p;
-    const Throughput f = fig5_throughput(default_session_options());
+    const Throughput f = fig5_throughput(default_cdcl_options());
     if (rep == 0 || f.seconds < fig5.seconds) fig5 = f;
   }
   const bool oracle_ok = check_oracle(php, fig5);
@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick-check") == 0) {
       const bool oracle_ok = check_oracle(php_throughput(9, smt::CdclConfig{}),
-                                          fig5_throughput(default_session_options()));
+                                          fig5_throughput(default_cdcl_options()));
       const bool parity_ok = check_verdict_parity();
       std::printf("bench_cdcl --quick-check: oracle %s, verdict parity %s\n",
                   oracle_ok ? "ok" : "VIOLATED", parity_ok ? "ok" : "VIOLATED");

@@ -2,7 +2,7 @@
 // MaxSAT engine adds on top of the plain analyzer.
 //
 //   * security_index: minimum-cardinality attack on the case study, per
-//     MaxSAT strategy (linear descent vs core-guided) and backend,
+//     backend,
 //   * min_cost_hardening: CEGIS cheapest-upgrade synthesis on the case study,
 //   * max_resiliency: the analyzer's gallop-then-bisect search over one
 //     incremental session, on the 14-bus case study and a 30-bus synthetic
@@ -36,46 +36,35 @@ core::ScadaScenario synthetic(int buses, std::uint64_t seed) {
   return synth::generate_scenario(config);
 }
 
-core::OptimizerOptions optimizer_options(smt::Backend backend, smt::MaxSatStrategy strategy) {
+core::OptimizerOptions optimizer_options(smt::Backend backend) {
   core::OptimizerOptions o;
   o.analyzer.solver.backend = backend;
-  o.strategy = strategy;
   return o;
 }
 
 void BM_SecurityIndex_CaseStudy(benchmark::State& state) {
   const auto backend = static_cast<smt::Backend>(state.range(0));
-  const auto strategy = static_cast<smt::MaxSatStrategy>(state.range(1));
   const core::ScadaScenario scenario = core::make_case_study();
   for (auto _ : state) {
-    core::Optimizer optimizer(scenario, optimizer_options(backend, strategy));
+    core::Optimizer optimizer(scenario, optimizer_options(backend));
     benchmark::DoNotOptimize(optimizer.security_index(Property::SecuredObservability));
   }
 }
 BENCHMARK(BM_SecurityIndex_CaseStudy)
-    ->Args({static_cast<int>(smt::Backend::Cdcl), static_cast<int>(smt::MaxSatStrategy::Linear)})
-    ->Args({static_cast<int>(smt::Backend::Cdcl),
-            static_cast<int>(smt::MaxSatStrategy::CoreGuided)})
-    ->Args({static_cast<int>(smt::Backend::Z3), static_cast<int>(smt::MaxSatStrategy::Linear)})
-    ->Args({static_cast<int>(smt::Backend::Z3),
-            static_cast<int>(smt::MaxSatStrategy::CoreGuided)})
-    ->ArgNames({"backend", "strategy"})
+    ->Arg(static_cast<int>(smt::Backend::Cdcl))
+    ->Arg(static_cast<int>(smt::Backend::Z3))
+    ->ArgName("backend")
     ->Unit(benchmark::kMillisecond);
 
 void BM_MinCostHardening_CaseStudy(benchmark::State& state) {
-  const auto strategy = static_cast<smt::MaxSatStrategy>(state.range(0));
   const core::ScadaScenario scenario = core::make_case_study();
   for (auto _ : state) {
-    core::Optimizer optimizer(scenario, optimizer_options(smt::Backend::Cdcl, strategy));
+    core::Optimizer optimizer(scenario, optimizer_options(smt::Backend::Cdcl));
     benchmark::DoNotOptimize(optimizer.min_cost_hardening(Property::SecuredObservability,
                                                           ResiliencySpec::per_type(1, 1)));
   }
 }
-BENCHMARK(BM_MinCostHardening_CaseStudy)
-    ->Arg(static_cast<int>(smt::MaxSatStrategy::Linear))
-    ->Arg(static_cast<int>(smt::MaxSatStrategy::CoreGuided))
-    ->ArgName("strategy")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MinCostHardening_CaseStudy)->Unit(benchmark::kMillisecond);
 
 void BM_MaxResiliency(benchmark::State& state) {
   const int buses = static_cast<int>(state.range(0));

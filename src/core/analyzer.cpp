@@ -42,12 +42,6 @@ std::string VerificationResult::to_string() const {
 ScadaAnalyzer::ScadaAnalyzer(const ScadaScenario& scenario, AnalyzerOptions options)
     : scenario_(scenario), options_(std::move(options)), oracle_(scenario, options_.encoder) {}
 
-smt::SessionOptions session_options(const AnalyzerOptions& options) {
-  smt::SessionOptions solver = options.solver;
-  if (options.certify) solver.certify = true;
-  return solver;
-}
-
 namespace {
 
 /// When certifying: re-checks the session's last verdict. Returns true if a
@@ -124,7 +118,7 @@ VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
   const smt::Formula threat = encoder.threat(property, spec);
-  smt::Session session(builder, session_options(options_));
+  smt::Session session(builder, options_.solver);
   session.set_interrupt(options_.interrupt);
   session.assert_formula(threat);
   out.encode_seconds = encode_timer.seconds();
@@ -132,7 +126,7 @@ VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec
   out.result = session.solve();
   out.solve_seconds = session.stats().last_solve_seconds;
   out.solver_stats = session.stats();
-  out.certified = check_certificate(session, options_.certify);
+  out.certified = check_certificate(session, options_.solver.certify);
   if (out.result == SolveResult::Sat) {
     ThreatVector v = extract_threat_vector(encoder, session);
     if (options_.minimize_threats) v = minimize_threat(oracle_, property, spec, std::move(v));
@@ -147,7 +141,7 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
                                                            bool minimal_only) {
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
-  smt::Session session(builder, session_options(options_));
+  smt::Session session(builder, options_.solver);
   session.set_interrupt(options_.interrupt);
   session.assert_formula(encoder.threat(property, spec));
   std::vector<ThreatVector> vectors;
@@ -155,7 +149,7 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
     const SolveResult r = session.solve();
     // Certify every verdict of the enumeration, including the final unsat
     // that closes the threat space (the claim that the antichain is total).
-    check_certificate(session, options_.certify);
+    check_certificate(session, options_.solver.certify);
     // Unknown (an interrupt fired mid-enumeration) stops here and reports
     // the vectors found so far — the partial threat space a deadline allows.
     if (r != SolveResult::Sat) break;
@@ -208,7 +202,7 @@ MaxResiliencyResult ScadaAnalyzer::max_resiliency(Property property, FailureClas
   // unprobed budgets are never encoded.
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.encoder, builder);
-  smt::Session session(builder, session_options(options_));
+  smt::Session session(builder, options_.solver);
   // Same cancellation wiring as verify()/enumerate_threats(): service
   // deadlines and user cancels must be able to stop the search mid-probe.
   session.set_interrupt(options_.interrupt);

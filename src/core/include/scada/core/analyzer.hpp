@@ -44,7 +44,7 @@ struct VerificationResult {
   std::optional<ThreatVector> threat;
   double solve_seconds = 0.0;
   double encode_seconds = 0.0;
-  /// With AnalyzerOptions::certify on the CDCL backend: the verdict was
+  /// With SessionOptions::certify on the CDCL backend: the verdict was
   /// re-checked against its certificate (DRAT proof for unsat, model
   /// evaluation for sat) by the independent checker.
   bool certified = false;
@@ -71,16 +71,16 @@ struct MaxResiliencyResult {
 };
 
 struct AnalyzerOptions {
+  /// With `solver.certify` (CDCL backend) every verdict's certificate is
+  /// re-checked before reporting: the DRAT proof of an unsat verdict by the
+  /// independent backward checker, a sat model against the recorded CNF. A
+  /// rejected certificate throws ScadaError — the solver produced a verdict
+  /// it cannot justify, the same defect class as an oracle divergence. Z3
+  /// sessions report certificates as unavailable.
   smt::SessionOptions solver;
   EncoderOptions encoder;
   /// Shrink Sat models to minimal threat vectors using the direct oracle.
   bool minimize_threats = true;
-  /// CDCL backend only: record a DRAT proof of every unsat verdict and
-  /// re-check it with the independent backward checker before reporting
-  /// (sat models are cross-checked against the recorded CNF). A rejected
-  /// certificate throws ScadaError — the solver produced a verdict it
-  /// cannot justify, the same defect class as an oracle divergence.
-  bool certify = false;
   /// Cooperative cancellation (see Session::set_interrupt): while the
   /// pointed-to flag reads true, verify()/enumerate_threats() sessions
   /// return Unknown instead of solving to completion. The flag must outlive
@@ -88,9 +88,6 @@ struct AnalyzerOptions {
   /// hook the service scheduler's deadline watchdog uses.
   const std::atomic<bool>* interrupt = nullptr;
 };
-
-/// The analyzer's solver options with the `certify` opt-in folded in.
-[[nodiscard]] smt::SessionOptions session_options(const AnalyzerOptions& options);
 
 /// Reads the failure assignment of the last Sat model out of a session as a
 /// ThreatVector (id lists ascending). Used by verify() and
@@ -117,7 +114,7 @@ class ScadaAnalyzer {
   /// constraints. With `minimal_only` (default) each reported vector is
   /// locally minimal and its supersets are suppressed — the count of
   /// "different threat vectors" the paper reports; otherwise exactly each
-  /// failure assignment is blocked. With AnalyzerOptions::certify every
+  /// failure assignment is blocked. With SessionOptions::certify every
   /// verdict, the closing unsat included, is re-checked. Stops after
   /// max_vectors, at Unsat, or at Unknown (an interrupt), returning the
   /// vectors found so far.

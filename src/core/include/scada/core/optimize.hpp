@@ -31,11 +31,9 @@ namespace scada::core {
 
 struct OptimizerOptions {
   /// Solver/encoder/interrupt wiring shared with the plain analyzer. The
-  /// `certify` flag doubles as the MaxSAT bound-certification opt-in and is
-  /// folded into every CEGIS verification call.
+  /// `solver.certify` flag also certifies every MaxSAT optimality bound and
+  /// every CEGIS verification verdict.
   AnalyzerOptions analyzer;
-  /// MaxSAT strategy for every optimization query.
-  smt::MaxSatStrategy strategy = smt::MaxSatStrategy::Linear;
 };
 
 struct SecurityIndexResult {
@@ -44,17 +42,18 @@ struct SecurityIndexResult {
   bool attackable = false;
   /// Minimum number of simultaneous device/link failures violating the
   /// property (0 when the nominal configuration already violates it).
-  /// When !completed this is the best upper bound found (only if attackable).
+  /// Meaningful only when completed: an interrupted search ends with no
+  /// model, and maxsat.lower_bound holds the proven lower bound.
   std::uint64_t index = 0;
   /// A minimum-cardinality threat vector witnessing the index; validated
   /// against the direct oracle (divergence throws ScadaError).
   ThreatVector witness;
-  /// False when an interrupt cut the descent short.
+  /// False when an interrupt cut the search short.
   bool completed = true;
   /// The optimality bound carries a checker-accepted DRAT certificate
-  /// (AnalyzerOptions::certify on the CDCL backend).
+  /// (SessionOptions::certify on the CDCL backend).
   bool certified = false;
-  /// Raw engine counters (iterations, cores_extracted, bound_tightenings).
+  /// Raw engine counters (iterations, cores_extracted, lower_bound).
   smt::MaxSatResult maxsat;
 };
 
@@ -73,7 +72,7 @@ struct MinCostResult {
   /// the first refuted proposal is not a proposal and is not counted.
   std::uint64_t cegis_iterations = 0;
   /// Closing analyzer verdict of the winning configuration (Unsat; carries
-  /// the DRAT certification flag when AnalyzerOptions::certify is on).
+  /// the DRAT certification flag when SessionOptions::certify is on).
   VerificationResult verification;
   /// Accumulated MaxSAT counters across all proposal rounds.
   smt::MaxSatResult maxsat;

@@ -16,14 +16,7 @@ Optimizer::Optimizer(const ScadaScenario& scenario, OptimizerOptions options)
     : scenario_(scenario), options_(std::move(options)) {}
 
 smt::MaxSatOptions Optimizer::maxsat_options() const {
-  smt::MaxSatOptions mo;
-  mo.strategy = options_.strategy;
-  mo.session = options_.analyzer.solver;
-  mo.interrupt = options_.analyzer.interrupt;
-  // The analyzer-level certify opt-in doubles as bound certification: the
-  // engine re-proves the closing "no cheaper model" bound with a DRAT proof.
-  mo.certify_bound = options_.analyzer.certify;
-  return mo;
+  return {.session = options_.analyzer.solver, .interrupt = options_.analyzer.interrupt};
 }
 
 SecurityIndexResult Optimizer::security_index(Property property, int spec_r) {
@@ -103,16 +96,14 @@ MinCostResult Optimizer::min_cost_synthesis(
   // Verdict of the whole pool, taken once the first proposal is refuted.
   std::optional<VerificationResult> full_pool;
 
-  std::uint64_t iterations = 0, cores = 0, tightenings = 0;
+  std::uint64_t iterations = 0, cores = 0;
   for (;;) {
     smt::MaxSatResult round = maxsat.solve();
     iterations += round.iterations;
     cores += round.cores_extracted;
-    tightenings += round.bound_tightenings;
     out.maxsat = round;
     out.maxsat.iterations = iterations;
     out.maxsat.cores_extracted = cores;
-    out.maxsat.bound_tightenings = tightenings;
     if (round.status == SolveResult::Unknown) {
       out.completed = false;
       return out;

@@ -108,8 +108,9 @@ class JsonValue {
 [[nodiscard]] std::string lint_to_json(const std::vector<core::LintFinding>& findings);
 
 /// {"attackable": bool, "index": n, "witness": {...}|null, "completed": bool,
-///  "certified": bool, "cores_extracted": n, "bound_tightenings": n,
-///  "iterations": n}
+///  "certified": bool, "cores_extracted": n, "iterations": n}. "index" is
+///  the proven minimum only when "completed": an interrupted search reports
+///  no witness.
 [[nodiscard]] std::string security_index_to_json(const core::SecurityIndexResult& result);
 
 /// {"achievable": bool, "completed": bool, "cost": n, "actions": [...],

@@ -110,7 +110,6 @@ std::string security_index_to_json(const core::SecurityIndexResult& result) {
   out += ",\"certified\":";
   out += result.certified ? "true" : "false";
   out += ",\"cores_extracted\":" + std::to_string(result.maxsat.cores_extracted);
-  out += ",\"bound_tightenings\":" + std::to_string(result.maxsat.bound_tightenings);
   out += ",\"iterations\":" + std::to_string(result.maxsat.iterations);
   return out + "}";
 }

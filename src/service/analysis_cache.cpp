@@ -41,14 +41,14 @@ std::string scenario_fingerprint_blob(const core::ScadaScenario& scenario) {
 
 JobKey make_job_key(const core::ScadaScenario& scenario, JobKind kind, core::Property property,
                     const core::ResiliencySpec& spec, const core::AnalyzerOptions& options,
-                    std::size_t max_vectors, bool minimal_only, smt::MaxSatStrategy strategy) {
+                    std::size_t max_vectors, bool minimal_only) {
   return make_job_key(scenario_fingerprint_blob(scenario), kind, property, spec, options,
-                      max_vectors, minimal_only, strategy);
+                      max_vectors, minimal_only);
 }
 
 JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property property,
                     const core::ResiliencySpec& spec, const core::AnalyzerOptions& options,
-                    std::size_t max_vectors, bool minimal_only, smt::MaxSatStrategy strategy) {
+                    std::size_t max_vectors, bool minimal_only) {
   std::string key = "scada-job-v1\n";
   key += "kind=";
   key += to_string(kind);
@@ -59,23 +59,15 @@ JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property
     key += "\nmax_vectors=" + std::to_string(max_vectors);
     key += minimal_only ? "\nminimal_only=1" : "\nminimal_only=0";
   }
-  if (kind == JobKind::SecurityIndex || kind == JobKind::Harden) {
-    key += strategy == smt::MaxSatStrategy::CoreGuided ? "\nstrategy=core-guided"
-                                                       : "\nstrategy=linear";
-  }
   // Every option that can alter the reported answer participates in the
   // key. Backend matters: verdicts agree, but threat vectors (models) and
   // certification availability may differ between solvers.
   key += "\nbackend=";
   key += smt::to_string(options.solver.backend);
-  key += "\ncard=" + std::to_string(static_cast<int>(options.solver.card_encoding));
   key += "\nmax_conflicts=" + std::to_string(options.solver.max_conflicts);
-  key += "\nz3_timeout_ms=" + std::to_string(options.solver.z3_timeout_ms);
   key += options.solver.certify ? "\ncertify=1" : "\ncertify=0";
   key += options.solver.simplify ? "\nsimplify=1" : "\nsimplify=0";
-  key += options.solver.z3_integer_cardinality ? "\nz3_intcard=1" : "\nz3_intcard=0";
   key += options.minimize_threats ? "\nminimize=1" : "\nminimize=0";
-  key += options.certify ? "\nanalyzer_certify=1" : "\nanalyzer_certify=0";
   key += options.encoder.injection_redundancy ? "\ninj_redundancy=1" : "\ninj_redundancy=0";
   key += options.encoder.links_can_fail ? "\nlinks_fail=1" : "\nlinks_fail=0";
   key += "\nmax_paths=" + std::to_string(options.encoder.max_paths_per_ied);

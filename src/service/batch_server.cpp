@@ -46,6 +46,14 @@ int int_field(const JsonValue& value, const char* name,
   return static_cast<int>(v);
 }
 
+/// Reads the integer field `name` as an unsigned budget, at least `min`. A
+/// negative value is a request error, never a wrap-around to 2^64 - 1.
+std::uint64_t budget_field(const JsonValue& value, const char* name, std::int64_t min) {
+  const std::int64_t v = value.as_int();
+  if (v < min) throw ParseError(std::string("'") + name + "' must be >= " + std::to_string(min));
+  return static_cast<std::uint64_t>(v);
+}
+
 core::ResiliencySpec parse_spec(const JsonValue& spec_json) {
   if (!spec_json.is_object()) throw ParseError("'spec' must be an object");
   core::ResiliencySpec spec;
@@ -68,15 +76,18 @@ smt::Backend parse_backend(const std::string& name) {
 }  // namespace
 
 BatchServer::BatchServer(ServerOptions options)
-    : options_(options), scheduler_(options.scheduler) {}
+    : options_(options),
+      scheduler_(options.scheduler),
+      memo_size_(scheduler_.metrics().gauge("service.scenario_memo")) {}
 
 std::shared_ptr<const core::ScadaScenario> BatchServer::resolve_scenario(
     const JsonValue& source) {
   if (!source.is_object()) throw ParseError("'scenario' must be an object");
   // Memoized by the serialized source spec: one parse/generation per
-  // distinct fleet member per server lifetime. The lock covers only the
-  // lookup/insert; two connections racing on the same cold key may both
-  // generate, and the first insert wins for everyone after.
+  // distinct fleet member while it stays memoized (the memo is cleared when
+  // it fills up). The lock covers only the lookup/insert; two connections
+  // racing on the same cold key may both generate, and the first insert
+  // wins for everyone after.
   const std::string memo_key = source.dump();
   {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
@@ -122,7 +133,10 @@ std::shared_ptr<const core::ScadaScenario> BatchServer::resolve_scenario(
     throw ParseError("'scenario' needs one of builtin, case, synth");
   }
   const std::lock_guard<std::mutex> lock(memo_mutex_);
-  return scenario_memo_.emplace(memo_key, std::move(scenario)).first->second;
+  if (scenario_memo_.size() >= kScenarioMemoCapacity) scenario_memo_.clear();
+  const auto& resolved = scenario_memo_.emplace(memo_key, std::move(scenario)).first->second;
+  memo_size_.set(static_cast<std::int64_t>(scenario_memo_.size()));
+  return resolved;
 }
 
 BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
@@ -162,32 +176,21 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
     out.spec = core::ResiliencySpec::total(0);  // r = 1; budget unused
   }
   job.spec = out.spec;
-  if (const JsonValue* s = request.find("strategy")) {
-    const std::string& name = s->as_string();
-    if (name == "linear") {
-      job.strategy = smt::MaxSatStrategy::Linear;
-    } else if (name == "core-guided" || name == "core_guided") {
-      job.strategy = smt::MaxSatStrategy::CoreGuided;
-    } else {
-      throw ParseError("unknown strategy '" + name + "'");
-    }
-  }
-
   job.options.solver.backend = options_.default_backend;
   if (const JsonValue* b = request.find("backend")) {
     job.options.solver.backend = parse_backend(b->as_string());
   }
-  if (const JsonValue* v = request.find("certify")) job.options.certify = v->as_bool();
+  if (const JsonValue* v = request.find("certify")) job.options.solver.certify = v->as_bool();
   if (const JsonValue* v = request.find("simplify")) job.options.solver.simplify = v->as_bool();
   if (const JsonValue* v = request.find("minimize")) job.options.minimize_threats = v->as_bool();
   if (const JsonValue* v = request.find("links_can_fail")) {
     job.options.encoder.links_can_fail = v->as_bool();
   }
   if (const JsonValue* v = request.find("max_conflicts")) {
-    job.options.solver.max_conflicts = static_cast<std::uint64_t>(v->as_int());
+    job.options.solver.max_conflicts = budget_field(*v, "max_conflicts", 0);
   }
   if (const JsonValue* v = request.find("max_vectors")) {
-    job.max_vectors = static_cast<std::size_t>(v->as_int());
+    job.max_vectors = budget_field(*v, "max_vectors", 1);
   }
   if (const JsonValue* v = request.find("minimal_only")) job.minimal_only = v->as_bool();
   if (const JsonValue* v = request.find("priority")) job.priority = int_field(*v, "priority");

@@ -57,13 +57,11 @@ struct JobKey {
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 /// Builds the canonical key for a job. `max_vectors` and `minimal_only` only
-/// participate for EnumerateThreats; `strategy` only for the optimization
-/// kinds (SecurityIndex/Harden) — so verify/enumerate keys are unchanged.
+/// participate for EnumerateThreats.
 [[nodiscard]] JobKey make_job_key(const core::ScadaScenario& scenario, JobKind kind,
                                   core::Property property, const core::ResiliencySpec& spec,
                                   const core::AnalyzerOptions& options,
-                                  std::size_t max_vectors = 0, bool minimal_only = true,
-                                  smt::MaxSatStrategy strategy = smt::MaxSatStrategy::Linear);
+                                  std::size_t max_vectors = 0, bool minimal_only = true);
 
 /// The canonical scenario blob used inside job keys (its Table-II
 /// serialization). Expose it so callers submitting many jobs against the
@@ -76,8 +74,7 @@ struct JobKey {
 [[nodiscard]] JobKey make_job_key(std::string_view scenario_blob, JobKind kind,
                                   core::Property property, const core::ResiliencySpec& spec,
                                   const core::AnalyzerOptions& options,
-                                  std::size_t max_vectors = 0, bool minimal_only = true,
-                                  smt::MaxSatStrategy strategy = smt::MaxSatStrategy::Linear);
+                                  std::size_t max_vectors = 0, bool minimal_only = true);
 
 /// A cached analysis answer: the verdict for Verify, the threat space for
 /// EnumerateThreats (its `verdict` then summarizes sat/unsat of the space),

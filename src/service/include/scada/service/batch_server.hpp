@@ -21,7 +21,9 @@
 //   {"synth":{"buses":30,"seed":7,"hierarchy":2,"measurement_fraction":0.7,
 //             "rtus_per_bus":0.3}}             (see synth::SynthConfig)
 // Parsed/generated scenarios are memoized by their source spec, so a batch
-// over one fleet parses each system once.
+// over one fleet parses each system once. The memo holds at most
+// kScenarioMemoCapacity scenarios (it is cleared when full); its size is the
+// "service.scenario_memo" gauge in stats.
 //
 // Responses:
 //   {"id":"r1","ok":true,"op":"verify","status":"done","cache_hit":false,
@@ -132,6 +134,7 @@ class BatchServer {
   /// Guards scenario_memo_: connection threads dispatch concurrently.
   std::mutex memo_mutex_;
   std::map<std::string, std::shared_ptr<const core::ScadaScenario>> scenario_memo_;
+  util::Gauge& memo_size_;  ///< "service.scenario_memo": scenario_memo_.size()
 };
 
 }  // namespace scada::service

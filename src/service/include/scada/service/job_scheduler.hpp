@@ -53,17 +53,23 @@ struct JobRequest {
   core::Property property = core::Property::Observability;
   core::ResiliencySpec spec = core::ResiliencySpec::total(1);
   core::AnalyzerOptions options;
-  /// EnumerateThreats budgets (ignored for Verify).
+  /// EnumerateThreats budgets (ignored for the other kinds); max_vectors
+  /// must be at least 1.
   std::size_t max_vectors = 1024;
   bool minimal_only = true;
-  /// MaxSAT strategy of the optimization kinds (SecurityIndex/Harden).
-  smt::MaxSatStrategy strategy = smt::MaxSatStrategy::Linear;
   /// Higher runs first; FIFO within a level.
   int priority = 0;
   /// Wall-clock budget measured from submit() — it covers queue wait plus
-  /// solve time. nullopt = no deadline.
+  /// solve time. nullopt (or a deadline beyond the steady clock's range) =
+  /// no deadline.
   std::optional<double> deadline_ms;
 };
+
+/// Capacity of the per-scenario memos: the scheduler's fingerprint blobs and
+/// the batch server's resolved scenarios. A fleet audit touches few distinct
+/// scenarios; a memo that fills up is cleared, so a client sending ever-new
+/// scenarios cannot grow the process without limit.
+inline constexpr std::size_t kScenarioMemoCapacity = 256;
 
 enum class JobStatus {
   Done,       ///< verdict (or threat space) delivered, possibly from cache
@@ -117,7 +123,8 @@ class JobScheduler {
   JobScheduler& operator=(const JobScheduler&) = delete;
 
   /// Enqueues (or coalesces) a job; never blocks on solving.
-  /// Throws ConfigError if the request has no scenario.
+  /// Throws ConfigError if the request has no scenario, or is an
+  /// enumeration with max_vectors == 0.
   [[nodiscard]] Ticket submit(JobRequest request);
 
   /// Best-effort cancellation of a pending or running job. A running solve

@@ -16,6 +16,19 @@ double ms_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+/// `now + ms` on the steady clock, or nullopt when the clock cannot
+/// represent it: a deadline that far out is no deadline. The range check
+/// runs in double because duration_cast of an out-of-range double is
+/// undefined; half the headroom keeps the comparison's own rounding safe.
+std::optional<std::chrono::steady_clock::time_point> deadline_after(
+    std::chrono::steady_clock::time_point now, double ms) {
+  using Clock = std::chrono::steady_clock;
+  using Ms = std::chrono::duration<double, std::milli>;
+  const Ms wait(std::max(0.0, ms));
+  if (!(wait < Ms(Clock::time_point::max() - now) / 2)) return std::nullopt;
+  return now + std::chrono::duration_cast<Clock::duration>(wait);
+}
+
 }  // namespace
 
 const char* to_string(JobStatus status) noexcept {
@@ -58,22 +71,25 @@ std::shared_ptr<const std::string> JobScheduler::scenario_blob(
   }
   auto blob = std::make_shared<const std::string>(scenario_fingerprint_blob(*scenario));
   const std::lock_guard<std::mutex> lock(blob_mutex_);
-  // A fleet audit touches few distinct scenarios; bound the memo anyway so
-  // a pathological client cannot grow it without limit.
-  if (blobs_.size() >= 256) blobs_.clear();
+  if (blobs_.size() >= kScenarioMemoCapacity) blobs_.clear();
   blobs_.emplace(scenario.get(), std::make_pair(scenario, blob));
   return blob;
 }
 
 JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
   if (!request.scenario) throw ConfigError("JobScheduler::submit: request has no scenario");
+  // An enumeration that may not solve even once would read as a proven
+  // empty threat space.
+  if (request.kind == JobKind::EnumerateThreats && request.max_vectors == 0) {
+    throw ConfigError("JobScheduler::submit: an enumeration needs max_vectors >= 1");
+  }
 
   // Fingerprint outside the queue lock. The scenario serialization — the
   // expensive part of keying — is memoized per scenario object, so repeat
   // submissions against the same scenario key in microseconds.
   const std::shared_ptr<const std::string> blob = scenario_blob(request.scenario);
   JobKey key = make_job_key(*blob, request.kind, request.property, request.spec, request.options,
-                            request.max_vectors, request.minimal_only, request.strategy);
+                            request.max_vectors, request.minimal_only);
   const Clock::time_point now = Clock::now();
 
   StatePtr job;
@@ -93,11 +109,7 @@ JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
     job->request = std::move(request);
     job->key = std::move(key);
     job->submitted = now;
-    if (job->request.deadline_ms) {
-      job->deadline = now + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double, std::milli>(
-                                    std::max(0.0, *job->request.deadline_ms)));
-    }
+    if (job->request.deadline_ms) job->deadline = deadline_after(now, *job->request.deadline_ms);
     job->future = job->promise.get_future().share();
     pending_.push(job);
     inflight_.emplace(job->key.canonical, job);
@@ -247,7 +259,6 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
     } else if (req.kind == JobKind::SecurityIndex || req.kind == JobKind::Harden) {
       core::OptimizerOptions opt_options;
       opt_options.analyzer = options;
-      opt_options.strategy = req.strategy;
       core::Optimizer optimizer(*req.scenario, opt_options);
       const util::WallTimer opt_timer;
       if (req.kind == JobKind::SecurityIndex) {
@@ -261,7 +272,6 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
         out.analysis.verdict.certified = r.certified;
         if (r.completed && r.attackable) out.analysis.verdict.threat = r.witness;
         metrics_->counter("opt.cores_extracted").inc(r.maxsat.cores_extracted);
-        metrics_->counter("opt.maxsat_bound_tightenings").inc(r.maxsat.bound_tightenings);
         out.analysis.security_index = std::move(r);
       } else {
         core::MinCostResult r = optimizer.min_cost_hardening(req.property, req.spec);
@@ -273,7 +283,6 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
                                       : r.achievable ? smt::SolveResult::Unsat
                                                      : smt::SolveResult::Sat;
         metrics_->counter("opt.cores_extracted").inc(r.maxsat.cores_extracted);
-        metrics_->counter("opt.maxsat_bound_tightenings").inc(r.maxsat.bound_tightenings);
         metrics_->counter("opt.cegis_iterations").inc(r.cegis_iterations);
         out.analysis.hardening = std::move(r);
       }
@@ -314,8 +323,8 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
       out.diagnostics = "deadline of " + std::to_string(req.deadline_ms.value_or(0.0)) +
                         " ms expired mid-solve; verdict unknown";
     } else {
-      // Unknown without an interrupt: a solver resource budget
-      // (max_conflicts / z3 soft timeout) ran out.
+      // Unknown without an interrupt: the solver's max_conflicts budget
+      // ran out.
       out.status = JobStatus::TimedOut;
       out.diagnostics = "solver budget exhausted; verdict unknown";
     }

@@ -1,8 +1,7 @@
 #include "scada/smt/cardinality.hpp"
 
+#include <string>
 #include <vector>
-
-#include "scada/util/error.hpp"
 
 namespace scada::smt {
 namespace {
@@ -56,73 +55,10 @@ void sequential_at_most(ClauseSink& sink, std::span<const Lit> x, std::uint32_t 
   out.emit({~x[n - 1], ~s[n - 2][k - 1]});
 }
 
-enum class TotalizerUse { UpperBound, LowerBound };
-
-/// Builds a totalizer counting tree over x[lo, hi) and returns the output
-/// unary register O[0..m-1] where O[j] reads "at least j+1 inputs are true".
-/// Depending on `use`, emits only the clause direction that the final bound
-/// assertion needs:
-///   UpperBound (for <= k): inputs force outputs upward  (C1),
-///   LowerBound (for >= k): outputs force inputs downward (C2).
-std::vector<Lit> totalizer_tree(ClauseSink& sink, std::span<const Lit> x, std::size_t lo,
-                                std::size_t hi, TotalizerUse use) {
-  if (hi - lo == 1) return {x[lo]};
-  const std::size_t mid = lo + (hi - lo) / 2;
-  const std::vector<Lit> left = totalizer_tree(sink, x, lo, mid, use);
-  const std::vector<Lit> right = totalizer_tree(sink, x, mid, hi, use);
-  const std::size_t m1 = left.size();
-  const std::size_t m2 = right.size();
-  std::vector<Lit> out(m1 + m2);
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    out[j] = pos(sink.fresh_var("tot_o" + std::to_string(lo) + "_" + std::to_string(j)));
-  }
-
-  if (use == TotalizerUse::UpperBound) {
-    // C1: L_a & R_b -> O_{a+b}  (indices are 1-based counts; 0 omitted).
-    for (std::size_t a = 0; a <= m1; ++a) {
-      for (std::size_t b = 0; b <= m2; ++b) {
-        if (a + b == 0) continue;
-        std::vector<Lit> clause;
-        if (a > 0) clause.push_back(~left[a - 1]);
-        if (b > 0) clause.push_back(~right[b - 1]);
-        clause.push_back(out[a + b - 1]);
-        sink.add_clause(clause);
-      }
-    }
-  } else {
-    // C2: O_{a+b+1} -> L_{a+1} | R_{b+1}  (overflow terms omitted).
-    for (std::size_t a = 0; a <= m1; ++a) {
-      for (std::size_t b = 0; b <= m2; ++b) {
-        if (a + b == m1 + m2) continue;
-        std::vector<Lit> clause;
-        if (a < m1) clause.push_back(left[a]);
-        if (b < m2) clause.push_back(right[b]);
-        clause.push_back(~out[a + b]);
-        sink.add_clause(clause);
-      }
-    }
-  }
-  return out;
-}
-
-void totalizer_at_most(ClauseSink& sink, std::span<const Lit> x, std::uint32_t k,
-                       std::optional<Lit> guard) {
-  GuardedEmitter out(sink, guard);
-  const std::vector<Lit> count = totalizer_tree(sink, x, 0, x.size(), TotalizerUse::UpperBound);
-  out.emit({~count[k]});  // "not (at least k+1)"
-}
-
-void totalizer_at_least(ClauseSink& sink, std::span<const Lit> x, std::uint32_t k,
-                        std::optional<Lit> guard) {
-  GuardedEmitter out(sink, guard);
-  const std::vector<Lit> count = totalizer_tree(sink, x, 0, x.size(), TotalizerUse::LowerBound);
-  out.emit({count[k - 1]});  // "at least k"
-}
-
 }  // namespace
 
 void encode_at_most(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t bound,
-                    CardinalityEncoding encoding, std::optional<Lit> guard) {
+                    std::optional<Lit> guard) {
   const std::size_t n = lits.size();
   GuardedEmitter out(sink, guard);
   if (bound >= n) return;  // trivially true
@@ -130,19 +66,11 @@ void encode_at_most(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t b
     for (const Lit l : lits) out.emit({~l});
     return;
   }
-  switch (encoding) {
-    case CardinalityEncoding::SequentialCounter:
-      sequential_at_most(sink, lits, bound, guard);
-      return;
-    case CardinalityEncoding::Totalizer:
-      totalizer_at_most(sink, lits, bound, guard);
-      return;
-  }
-  throw SolverError("unknown cardinality encoding");
+  sequential_at_most(sink, lits, bound, guard);
 }
 
 void encode_at_least(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t bound,
-                     CardinalityEncoding encoding, std::optional<Lit> guard) {
+                     std::optional<Lit> guard) {
   const std::size_t n = lits.size();
   GuardedEmitter out(sink, guard);
   if (bound == 0) return;  // trivially true
@@ -158,19 +86,10 @@ void encode_at_least(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t 
     out.emit(lits);
     return;
   }
-  switch (encoding) {
-    case CardinalityEncoding::SequentialCounter: {
-      // sum(x) >= k  <=>  sum(~x) <= n - k.
-      std::vector<Lit> negated(lits.size());
-      for (std::size_t i = 0; i < lits.size(); ++i) negated[i] = ~lits[i];
-      sequential_at_most(sink, negated, static_cast<std::uint32_t>(n) - bound, guard);
-      return;
-    }
-    case CardinalityEncoding::Totalizer:
-      totalizer_at_least(sink, lits, bound, guard);
-      return;
-  }
-  throw SolverError("unknown cardinality encoding");
+  // sum(x) >= k  <=>  sum(~x) <= n - k.
+  std::vector<Lit> negated(lits.size());
+  for (std::size_t i = 0; i < lits.size(); ++i) negated[i] = ~lits[i];
+  sequential_at_most(sink, negated, static_cast<std::uint32_t>(n) - bound, guard);
 }
 
 }  // namespace scada::smt

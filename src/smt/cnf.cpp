@@ -7,9 +7,8 @@
 
 namespace scada::smt {
 
-CnfTransformer::CnfTransformer(const FormulaBuilder& builder, ClauseSink& sink,
-                               CardinalityEncoding card_encoding)
-    : builder_(builder), sink_(sink), card_encoding_(card_encoding) {}
+CnfTransformer::CnfTransformer(const FormulaBuilder& builder, ClauseSink& sink)
+    : builder_(builder), sink_(sink) {}
 
 Var CnfTransformer::solver_var(Var builder_var) {
   const auto it = var_map_.find(builder_var);
@@ -135,21 +134,21 @@ void CnfTransformer::encode(Formula f, unsigned needed) {
       if (missing & kPos) {
         // d -> constraint
         if (is_at_most) {
-          encode_at_most(sink_, ops, bound, card_encoding_, d);
+          encode_at_most(sink_, ops, bound, d);
         } else {
-          encode_at_least(sink_, ops, bound, card_encoding_, d);
+          encode_at_least(sink_, ops, bound, d);
         }
       }
       if (missing & kNeg) {
         // ~d -> !constraint;  !(<=b) is (>= b+1),  !(>=b) is (<= b-1).
         if (is_at_most) {
-          encode_at_least(sink_, ops, bound + 1, card_encoding_, ~d);
+          encode_at_least(sink_, ops, bound + 1, ~d);
         } else {
           if (bound == 0) {
             // !(>= 0) is false, so d must hold.
             sink_.add_clause({d});
           } else {
-            encode_at_most(sink_, ops, bound - 1, card_encoding_, ~d);
+            encode_at_most(sink_, ops, bound - 1, ~d);
           }
         }
       }
@@ -184,7 +183,7 @@ void CnfTransformer::assert_root(Formula f) {
         ops.reserve(n.operands.size());
         for (const Formula op : n.operands) ops.push_back(literal_for(op));
         for (const Formula op : n.operands) encode(op, kPos | kNeg);
-        encode_at_most(sink_, ops, n.bound, card_encoding_);
+        encode_at_most(sink_, ops, n.bound);
       }
       return;
     case NodeKind::AtLeast: {
@@ -192,7 +191,7 @@ void CnfTransformer::assert_root(Formula f) {
       ops.reserve(n.operands.size());
       for (const Formula op : n.operands) ops.push_back(literal_for(op));
       for (const Formula op : n.operands) encode(op, kPos | kNeg);
-      encode_at_least(sink_, ops, n.bound, card_encoding_);
+      encode_at_least(sink_, ops, n.bound);
       return;
     }
     default: {

@@ -1,12 +1,8 @@
-// CNF encodings of cardinality constraints  sum(lits) <= k  and  >= k.
+// CNF encoding of cardinality constraints  sum(lits) <= k  and  >= k:
+// the sequential counter (Sinz 2005, LT-SEQ), O(n*k) clauses/variables.
+// At-least is encoded as at-most over the negated literals.
 //
-// Two encodings are provided (selectable; benchmarked against each other in
-// bench/bench_ablation):
-//   * Sequential counter (Sinz 2005, LT-SEQ): O(n*k) clauses/variables.
-//   * Totalizer (Bailleux & Boufkhad 2003): unary counting tree, O(n^2)
-//     clauses worst case but stronger unit propagation.
-//
-// Every encoding accepts an optional guard literal g; when given, the
+// Both encoders accept an optional guard literal g; when given, the
 // constraint is only enforced under g (each emitted *forcing* clause carries
 // ~g), which is how the Tseitin transform embeds cardinality atoms of either
 // polarity inside larger formulas.
@@ -22,10 +18,10 @@ namespace scada::smt {
 
 /// Encodes  guard -> ( sum(lits) <= bound ).
 void encode_at_most(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t bound,
-                    CardinalityEncoding encoding, std::optional<Lit> guard = std::nullopt);
+                    std::optional<Lit> guard = std::nullopt);
 
 /// Encodes  guard -> ( sum(lits) >= bound ).
 void encode_at_least(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t bound,
-                     CardinalityEncoding encoding, std::optional<Lit> guard = std::nullopt);
+                     std::optional<Lit> guard = std::nullopt);
 
 }  // namespace scada::smt

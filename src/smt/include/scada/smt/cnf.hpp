@@ -22,8 +22,7 @@ namespace scada::smt {
 
 class CnfTransformer {
  public:
-  CnfTransformer(const FormulaBuilder& builder, ClauseSink& sink,
-                 CardinalityEncoding card_encoding = CardinalityEncoding::SequentialCounter);
+  CnfTransformer(const FormulaBuilder& builder, ClauseSink& sink);
 
   /// Asserts `f` as a top-level constraint (conjunctions are split).
   void assert_root(Formula f);
@@ -50,7 +49,6 @@ class CnfTransformer {
 
   const FormulaBuilder& builder_;
   ClauseSink& sink_;
-  CardinalityEncoding card_encoding_;
 
   std::unordered_map<std::int32_t, Lit> node_lit_;        // node id -> naming literal
   std::unordered_map<std::int32_t, unsigned> node_done_;  // node id -> encoded polarity mask

@@ -2,32 +2,28 @@
 //
 // A MaxSatSolver collects hard constraints (must hold) and weighted soft
 // constraints (each violation costs its weight) over a caller-owned
-// FormulaBuilder and computes a minimum-cost model. Two strategies:
+// FormulaBuilder and computes a minimum-cost model by core-guided search
+// (Fu-Malik / WPM1): assume the soft constraints themselves, extract the
+// final-conflict core (Session::unsat_core) on each Unsat, relax the core
+// members with fresh variables under an exactly-one constraint, split
+// weights (WPM1), and repeat until Sat. The sum of core minima is a proven
+// lower bound at every step. Weighted instances are processed in descending
+// weight strata (stratification). solve() may be called again after more
+// add_hard() calls (the CEGIS loop in core::Optimizer); each call opens a
+// fresh search session.
 //
-//   * Linear (SAT->UNSAT): relax every soft with a violation indicator, find
-//     any model, then repeatedly tighten "cost <= C-1" through a totalizer
-//     whose bound is an *assumption* (never an assertion), so one incremental
-//     session carries the whole descent and the instance stays reusable for
-//     further add_hard() calls (the CEGIS loop in core::Optimizer).
-//   * CoreGuided (Fu-Malik / WPM1): assume the soft constraints themselves,
-//     extract the final-conflict core (Session::unsat_core) on each Unsat,
-//     relax the core members with fresh variables under an exactly-one
-//     constraint, split weights (WPM1), and repeat until Sat. The sum of
-//     core minima is a proven lower bound at every step. With `stratify`,
-//     weighted instances are processed in descending weight strata.
-//
-// Both strategies prove optimality (status Sat means the bound is exact).
-// With `certify_bound` the closing bound is re-proved in a fresh
-// proof-logged CDCL session — hard constraints plus "cost <= optimum-1"
-// must be Unsat with a DRAT proof the independent checker accepts.
-// Interrupts flow through MaxSatOptions::interrupt to every solver call;
-// an interrupted run degrades to status Unknown, keeping the best model
-// found so far (linear) or the proven lower bound (core-guided).
+// Status Sat means the optimum is proven. With SessionOptions::certify the
+// search sessions still run without proof logging; the closing bound is
+// re-proved in a fresh proof-logged CDCL session — hard constraints plus
+// "cost <= optimum-1" must be Unsat with a DRAT proof the independent
+// checker accepts. Interrupts flow through MaxSatOptions::interrupt to every
+// solver call; an interrupted run degrades to status Unknown with the
+// proven lower bound (and, on weighted instances, the model of the last
+// completed stratum, if any).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -36,33 +32,15 @@
 
 namespace scada::smt {
 
-/// Asserts a one-directional totalizer ("count >= j implies output o_j") over
-/// `leaves` into `session`; returns the outputs o_1..o_n. Assuming or
-/// asserting !o_j then caps the true-leaf count at j-1 without
-/// over-constraining (outputs are free in the other direction). Duplicate
-/// leaves are counted once per occurrence — weight by repetition.
-std::vector<Formula> encode_totalizer(FormulaBuilder& builder, Session& session,
-                                      std::span<const Formula> leaves);
-
-enum class MaxSatStrategy : std::uint8_t {
-  Linear,      ///< SAT->UNSAT descent with assumed totalizer bounds
-  CoreGuided,  ///< Fu-Malik / WPM1 relaxation driven by unsat cores
-};
-
 struct MaxSatOptions {
-  MaxSatStrategy strategy = MaxSatStrategy::Linear;
-  /// Backend and per-solve budgets of every session the engine opens.
+  /// Backend and per-solve budgets of every session the engine opens. With
+  /// `certify` the closing bound is re-proved in a proof-logged session and
+  /// checked (CDCL backend, positive optimum only: cost 0 is trivially
+  /// optimal); the search sessions run with proof logging off.
   SessionOptions session;
   /// Cooperative cancellation (owned by the caller); checked before and
   /// inside every solver call.
   const std::atomic<bool>* interrupt = nullptr;
-  /// Re-prove the final bound in a fresh proof-logged CDCL session and run
-  /// the independent DRAT checker over it. CDCL-backend sessions only; a
-  /// positive optimum only (cost 0 is trivially optimal).
-  bool certify_bound = false;
-  /// CoreGuided: process softs in descending weight strata (WPM1
-  /// stratification). No effect on unit-weight instances.
-  bool stratify = true;
 };
 
 struct MaxSatResult {
@@ -70,16 +48,19 @@ struct MaxSatResult {
   /// are inconsistent. Unknown: interrupted or budget-exhausted.
   SolveResult status = SolveResult::Unknown;
   /// A best-model snapshot is available through MaxSatSolver::value()
-  /// (always true for Sat; true for Unknown if any model was found).
+  /// (always true for Sat; for Unknown only when a weighted instance
+  /// completed a stratum before the interrupt).
   bool has_model = false;
   /// Cost of the best model (meaningful when has_model).
   std::uint64_t cost = 0;
   /// Proven bounds at exit: lower == upper == cost when status is Sat.
   std::uint64_t lower_bound = 0;
   std::uint64_t upper_bound = 0;
-  std::uint64_t iterations = 0;         ///< solver calls
-  std::uint64_t cores_extracted = 0;    ///< CoreGuided: unsat cores consumed
-  std::uint64_t bound_tightenings = 0;  ///< Linear: assumed-bound descents
+  std::uint64_t iterations = 0;       ///< solver calls
+  std::uint64_t cores_extracted = 0;  ///< unsat cores consumed
+  /// Always zero: the core-guided search never tightens an assumed bound.
+  /// Kept only because bench_e2e's traced run reads it.
+  std::uint64_t bound_tightenings = 0;
   /// The closing bound carries a checker-accepted DRAT certificate.
   bool certified = false;
   std::string detail;
@@ -113,9 +94,8 @@ class MaxSatSolver {
     std::uint64_t weight;
   };
 
-  MaxSatResult solve_linear();
   MaxSatResult solve_core_guided();
-  void certify_bound(MaxSatResult& result);
+  void certify_optimum(MaxSatResult& result);
   void snapshot_model(const Session& session);
   [[nodiscard]] std::uint64_t model_cost() const;
 

@@ -22,11 +22,8 @@ namespace scada::smt {
 
 struct SessionOptions {
   Backend backend = Backend::Z3;
-  CardinalityEncoding card_encoding = CardinalityEncoding::SequentialCounter;
   /// CDCL conflict budget per solve() (0 = unlimited).
   std::uint64_t max_conflicts = 0;
-  /// Z3 soft timeout per solve() in milliseconds (0 = unlimited).
-  unsigned z3_timeout_ms = 0;
   /// CDCL only: record the lowered CNF and a DRAT derivation trace so the
   /// last verdict can be re-checked independently (certify_last_result) or
   /// exported (export_certificate). Adds proof-recording overhead per
@@ -38,11 +35,6 @@ struct SessionOptions {
   /// assumptions always see live variables. Composes with certify: every
   /// simplifier derivation lands in the DRAT trace. On by default.
   bool simplify = true;
-  /// Z3 only: lower cardinality atoms to integer arithmetic
-  /// (sum of ite(b,1,0) <= k) instead of native pseudo-Boolean atmost/atleast.
-  /// This mirrors the paper's "Boolean and integer terms" encoding; the
-  /// pseudo-Boolean default is usually faster. Benchmarked in bench_ablation.
-  bool z3_integer_cardinality = false;
 };
 
 struct SessionStats {
@@ -132,8 +124,9 @@ class SessionImpl {
 };
 
 /// Factory implemented in z3_backend.cpp (keeps z3++.h out of public headers).
-std::unique_ptr<SessionImpl> make_z3_impl(const FormulaBuilder& builder,
-                                          const SessionOptions& options);
+/// Z3 takes no session options: conflict budgets, proof logging and
+/// inprocessing are CDCL-only.
+std::unique_ptr<SessionImpl> make_z3_impl(const FormulaBuilder& builder);
 /// Factory implemented in session.cpp.
 std::unique_ptr<SessionImpl> make_cdcl_impl(const FormulaBuilder& builder,
                                             const SessionOptions& options);
@@ -172,7 +165,7 @@ class Session {
   /// the asserted constraints) for the inconsistency. Empty when the
   /// constraint set alone is unsat, after Sat/Unknown, and on backends
   /// without core support. Not guaranteed minimal. The MaxSAT engine's
-  /// core-guided strategy is built on this.
+  /// core-guided search is built on this.
   [[nodiscard]] std::vector<Formula> unsat_core() const;
 
   /// Cooperative cancellation: while `flag` (owned by the caller, e.g. a

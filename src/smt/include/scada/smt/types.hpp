@@ -60,11 +60,4 @@ enum class Backend {
   return "?";
 }
 
-/// How cardinality constraints are lowered to CNF (CDCL backend only;
-/// Z3 receives them natively as pseudo-Boolean constraints).
-enum class CardinalityEncoding {
-  SequentialCounter,  ///< Sinz 2005 LT-SEQ; O(n*k) clauses
-  Totalizer,          ///< Bailleux & Boufkhad 2003; O(n log n * k), better propagation
-};
-
 }  // namespace scada::smt

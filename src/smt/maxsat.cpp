@@ -10,9 +10,10 @@ namespace scada::smt {
 
 namespace {
 
-/// Totalizer sizes scale with the summed soft weight (each weight unit is one
-/// leaf); a runaway weighted instance would allocate quadratically many
-/// merge clauses, so refuse instead.
+/// The closing certificate counts every weight unit as one input of its
+/// sequential counter, so its size grows with the summed soft weight times
+/// the optimum; a runaway weighted instance would allocate quadratically
+/// many counter clauses, so refuse instead.
 constexpr std::uint64_t kMaxTotalWeight = 1'000'000;
 
 }  // namespace
@@ -25,7 +26,7 @@ void MaxSatSolver::add_hard(Formula f) { hard_.push_back(f); }
 void MaxSatSolver::add_soft(Formula f, std::uint64_t weight) {
   if (weight == 0) throw ConfigError("MaxSatSolver::add_soft: weight must be positive");
   // Merge duplicates: canonicalization makes structurally equal softs the
-  // same handle, and the core-guided strategy relies on soft formulas being
+  // same handle, and the core-guided search relies on soft formulas being
   // pairwise distinct when it maps core members back to entries.
   for (Soft& s : soft_) {
     if (s.f == f) {
@@ -59,113 +60,24 @@ void MaxSatSolver::snapshot_model(const Session& session) {
   has_model_ = true;
 }
 
-std::vector<Formula> encode_totalizer(FormulaBuilder& builder, Session& session,
-                                      std::span<const Formula> leaves) {
-  // One-directional totalizer: output o_j is implied whenever >= j leaves are
-  // true, so assuming !o_j caps the count at j-1 without over-constraining
-  // (outputs are otherwise free). A leaf is its own single output.
-  if (leaves.size() <= 1) return {leaves.begin(), leaves.end()};
-  const std::size_t half = leaves.size() / 2;
-  const std::vector<Formula> left = encode_totalizer(builder, session, leaves.subspan(0, half));
-  const std::vector<Formula> right = encode_totalizer(builder, session, leaves.subspan(half));
-  std::vector<Formula> out;
-  out.reserve(left.size() + right.size());
-  for (std::size_t j = 0; j < left.size() + right.size(); ++j) {
-    out.push_back(builder.mk_var("ms_tot"));
-  }
-  for (std::size_t i = 0; i < left.size(); ++i) {
-    session.assert_formula(builder.mk_implies(left[i], out[i]));
-  }
-  for (std::size_t j = 0; j < right.size(); ++j) {
-    session.assert_formula(builder.mk_implies(right[j], out[j]));
-  }
-  for (std::size_t i = 1; i <= left.size(); ++i) {
-    for (std::size_t j = 1; j <= right.size(); ++j) {
-      session.assert_formula(builder.mk_implies(
-          builder.mk_and({left[i - 1], right[j - 1]}), out[i + j - 1]));
-    }
-  }
-  return out;
-}
-
 MaxSatResult MaxSatSolver::solve() {
   std::uint64_t total_weight = 0;
   for (const Soft& s : soft_) total_weight += s.weight;
   if (total_weight > kMaxTotalWeight) {
-    throw ConfigError("MaxSatSolver: summed soft weight exceeds the totalizer budget");
+    throw ConfigError("MaxSatSolver: summed soft weight exceeds the certificate budget");
   }
   has_model_ = false;
-  MaxSatResult result = options_.strategy == MaxSatStrategy::Linear ? solve_linear()
-                                                                    : solve_core_guided();
-  if (result.status == SolveResult::Sat) certify_bound(result);
-  return result;
-}
-
-MaxSatResult MaxSatSolver::solve_linear() {
-  MaxSatResult result;
-  Session session(builder_, options_.session);
-  session.set_interrupt(options_.interrupt);
-  for (const Formula h : hard_) session.assert_formula(h);
-
-  // Violation indicators: (f or v) lets the solver abandon a soft by paying
-  // v; the totalizer counts weight many copies of each indicator.
-  std::vector<Formula> leaves;
-  for (const Soft& s : soft_) {
-    const Formula v = builder_.mk_var("ms_ind");
-    session.assert_formula(builder_.mk_or({s.f, v}));
-    for (std::uint64_t w = 0; w < s.weight; ++w) leaves.push_back(v);
-  }
-
-  ++result.iterations;
-  switch (session.solve()) {
-    case SolveResult::Unsat:
-      result.status = SolveResult::Unsat;
-      result.detail = "hard constraints are unsatisfiable";
-      return result;
-    case SolveResult::Unknown:
-      result.status = SolveResult::Unknown;
-      result.detail = "interrupted before the first model";
-      return result;
-    case SolveResult::Sat: break;
-  }
-  snapshot_model(session);
-  result.has_model = true;
-  std::uint64_t cost = model_cost();
-  result.cost = result.upper_bound = cost;
-
-  std::vector<Formula> outputs;  // built once, at the first nonzero bound
-  while (cost > 0) {
-    if (options_.interrupt != nullptr && options_.interrupt->load(std::memory_order_relaxed)) {
-      result.status = SolveResult::Unknown;
-      result.detail = "interrupted during bound tightening";
-      return result;
-    }
-    if (outputs.empty()) outputs = encode_totalizer(builder_, session, leaves);
-    // Demand count <= cost-1 as an assumption: the bound never becomes a
-    // permanent assertion, so the session stays reusable at weaker bounds
-    // and across later add_hard() rounds.
-    const Formula cap = builder_.mk_not(outputs[static_cast<std::size_t>(cost) - 1]);
-    ++result.iterations;
-    ++result.bound_tightenings;
-    const SolveResult r = session.solve({cap});
-    if (r == SolveResult::Unsat) break;  // cost is optimal
-    if (r == SolveResult::Unknown) {
-      result.status = SolveResult::Unknown;
-      result.detail = "interrupted during bound tightening";
-      return result;
-    }
-    snapshot_model(session);
-    cost = model_cost();  // <= indicator count <= old cost - 1
-    result.cost = result.upper_bound = cost;
-  }
-  result.status = SolveResult::Sat;
-  result.lower_bound = cost;
+  MaxSatResult result = solve_core_guided();
+  if (result.status == SolveResult::Sat) certify_optimum(result);
   return result;
 }
 
 MaxSatResult MaxSatSolver::solve_core_guided() {
   MaxSatResult result;
-  Session session(builder_, options_.session);
+  // Only the closing certificate records a proof (certify_optimum).
+  SessionOptions search_options = options_.session;
+  search_options.certify = false;
+  Session session(builder_, search_options);
   session.set_interrupt(options_.interrupt);
   for (const Formula h : hard_) session.assert_formula(h);
 
@@ -174,9 +86,7 @@ MaxSatResult MaxSatSolver::solve_core_guided() {
   // Stratification: only softs with weight >= threshold are assumed; a Sat
   // verdict admits the next (lower) stratum until every soft is active.
   std::uint64_t threshold = 1;
-  if (options_.stratify) {
-    for (const Soft& s : work) threshold = std::max(threshold, s.weight);
-  }
+  for (const Soft& s : work) threshold = std::max(threshold, s.weight);
 
   std::vector<Formula> assumptions;
   std::vector<std::size_t> active;
@@ -274,8 +184,8 @@ MaxSatResult MaxSatSolver::solve_core_guided() {
   }
 }
 
-void MaxSatSolver::certify_bound(MaxSatResult& result) {
-  if (!options_.certify_bound) return;
+void MaxSatSolver::certify_optimum(MaxSatResult& result) {
+  if (!options_.session.certify) return;
   if (result.cost == 0) {
     result.detail = "optimum 0 is trivially optimal; no bound certificate needed";
     return;
@@ -287,19 +197,20 @@ void MaxSatSolver::certify_bound(MaxSatResult& result) {
   // Re-prove "no model costs less" from scratch: hard constraints plus an
   // asserted (not assumed) cap at optimum-1 must be globally unsat, which a
   // proof-logged session can certify with a standalone DRAT derivation.
-  SessionOptions closing_options = options_.session;
-  closing_options.certify = true;
-  Session closing(builder_, closing_options);
+  Session closing(builder_, options_.session);
   closing.set_interrupt(options_.interrupt);
   for (const Formula h : hard_) closing.assert_formula(h);
-  std::vector<Formula> leaves;
+  // Violation indicators: (f or v) lets a model abandon a soft by paying v.
+  // Each indicator is repeated weight times; the cardinality atom keeps
+  // duplicates, so the cap counts weight units.
+  std::vector<Formula> indicators;
   for (const Soft& s : soft_) {
     const Formula v = builder_.mk_var("ms_cert_ind");
     closing.assert_formula(builder_.mk_or({s.f, v}));
-    for (std::uint64_t w = 0; w < s.weight; ++w) leaves.push_back(v);
+    indicators.insert(indicators.end(), s.weight, v);
   }
-  const std::vector<Formula> outputs = encode_totalizer(builder_, closing, leaves);
-  closing.assert_formula(builder_.mk_not(outputs[static_cast<std::size_t>(result.cost) - 1]));
+  closing.assert_formula(
+      builder_.mk_at_most(indicators, static_cast<std::uint32_t>(result.cost - 1)));
   ++result.iterations;
   switch (closing.solve()) {
     case SolveResult::Sat:

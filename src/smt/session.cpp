@@ -60,7 +60,7 @@ class CdclSessionImpl final : public SessionImpl {
                            .simplify = options.simplify}),
         recorder_(options.certify ? std::make_unique<DratProofRecorder>() : nullptr),
         sink_(solver_, recorder_ ? &cnf_ : nullptr),
-        transformer_(builder, sink_, options.card_encoding) {
+        transformer_(builder, sink_) {
     // Attach before any clause reaches the solver so the trace is complete.
     if (recorder_) solver_.set_proof(recorder_.get());
   }
@@ -209,7 +209,7 @@ std::unique_ptr<SessionImpl> make_cdcl_impl(const FormulaBuilder& builder,
 Session::Session(const FormulaBuilder& builder, SessionOptions options) : builder_(&builder) {
   switch (options.backend) {
     case Backend::Z3:
-      impl_ = detail::make_z3_impl(builder, options);
+      impl_ = detail::make_z3_impl(builder);
       break;
     case Backend::Cdcl:
       impl_ = detail::make_cdcl_impl(builder, options);

@@ -18,16 +18,7 @@ namespace {
 
 class Z3SessionImpl final : public SessionImpl {
  public:
-  Z3SessionImpl(const FormulaBuilder& builder, const SessionOptions& options)
-      : builder_(builder),
-        solver_(ctx_),
-        integer_cardinality_(options.z3_integer_cardinality) {
-    if (options.z3_timeout_ms > 0) {
-      z3::params p(ctx_);
-      p.set("timeout", options.z3_timeout_ms);
-      solver_.set(p);
-    }
-  }
+  explicit Z3SessionImpl(const FormulaBuilder& builder) : builder_(builder), solver_(ctx_) {}
 
   void assert_formula(Formula f) override { solver_.add(translate(f)); }
 
@@ -102,21 +93,9 @@ class Z3SessionImpl final : public SessionImpl {
       }
       case NodeKind::AtMost:
       case NodeKind::AtLeast: {
-        if (integer_cardinality_) {
-          // The paper's "Boolean and integer terms" style:
-          //   sum(ite(op, 1, 0)) <=/>= bound.
-          z3::expr sum = ctx_.int_val(0);
-          for (const Formula op : n.operands) {
-            sum = sum + z3::ite(translate(op), ctx_.int_val(1), ctx_.int_val(0));
-          }
-          const z3::expr bound = ctx_.int_val(n.bound);
-          e = (n.kind == NodeKind::AtMost) ? (sum <= bound) : (sum >= bound);
-        } else {
-          z3::expr_vector ops(ctx_);
-          for (const Formula op : n.operands) ops.push_back(translate(op));
-          e = (n.kind == NodeKind::AtMost) ? z3::atmost(ops, n.bound)
-                                           : z3::atleast(ops, n.bound);
-        }
+        z3::expr_vector ops(ctx_);
+        for (const Formula op : n.operands) ops.push_back(translate(op));
+        e = (n.kind == NodeKind::AtMost) ? z3::atmost(ops, n.bound) : z3::atleast(ops, n.bound);
         break;
       }
     }
@@ -155,7 +134,6 @@ class Z3SessionImpl final : public SessionImpl {
   const FormulaBuilder& builder_;
   z3::context ctx_;
   z3::solver solver_;
-  bool integer_cardinality_ = false;
   std::unordered_map<Var, z3::expr> var_exprs_;
   std::unordered_map<std::int32_t, z3::expr> node_exprs_;
   std::vector<bool> model_;
@@ -164,9 +142,8 @@ class Z3SessionImpl final : public SessionImpl {
 
 }  // namespace
 
-std::unique_ptr<SessionImpl> make_z3_impl(const FormulaBuilder& builder,
-                                          const SessionOptions& options) {
-  return std::make_unique<Z3SessionImpl>(builder, options);
+std::unique_ptr<SessionImpl> make_z3_impl(const FormulaBuilder& builder) {
+  return std::make_unique<Z3SessionImpl>(builder);
 }
 
 }  // namespace detail

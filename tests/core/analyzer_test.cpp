@@ -290,7 +290,7 @@ TEST(AnalyzerTest, CertifiedVerifyWithInprocessing) {
   const ScadaScenario s = make_case_study();
   AnalyzerOptions options;
   options.solver.backend = smt::Backend::Cdcl;
-  options.certify = true;
+  options.solver.certify = true;
   ASSERT_TRUE(options.solver.simplify) << "simplify is expected to default on";
   ScadaAnalyzer analyzer(s, options);
 
@@ -394,7 +394,7 @@ TEST(AnalyzerTest, EnumerationHonoursInterruptAndCertify) {
   const auto plain =
       canon(ScadaAnalyzer(s, options).enumerate_threats(Property::SecuredObservability, spec));
   ASSERT_FALSE(plain.empty());
-  options.certify = true;
+  options.solver.certify = true;
   EXPECT_EQ(canon(ScadaAnalyzer(s, options).enumerate_threats(Property::SecuredObservability,
                                                                spec)),
             plain);

@@ -73,11 +73,9 @@ std::optional<std::size_t> min_upgrades_by_sweep(const ScadaScenario& scenario,
 
 class OptimizerBothBackends : public ::testing::TestWithParam<smt::Backend> {
  protected:
-  [[nodiscard]] OptimizerOptions options(
-      smt::MaxSatStrategy strategy = smt::MaxSatStrategy::Linear) const {
+  [[nodiscard]] OptimizerOptions options() const {
     OptimizerOptions o;
     o.analyzer.solver.backend = GetParam();
-    o.strategy = strategy;
     return o;
   }
 };
@@ -88,15 +86,13 @@ TEST_P(OptimizerBothBackends, SecurityIndexMatchesTheAnalyzerSweep) {
     const int limit = static_cast<int>(s.ied_ids().size() + s.rtu_ids().size());
     for (const auto property : {Property::Observability, Property::SecuredObservability}) {
       const std::optional<int> expected = index_by_sweep(s, property, limit, options().analyzer);
-      for (const auto strategy : {smt::MaxSatStrategy::Linear, smt::MaxSatStrategy::CoreGuided}) {
-        Optimizer optimizer(s, options(strategy));
-        const SecurityIndexResult result = optimizer.security_index(property);
-        ASSERT_TRUE(result.completed);
-        ASSERT_EQ(result.attackable, expected.has_value());
-        if (expected.has_value()) {
-          EXPECT_EQ(result.index, static_cast<std::uint64_t>(*expected));
-          EXPECT_EQ(result.witness.size(), result.index);
-        }
+      Optimizer optimizer(s, options());
+      const SecurityIndexResult result = optimizer.security_index(property);
+      ASSERT_TRUE(result.completed);
+      ASSERT_EQ(result.attackable, expected.has_value());
+      if (expected.has_value()) {
+        EXPECT_EQ(result.index, static_cast<std::uint64_t>(*expected));
+        EXPECT_EQ(result.witness.size(), result.index);
       }
     }
   }
@@ -195,7 +191,7 @@ TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
   // against an independent per-k verify() sweep, on every budget path
   // ThreatEncoder::failure_budget owns: per-type classes, the combined
   // budget, spec_r > 1 and link failures under the combined budget. On CDCL
-  // the search also runs certified, so AnalyzerOptions::certify reaches the
+  // the search also runs certified, so SessionOptions::certify reaches the
   // incremental session (proof logging under guarded budget assumptions).
   struct Case {
     Property property;
@@ -214,7 +210,7 @@ TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
       for (const bool certify : certify_modes) {
         AnalyzerOptions analyzer_options = options().analyzer;
         analyzer_options.encoder.links_can_fail = c.links_can_fail;
-        analyzer_options.certify = certify;
+        analyzer_options.solver.certify = certify;
         ScadaAnalyzer analyzer(s, analyzer_options);
         for (const auto cls :
              {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
@@ -267,7 +263,6 @@ TEST(OptimizerTest, CertifiedSecurityIndexOnCdcl) {
   const ScadaScenario s = make_case_study();
   OptimizerOptions options;
   options.analyzer.solver.backend = smt::Backend::Cdcl;
-  options.analyzer.certify = true;
   options.analyzer.solver.certify = true;
   Optimizer optimizer(s, options);
   const SecurityIndexResult result = optimizer.security_index(Property::SecuredObservability);
@@ -281,7 +276,6 @@ TEST(OptimizerTest, CertifiedHardeningVerification) {
   const ScadaScenario s = make_case_study();
   OptimizerOptions options;
   options.analyzer.solver.backend = smt::Backend::Cdcl;
-  options.analyzer.certify = true;
   options.analyzer.solver.certify = true;
   Optimizer optimizer(s, options);
   const MinCostResult result =

@@ -83,7 +83,7 @@ TEST(DifferentialFuzzTest, AllEnginesAgreeOnRandomScenarios) {
     z3_options.solver.backend = smt::Backend::Z3;
     AnalyzerOptions cdcl_options = z3_options;
     cdcl_options.solver.backend = smt::Backend::Cdcl;
-    cdcl_options.certify = true;
+    cdcl_options.solver.certify = true;
     // Fifth configuration: the same CDCL engine with inprocessing disabled.
     // The default CDCL run above exercises simplification (it is on by
     // default), so this pins down divergences introduced by BVE/subsumption
@@ -123,7 +123,7 @@ TEST(DifferentialFuzzTest, UnsatVerdictsCarryCheckedProofs) {
     AnalyzerOptions options;
     options.encoder = c.encoder;
     options.solver.backend = smt::Backend::Cdcl;
-    options.certify = true;
+    options.solver.certify = true;
     ScadaAnalyzer analyzer(s, options);
     const auto result = analyzer.verify(c.property, c.spec);
     ASSERT_NE(result.result, smt::SolveResult::Unknown) << describe(c);
@@ -149,7 +149,7 @@ TEST(DifferentialFuzzTest, ThreatSetsAgreeOnRandomScenarios) {
     options.solver.backend = round % 2 == 0 ? smt::Backend::Z3 : smt::Backend::Cdcl;
     // Certify every solve of the enumeration loop on CDCL rounds (no-op
     // for Z3, which has no certificate path).
-    options.certify = true;
+    options.solver.certify = true;
     ScadaAnalyzer serial(s, options);
     BruteForceVerifier brute(s, c.encoder);
 
@@ -171,8 +171,8 @@ TEST(DifferentialFuzzTest, ThreatSetsAgreeOnRandomScenarios) {
 TEST(DifferentialFuzzTest, SecurityIndexMatchesTheBruteForceMinimum) {
   // Sixth configuration: for small random scenarios the MaxSAT security
   // index must equal the smallest total failure budget k with an attackable
-  // (Sat) brute-force verdict, across both backends and both strategies. Any
-  // disagreement is a soft-clause encoding, core-extraction, or bound bug.
+  // (Sat) brute-force verdict on both backends. Any disagreement is a
+  // soft-clause encoding, core-extraction, or bound bug.
   util::Rng rng(0x0517);
   int attackable_rounds = 0;
   for (int round = 0; round < 8; ++round) {
@@ -194,22 +194,18 @@ TEST(DifferentialFuzzTest, SecurityIndexMatchesTheBruteForceMinimum) {
     if (expected.has_value()) ++attackable_rounds;
 
     for (const auto backend : {smt::Backend::Z3, smt::Backend::Cdcl}) {
-      for (const auto strategy :
-           {smt::MaxSatStrategy::Linear, smt::MaxSatStrategy::CoreGuided}) {
-        OptimizerOptions options;
-        options.analyzer.encoder = c.encoder;
-        options.analyzer.solver.backend = backend;
-        options.strategy = strategy;
-        Optimizer optimizer(s, options);
-        const SecurityIndexResult result = optimizer.security_index(c.property, c.spec.r);
-        ASSERT_TRUE(result.completed) << describe(c);
-        EXPECT_EQ(result.attackable, expected.has_value())
+      OptimizerOptions options;
+      options.analyzer.encoder = c.encoder;
+      options.analyzer.solver.backend = backend;
+      Optimizer optimizer(s, options);
+      const SecurityIndexResult result = optimizer.security_index(c.property, c.spec.r);
+      ASSERT_TRUE(result.completed) << describe(c);
+      EXPECT_EQ(result.attackable, expected.has_value())
+          << smt::to_string(backend) << " " << describe(c);
+      if (expected.has_value() && result.attackable) {
+        EXPECT_EQ(result.index, static_cast<std::uint64_t>(*expected))
             << smt::to_string(backend) << " " << describe(c);
-        if (expected.has_value() && result.attackable) {
-          EXPECT_EQ(result.index, static_cast<std::uint64_t>(*expected))
-              << smt::to_string(backend) << " " << describe(c);
-          EXPECT_EQ(result.witness.size(), result.index) << describe(c);
-        }
+        EXPECT_EQ(result.witness.size(), result.index) << describe(c);
       }
     }
   }

@@ -38,8 +38,6 @@ TEST(TseitinEquisatTest, SessionAgreesWithTruthTableAndCertifies) {
 
     SessionOptions options;
     options.backend = Backend::Cdcl;
-    options.card_encoding = (round % 2 == 0) ? CardinalityEncoding::SequentialCounter
-                                             : CardinalityEncoding::Totalizer;
     options.certify = true;
     Session session(builder, options);
     session.assert_formula(f);

@@ -123,6 +123,15 @@ TEST(BatchServerTest, MalformedRequestsAreErrorsNotCrashes) {
       // A negative RTU fraction used to request ~2^64 RTUs and never answer.
       R"({"op":"verify","scenario":{"synth":{"buses":14,"seed":1,"rtus_per_bus":-1}},)"
       R"("spec":{"k":1}})",
+      // An enumeration allowed no vectors answered "resilient" without
+      // solving (verify finds {RTU12} here), and negative budgets wrapped
+      // around to 2^64 - 1.
+      R"({"op":"enumerate","scenario":{"builtin":"case_study_fig4"},)"
+      R"("property":"observability","spec":{"k":2},"max_vectors":0})",
+      R"({"op":"enumerate","scenario":{"builtin":"case_study_fig4"},)"
+      R"("property":"observability","spec":{"k":2},"max_vectors":-1})",
+      R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},"spec":{"k":1},)"
+      R"("max_conflicts":-1})",
   };
   for (const std::string& line : bad) {
     const io::JsonValue r = response(server, line);
@@ -157,7 +166,7 @@ TEST(BatchServerTest, HardenOpReturnsUpgradePlan) {
   const io::JsonValue r = response(
       server,
       R"({"id":8,"op":"harden","scenario":{"builtin":"case_study_fig3"},)"
-      R"("property":"secured_observability","spec":{"k1":1,"k2":1},"strategy":"core-guided"})");
+      R"("property":"secured_observability","spec":{"k1":1,"k2":1}})");
   EXPECT_TRUE(field(r, "ok").as_bool());
   const io::JsonValue& hardening = field(r, "hardening");
   EXPECT_TRUE(field(hardening, "achievable").as_bool());
@@ -168,14 +177,22 @@ TEST(BatchServerTest, HardenOpReturnsUpgradePlan) {
   EXPECT_EQ(field(field(r, "verification"), "result").as_string(), "unsat");
 }
 
-TEST(BatchServerTest, UnknownStrategyIsAnError) {
+TEST(BatchServerTest, LeftoverStrategyFieldIsIgnored) {
+  // The MaxSAT search has one strategy; a client still naming one gets the
+  // same answer, under the same fingerprint, as a client that does not.
   BatchServer server;
-  const io::JsonValue r = response(
-      server,
+  const std::string plain =
       R"({"op":"security-index","scenario":{"builtin":"case_study_fig3"},)"
-      R"("strategy":"simulated-annealing"})");
-  EXPECT_FALSE(field(r, "ok").as_bool());
-  EXPECT_FALSE(field(r, "error").as_string().empty());
+      R"("property":"secured_observability"})";
+  const std::string leftover =
+      R"({"op":"security-index","scenario":{"builtin":"case_study_fig3"},)"
+      R"("property":"secured_observability","strategy":"linear"})";
+  const io::JsonValue a = response(server, leftover);
+  const io::JsonValue b = response(server, plain);
+  EXPECT_TRUE(field(a, "ok").as_bool());
+  EXPECT_EQ(field(a, "status").as_string(), "done");
+  EXPECT_EQ(field(field(a, "security_index"), "index").as_int(), 2);
+  EXPECT_EQ(field(a, "fingerprint").as_string(), field(b, "fingerprint").as_string());
 }
 
 TEST(BatchServerTest, OptimizationMetricsSurfaceInStats) {
@@ -185,9 +202,25 @@ TEST(BatchServerTest, OptimizationMetricsSurfaceInStats) {
                  R"("property":"secured_observability"})");
   const io::JsonValue stats = response(server, R"({"id":"s","op":"stats"})");
   const io::JsonValue& metrics = field(stats, "metrics");
-  EXPECT_GE(field(field(metrics, "counters"), "opt.maxsat_bound_tightenings").as_int(), 1);
+  EXPECT_GE(field(field(metrics, "counters"), "opt.cores_extracted").as_int(), 1);
   const io::JsonValue& histograms = field(metrics, "histograms");
   EXPECT_GE(field(field(histograms, "opt.solve_ms"), "count").as_int(), 1);
+}
+
+TEST(BatchServerTest, ScenarioMemoIsBounded) {
+  // Every distinct source used to stay resolved for the server's lifetime.
+  BatchServer server;
+  for (int seed = 1; seed <= 300; ++seed) {
+    const io::JsonValue r = response(
+        server, R"({"op":"verify","scenario":{"synth":{"buses":14,"seed":)" +
+                    std::to_string(seed) + R"(}},"spec":{"k":1}})");
+    ASSERT_TRUE(field(r, "ok").as_bool()) << seed;
+  }
+  const io::JsonValue stats = response(server, R"({"id":"s","op":"stats"})");
+  const io::JsonValue& gauges = field(field(stats, "metrics"), "gauges");
+  const std::int64_t memo = field(gauges, "service.scenario_memo").as_int();
+  EXPECT_GE(memo, 1);
+  EXPECT_LE(memo, static_cast<std::int64_t>(kScenarioMemoCapacity));
 }
 
 TEST(BatchServerTest, StatsSnapshotsCacheAndScheduler) {

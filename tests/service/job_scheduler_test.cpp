@@ -175,12 +175,17 @@ TEST(JobSchedulerTest, UndersizedDeadlineDegradesToTimedOutUnknown) {
 }
 
 TEST(JobSchedulerTest, GenerousDeadlineStillDeliversTheVerdict) {
-  JobScheduler scheduler(single_threaded());
-  JobRequest request = verify_request(case_study(), 1, 1);
-  request.deadline_ms = 60'000.0;
-  const JobOutcome outcome = scheduler.submit(std::move(request)).outcome.get();
-  EXPECT_EQ(outcome.status, JobStatus::Done);
-  EXPECT_EQ(outcome.analysis.verdict.result, smt::SolveResult::Unsat);
+  // 1e15 and 1e300 ms lie beyond the steady clock's range: no deadline, not
+  // an overflowed one in the past. A fresh scheduler each time, so no answer
+  // comes from the cache.
+  for (const double deadline_ms : {60'000.0, 1e15, 1e300}) {
+    JobScheduler scheduler(single_threaded());
+    JobRequest request = verify_request(case_study(), 1, 1);
+    request.deadline_ms = deadline_ms;
+    const JobOutcome outcome = scheduler.submit(std::move(request)).outcome.get();
+    EXPECT_EQ(outcome.status, JobStatus::Done) << deadline_ms << ": " << outcome.diagnostics;
+    EXPECT_EQ(outcome.analysis.verdict.result, smt::SolveResult::Unsat) << deadline_ms;
+  }
 }
 
 TEST(JobSchedulerTest, CancelPendingJob) {
@@ -203,6 +208,16 @@ TEST(JobSchedulerTest, CancelPendingJob) {
 TEST(JobSchedulerTest, SubmitWithoutScenarioThrows) {
   JobScheduler scheduler(single_threaded());
   EXPECT_THROW((void)scheduler.submit(JobRequest{}), ConfigError);
+}
+
+TEST(JobSchedulerTest, EnumerateWithoutVectorBudgetThrows) {
+  // max_vectors = 0 would stop before the first solve and read as a proven
+  // empty threat space, although verify finds a threat at this spec.
+  JobScheduler scheduler(single_threaded());
+  JobRequest request = verify_request(case_study(), 2, 1);
+  request.kind = JobKind::EnumerateThreats;
+  request.max_vectors = 0;
+  EXPECT_THROW((void)scheduler.submit(request), ConfigError);
 }
 
 TEST(JobSchedulerTest, DestructorDrainsEveryOutcome) {
@@ -279,24 +294,6 @@ TEST(JobSchedulerTest, HardenJobDeliversPlanAndCounters) {
   EXPECT_GT(outcome.analysis.hardening.cost, 0u);
   EXPECT_FALSE(outcome.analysis.hardening.hardening.empty());
   EXPECT_GE(scheduler.metrics().counter("opt.cegis_iterations").value(), 1u);
-}
-
-TEST(JobSchedulerTest, StrategyIsPartOfTheJobKey) {
-  JobScheduler scheduler(single_threaded());
-  JobRequest linear;
-  linear.kind = JobKind::SecurityIndex;
-  linear.scenario = case_study();
-  linear.property = core::Property::SecuredObservability;
-  JobRequest core_guided = linear;
-  core_guided.strategy = smt::MaxSatStrategy::CoreGuided;
-
-  const JobOutcome a = scheduler.submit(linear).outcome.get();
-  const JobOutcome b = scheduler.submit(core_guided).outcome.get();
-  // Different strategies never share a cache slot, but agree on the optimum.
-  EXPECT_NE(a.fingerprint, b.fingerprint);
-  EXPECT_FALSE(b.cache_hit);
-  EXPECT_EQ(a.analysis.security_index.index, b.analysis.security_index.index);
-  EXPECT_GE(scheduler.metrics().counter("opt.cores_extracted").value(), 1u);
 }
 
 }  // namespace

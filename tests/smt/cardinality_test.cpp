@@ -1,7 +1,8 @@
-// Property tests for the CNF cardinality encoders: for every input size n,
-// bound k, and encoding, the encoded constraint must accept exactly the
-// assignments of the input literals whose popcount satisfies the bound —
-// checked by solving under assumptions for every one of the 2^n assignments.
+// Property tests for the CNF cardinality encoder (the sequential counter):
+// for every input size n and bound k, the encoded constraint must accept
+// exactly the assignments of the input literals whose popcount satisfies the
+// bound — checked by solving under assumptions for every one of the 2^n
+// assignments.
 #include "scada/smt/cardinality.hpp"
 
 #include <gtest/gtest.h>
@@ -26,20 +27,20 @@ class SolverSink final : public ClauseSink {
 
 enum class Kind { AtMost, AtLeast };
 
-using Param = std::tuple<Kind, CardinalityEncoding, int /*n*/, int /*k*/>;
+using Param = std::tuple<Kind, int /*n*/, int /*k*/>;
 
 class CardinalityProperty : public ::testing::TestWithParam<Param> {};
 
 TEST_P(CardinalityProperty, AcceptsExactlyTheRightAssignments) {
-  const auto [kind, encoding, n, k] = GetParam();
+  const auto [kind, n, k] = GetParam();
   CdclSolver solver;
   SolverSink sink(solver);
   std::vector<Lit> xs;
   for (int i = 0; i < n; ++i) xs.push_back(pos(solver.new_var()));
   if (kind == Kind::AtMost) {
-    encode_at_most(sink, xs, static_cast<std::uint32_t>(k), encoding);
+    encode_at_most(sink, xs, static_cast<std::uint32_t>(k));
   } else {
-    encode_at_least(sink, xs, static_cast<std::uint32_t>(k), encoding);
+    encode_at_least(sink, xs, static_cast<std::uint32_t>(k));
   }
 
   for (std::uint64_t mask = 0; mask < (1ULL << n); ++mask) {
@@ -61,22 +62,16 @@ TEST_P(CardinalityProperty, AcceptsExactlyTheRightAssignments) {
 std::vector<Param> all_params() {
   std::vector<Param> params;
   for (const Kind kind : {Kind::AtMost, Kind::AtLeast}) {
-    for (const auto encoding :
-         {CardinalityEncoding::SequentialCounter, CardinalityEncoding::Totalizer}) {
-      for (int n = 1; n <= 6; ++n) {
-        for (int k = 0; k <= n + 1; ++k) {
-          params.emplace_back(kind, encoding, n, k);
-        }
-      }
+    for (int n = 1; n <= 6; ++n) {
+      for (int k = 0; k <= n + 1; ++k) params.emplace_back(kind, n, k);
     }
   }
   return params;
 }
 
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
-  const auto [kind, encoding, n, k] = info.param;
-  std::string s = (kind == Kind::AtMost) ? "AtMost" : "AtLeast";
-  s += (encoding == CardinalityEncoding::SequentialCounter) ? "_Seq" : "_Tot";
+  const auto [kind, n, k] = info.param;
+  std::string s = (kind == Kind::AtMost) ? "AtMost_Seq" : "AtLeast_Seq";
   s += "_n" + std::to_string(n) + "_k" + std::to_string(k);
   return s;
 }
@@ -86,12 +81,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, CardinalityProperty, ::testing::ValuesIn(all_par
 
 /// Guarded constraints must be inert when the guard is false and active when
 /// the guard is true.
-using GuardParam = std::tuple<Kind, CardinalityEncoding>;
-
-class GuardedCardinality : public ::testing::TestWithParam<GuardParam> {};
+class GuardedCardinality : public ::testing::TestWithParam<Kind> {};
 
 TEST_P(GuardedCardinality, GuardControlsEnforcement) {
-  const auto [kind, encoding] = GetParam();
+  const Kind kind = GetParam();
   const int n = 4, k = 2;
   CdclSolver solver;
   SolverSink sink(solver);
@@ -99,9 +92,9 @@ TEST_P(GuardedCardinality, GuardControlsEnforcement) {
   std::vector<Lit> xs;
   for (int i = 0; i < n; ++i) xs.push_back(pos(solver.new_var()));
   if (kind == Kind::AtMost) {
-    encode_at_most(sink, xs, k, encoding, g);
+    encode_at_most(sink, xs, k, g);
   } else {
-    encode_at_least(sink, xs, k, encoding, g);
+    encode_at_least(sink, xs, k, g);
   }
 
   for (std::uint64_t mask = 0; mask < (1ULL << n); ++mask) {
@@ -127,21 +120,17 @@ TEST_P(GuardedCardinality, GuardControlsEnforcement) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, GuardedCardinality,
-    ::testing::Combine(::testing::Values(Kind::AtMost, Kind::AtLeast),
-                       ::testing::Values(CardinalityEncoding::SequentialCounter,
-                                         CardinalityEncoding::Totalizer)));
+INSTANTIATE_TEST_SUITE_P(Sweep, GuardedCardinality, ::testing::Values(Kind::AtMost, Kind::AtLeast),
+                         [](const ::testing::TestParamInfo<Kind>& info) {
+                           return std::string(info.param == Kind::AtMost ? "AtMost" : "AtLeast");
+                         });
 
 TEST(CardinalityEdge, AtLeastMoreThanNIsUnsat) {
-  for (const auto encoding :
-       {CardinalityEncoding::SequentialCounter, CardinalityEncoding::Totalizer}) {
-    CdclSolver solver;
-    SolverSink sink(solver);
-    std::vector<Lit> xs{pos(solver.new_var()), pos(solver.new_var())};
-    encode_at_least(sink, xs, 3, encoding);
-    EXPECT_EQ(solver.solve(), SolveResult::Unsat);
-  }
+  CdclSolver solver;
+  SolverSink sink(solver);
+  std::vector<Lit> xs{pos(solver.new_var()), pos(solver.new_var())};
+  encode_at_least(sink, xs, 3);
+  EXPECT_EQ(solver.solve(), SolveResult::Unsat);
 }
 
 TEST(CardinalityEdge, GuardedImpossibleBoundForcesGuardFalse) {
@@ -149,7 +138,7 @@ TEST(CardinalityEdge, GuardedImpossibleBoundForcesGuardFalse) {
   SolverSink sink(solver);
   const Lit g = pos(solver.new_var());
   std::vector<Lit> xs{pos(solver.new_var())};
-  encode_at_least(sink, xs, 2, CardinalityEncoding::SequentialCounter, g);
+  encode_at_least(sink, xs, 2, g);
   ASSERT_EQ(solver.solve(), SolveResult::Sat);
   EXPECT_FALSE(solver.model_value(g.var()));
 }

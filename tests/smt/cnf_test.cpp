@@ -32,25 +32,22 @@ TEST_P(CnfRandomProperty, CnfMatchesDirectEvaluation) {
   for (int i = 0; i < nv; ++i) vars.push_back(fb.mk_var("x" + std::to_string(i)));
   const Formula f = testing::random_formula(fb, rng, 3, vars);
 
-  for (const auto encoding :
-       {CardinalityEncoding::SequentialCounter, CardinalityEncoding::Totalizer}) {
-    CdclSolver solver;
-    SolverSink sink(solver);
-    CnfTransformer transformer(fb, sink, encoding);
-    transformer.assert_root(f);
+  CdclSolver solver;
+  SolverSink sink(solver);
+  CnfTransformer transformer(fb, sink);
+  transformer.assert_root(f);
 
-    for (std::uint64_t mask = 0; mask < (1ULL << nv); ++mask) {
-      const auto value_of = [&](Var v) { return ((mask >> (v - 1)) & 1) != 0; };
-      std::vector<Lit> assumptions;
-      for (int i = 0; i < nv; ++i) {
-        const Var bv = fb.var_of(vars[static_cast<std::size_t>(i)]);
-        const Var sv = transformer.solver_var(bv);
-        assumptions.push_back(value_of(bv) ? pos(sv) : neg(sv));
-      }
-      const bool expected = evaluate_formula(fb, f, value_of);
-      EXPECT_EQ(solver.solve(assumptions), expected ? SolveResult::Sat : SolveResult::Unsat)
-          << "formula: " << fb.to_string(f) << " mask=" << mask;
+  for (std::uint64_t mask = 0; mask < (1ULL << nv); ++mask) {
+    const auto value_of = [&](Var v) { return ((mask >> (v - 1)) & 1) != 0; };
+    std::vector<Lit> assumptions;
+    for (int i = 0; i < nv; ++i) {
+      const Var bv = fb.var_of(vars[static_cast<std::size_t>(i)]);
+      const Var sv = transformer.solver_var(bv);
+      assumptions.push_back(value_of(bv) ? pos(sv) : neg(sv));
     }
+    const bool expected = evaluate_formula(fb, f, value_of);
+    EXPECT_EQ(solver.solve(assumptions), expected ? SolveResult::Sat : SolveResult::Unsat)
+        << "formula: " << fb.to_string(f) << " mask=" << mask;
   }
 }
 

@@ -249,34 +249,6 @@ TEST_P(SessionAssumptions, UnsatCoreEmptyWhenInstanceUnsatWithoutAssumptions) {
   EXPECT_TRUE(session.unsat_core().empty());
 }
 
-TEST(SessionZ3IntegerCardinality, AgreesWithPseudoBooleanMode) {
-  for (int round = 0; round < 25; ++round) {
-    util::Rng rng(static_cast<std::uint64_t>(round) * 977 + 3);
-    FormulaBuilder fb;
-    std::vector<Formula> vars;
-    for (int i = 0; i < 5; ++i) vars.push_back(fb.mk_var("x" + std::to_string(i)));
-    const Formula f = testing::random_formula(fb, rng, 3, vars);
-
-    Session pb(fb, {.backend = Backend::Z3});
-    Session ints(fb, {.backend = Backend::Z3, .z3_integer_cardinality = true});
-    pb.assert_formula(f);
-    ints.assert_formula(f);
-    EXPECT_EQ(pb.solve(), ints.solve()) << "round " << round;
-  }
-}
-
-TEST(SessionZ3IntegerCardinality, CardinalityModelCorrect) {
-  FormulaBuilder fb;
-  std::vector<Formula> xs;
-  for (int i = 0; i < 6; ++i) xs.push_back(fb.mk_var("x" + std::to_string(i)));
-  Session session(fb, {.backend = Backend::Z3, .z3_integer_cardinality = true});
-  session.assert_formula(fb.mk_exactly(xs, 4));
-  ASSERT_EQ(session.solve(), SolveResult::Sat);
-  int count = 0;
-  for (const Formula x : xs) count += session.value(x) ? 1 : 0;
-  EXPECT_EQ(count, 4);
-}
-
 INSTANTIATE_TEST_SUITE_P(Backends, SessionAssumptions,
                          ::testing::Values(Backend::Z3, Backend::Cdcl),
                          [](const ::testing::TestParamInfo<Backend>& info) {

@@ -41,7 +41,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--case FILE | --fig4] [--property P] [--k N | --k1 N --k2 N] [--r N]\n"
-      "          [--strategy linear|core-guided] [--backend cdcl|z3] [--certify]\n"
+      "          [--backend cdcl|z3] [--certify]\n"
       "          [--timeout-ms N] [--index-only | --harden-only]\n"
       "  --case FILE    read a Table-II case file (default: built-in Fig. 3 case study)\n"
       "  --fig4         use the built-in Fig. 4 topology variant\n"
@@ -49,7 +49,6 @@ int usage(const char* argv0) {
       "                 secured_observability)\n"
       "  --k/--k1/--k2  resiliency spec for the hardening target (default: the case\n"
       "                 file's [spec], else k1=1 k2=1); --r is the bad-data budget\n"
-      "  --strategy S   MaxSAT strategy: linear (default) or core-guided\n"
       "  --backend B    solver backend: cdcl (default) or z3\n"
       "  --certify      require DRAT-checked certificates (cdcl backend only)\n"
       "  --timeout-ms N cooperative interrupt after N ms (exit 2, partial results)\n"
@@ -132,16 +131,6 @@ int main(int argc, char** argv) {
       k_rtu = next_int("--k2", i);
     } else if (std::strcmp(argv[i], "--r") == 0) {
       bad_data_r = next_int("--r", i);
-    } else if (std::strcmp(argv[i], "--strategy") == 0) {
-      const char* s = next_token(i);
-      if (s == nullptr) return usage(argv[0]);
-      if (std::strcmp(s, "linear") == 0) {
-        options.strategy = smt::MaxSatStrategy::Linear;
-      } else if (std::strcmp(s, "core-guided") == 0) {
-        options.strategy = smt::MaxSatStrategy::CoreGuided;
-      } else {
-        return usage(argv[0]);
-      }
     } else if (std::strcmp(argv[i], "--backend") == 0) {
       const char* b = next_token(i);
       if (b == nullptr) return usage(argv[0]);
@@ -153,7 +142,6 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (std::strcmp(argv[i], "--certify") == 0) {
-      options.analyzer.certify = true;
       options.analyzer.solver.certify = true;
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
       timeout_ms =

@@ -68,8 +68,9 @@ endif()
 if(NOT out MATCHES "\"opt.solve_ms\":{\"count\":[1-9]")
   message(FATAL_ERROR "stats: expected opt.solve_ms histogram samples")
 endif()
-if(NOT out MATCHES "\"opt.maxsat_bound_tightenings\":[1-9]")
-  message(FATAL_ERROR "stats: expected non-zero opt.maxsat_bound_tightenings")
+# The index-2 search extracts one unsat core per unit of the index.
+if(NOT out MATCHES "\"opt.cores_extracted\":[1-9]")
+  message(FATAL_ERROR "stats: expected non-zero opt.cores_extracted")
 endif()
 # …and the propagation hot-loop counters fed by the CDCL verify requests
 # (request 1 runs on the default CDCL backend, so all three must be live).
