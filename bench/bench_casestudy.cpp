@@ -1,5 +1,6 @@
 // Reproduces the paper's §IV case study (Table II input, scenarios 1 and 2)
 // and prints paper-reported vs measured outcomes side by side.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <string>
 
 #include "scada/core/analyzer.hpp"
@@ -18,6 +17,7 @@ namespace scada::bench {
 
 inline constexpr int kRandomInputs = 3;  ///< random SCADA systems per config
 inline constexpr int kRunsPerInput = 5;  ///< timed runs per system
+inline constexpr int kBoundaryCap = 8;   ///< largest boundary k* the tables report
 
 /// Times one verify() call `runs` times and returns the mean seconds.
 inline double mean_verify_seconds(const core::ScadaScenario& scenario,
@@ -32,20 +32,6 @@ inline double mean_verify_seconds(const core::ScadaScenario& scenario,
     stats.add(timer.seconds());
   }
   return stats.mean();
-}
-
-/// The resiliency boundary of a scenario: the largest combined budget k that
-/// is still unsat (capped). Returns -1 if even k = 0 is sat.
-inline int resiliency_boundary(const core::ScadaScenario& scenario,
-                               const core::AnalyzerOptions& options, core::Property property,
-                               int cap = 8) {
-  core::ScadaAnalyzer analyzer(scenario, options);
-  for (int k = 0; k <= cap; ++k) {
-    if (!analyzer.verify(property, core::ResiliencySpec::total(k)).resilient()) {
-      return k - 1;
-    }
-  }
-  return cap;
 }
 
 /// Emits both a human table and its CSV twin (for replotting).

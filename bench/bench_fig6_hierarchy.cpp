@@ -8,6 +8,7 @@
 // get cheaper relative to the model size (more shared RTUs -> a bigger
 // threat space -> a model is found sooner) while *unsat* searches grow (the
 // whole space must be exhausted).
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -82,8 +83,11 @@ int main() {
                       static_cast<std::uint64_t>(hierarchy) * 10 +
                       static_cast<std::uint64_t>(input);
         const core::ScadaScenario scenario = synth::generate_scenario(config);
-        const int k_star =
-            bench::resiliency_boundary(scenario, options, Property::Observability);
+        const int k_star = std::min(
+            core::ScadaAnalyzer(scenario, options)
+                .max_resiliency(Property::Observability, core::FailureClass::Combined)
+                .max_k,
+            bench::kBoundaryCap);
         boundary.add(k_star);
         if (k_star >= 0) {
           unsat_time.add(bench::mean_verify_seconds(scenario, options,

@@ -4,9 +4,9 @@
 //   * security_index: minimum-cardinality attack on the case study, per
 //     backend,
 //   * min_cost_hardening: CEGIS cheapest-upgrade synthesis on the case study,
-//   * max_resiliency: the analyzer's gallop-then-bisect search over one
-//     incremental session, on the 14-bus case study and a 30-bus synthetic
-//     system.
+//   * max_resiliency: the security index of a failure class, read as the
+//     largest surviving budget, on the 14-bus case study and a 30-bus
+//     synthetic system.
 //
 // write_summary() re-times the security index and max_resiliency directly
 // (best of 3) and emits BENCH_optimize.json with the latencies.

@@ -1,8 +1,10 @@
 #include "scada/core/analyzer.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
+#include "scada/core/optimize.hpp"
 #include "scada/util/error.hpp"
 #include "scada/util/timer.hpp"
 
@@ -59,23 +61,26 @@ bool check_certificate(const smt::Session& session, bool certify) {
 
 }  // namespace
 
-ThreatVector extract_threat_vector(const ThreatEncoder& encoder, const smt::Session& session) {
+ThreatVector extract_threat_vector(const ThreatEncoder& encoder,
+                                   const std::function<bool(smt::Formula)>& value) {
   const ScadaScenario& scenario = encoder.scenario();
   ThreatVector v;
   for (const int id : scenario.ied_ids()) {
-    if (!session.value(encoder.node_var(id))) v.failed_ieds.push_back(id);
+    if (!value(encoder.node_var(id))) v.failed_ieds.push_back(id);
   }
   for (const int id : scenario.rtu_ids()) {
-    if (!session.value(encoder.node_var(id))) v.failed_rtus.push_back(id);
+    if (!value(encoder.node_var(id))) v.failed_rtus.push_back(id);
   }
   if (encoder.options().links_can_fail) {
     for (const auto& link : scenario.topology().links()) {
-      if (link.up && !session.value(encoder.link_var(link.id))) {
-        v.failed_links.push_back(link.id);
-      }
+      if (link.up && !value(encoder.link_var(link.id))) v.failed_links.push_back(link.id);
     }
   }
   return v;
+}
+
+ThreatVector extract_threat_vector(const ThreatEncoder& encoder, const smt::Session& session) {
+  return extract_threat_vector(encoder, [&](smt::Formula f) { return session.value(f); });
 }
 
 ThreatVector minimize_threat(const ScenarioOracle& oracle, Property property,
@@ -182,73 +187,23 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
 
 MaxResiliencyResult ScadaAnalyzer::max_resiliency(Property property, FailureClass failure_class,
                                                   int spec_r) {
-  const int ieds = static_cast<int>(scenario_.ied_ids().size());
-  const int rtus = static_cast<int>(scenario_.rtu_ids().size());
-  const auto spec_for = [&](int k) {
-    switch (failure_class) {
-      case FailureClass::IedOnly: return ResiliencySpec::per_type(k, 0, spec_r);
-      case FailureClass::RtuOnly: return ResiliencySpec::per_type(0, k, spec_r);
-      case FailureClass::Combined: return ResiliencySpec::total(k, spec_r);
-    }
-    throw ConfigError("unknown failure class");
-  };
-  const int limit = failure_class == FailureClass::IedOnly   ? ieds
-                    : failure_class == FailureClass::RtuOnly ? rtus
-                                                             : ieds + rtus;
-
-  // One incremental session: the (expensive) ¬property encoding is built and
-  // asserted once; each probed k asserts "guard -> failure_budget(k)" and is
-  // solved assuming its guard, so learned clauses carry across probes and
-  // unprobed budgets are never encoded.
-  smt::FormulaBuilder builder;
-  ThreatEncoder encoder(scenario_, options_.encoder, builder);
-  smt::Session session(builder, options_.solver);
-  // Same cancellation wiring as verify()/enumerate_threats(): service
-  // deadlines and user cancels must be able to stop the search mid-probe.
-  session.set_interrupt(options_.interrupt);
-  session.assert_formula(builder.mk_not(encoder.property(property, spec_r)));
-
-  MaxResiliencyResult out;
-  const auto probe = [&](int k) {
-    ++out.probes;
-    const smt::Formula guard = builder.mk_var("budget_sel_" + std::to_string(k));
-    session.assert_formula(builder.mk_implies(guard, encoder.failure_budget(spec_for(k))));
-    return session.solve({guard});
-  };
-
-  // resilient(k) is monotone decreasing in k (a model within budget k fits
-  // budget k+1). Real systems sit at small max_k, where a plain bisection of
-  // [0, limit] opens with loosely-bounded midpoints — the most expensive
-  // budgets to encode and solve. Gallop from the low end instead (0, 1, 2,
-  // 4, ...) so the boundary is bracketed by tightly-bounded cheap probes,
-  // then bisect the remaining interval; the worst case stays O(log limit)
-  // probes, and no k is ever probed twice.
-  int lo = 0;
-  int hi = limit;
-  int next = 0;
-  bool gallop = true;
-  while (lo <= hi) {
-    const int mid = gallop ? std::min(next, hi) : lo + (hi - lo) / 2;
-    switch (probe(mid)) {
-      case SolveResult::Unknown:
-        // Interrupt or solver budget: every k below lo was proven resilient,
-        // so report that partial bound instead of throwing — deadlines
-        // degrade like every other op.
-        out.max_k = lo - 1;
-        out.completed = false;
-        return out;
-      case SolveResult::Unsat:
-        lo = mid + 1;
-        next = mid == 0 ? 1 : 2 * mid;
-        break;
-      case SolveResult::Sat:
-        hi = mid - 1;
-        gallop = false;
-        break;
-    }
-  }
-  out.max_k = lo - 1;  // every k < lo resilient; lo attackable or beyond the limit
-  return out;
+  const std::uint64_t ieds = scenario_.ied_ids().size();
+  const std::uint64_t rtus = scenario_.rtu_ids().size();
+  const std::uint64_t limit = failure_class == FailureClass::IedOnly   ? ieds
+                              : failure_class == FailureClass::RtuOnly ? rtus
+                                                                       : ieds + rtus;
+  // resilient(k) holds exactly for k below the fewest class failures that
+  // break the property (an interrupted search has proven its lower bound).
+  // Link failures can push a combined index past the device count; the cap
+  // keeps max_k a device budget.
+  const SecurityIndexResult index =
+      Optimizer(scenario_, {.analyzer = options_}).security_index(property, spec_r, failure_class);
+  const std::uint64_t breaking = !index.completed  ? index.maxsat.lower_bound
+                                 : index.attackable ? index.index
+                                                    : limit + 1;
+  return {.max_k = static_cast<int>(std::min(breaking, limit + 1)) - 1,
+          .completed = index.completed,
+          .certified = index.certified};
 }
 
 }  // namespace scada::core

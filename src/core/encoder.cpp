@@ -58,8 +58,7 @@ Formula ThreatEncoder::link_var(int link_id) const {
 
 Formula ThreatEncoder::delivery_formula(int ied_id, DeliveryKind kind) {
   std::vector<Formula> path_terms;
-  for (const auto& path :
-       admissible_paths(scenario_, ied_id, kind, options_.max_paths_per_ied)) {
+  for (const auto& path : admissible_paths(scenario_, ied_id, kind)) {
     // Dynamic part: all field devices on the path up, all links up.
     std::vector<Formula> terms;
     for (const int id : path.field_devices) terms.push_back(node_var(id));

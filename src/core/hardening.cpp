@@ -5,8 +5,7 @@
 
 namespace scada::core {
 
-HardeningAdvisor::HardeningAdvisor(const ScadaScenario& scenario, AnalyzerOptions options)
-    : scenario_(scenario), options_(std::move(options)) {}
+HardeningAdvisor::HardeningAdvisor(const ScadaScenario& scenario) : scenario_(scenario) {}
 
 std::vector<HardeningAction> HardeningAdvisor::candidates() const {
   const auto& topology = scenario_.topology();
@@ -15,7 +14,7 @@ std::vector<HardeningAction> HardeningAdvisor::candidates() const {
 
   std::set<std::pair<int, int>> hops;
   for (const int ied : scenario_.ied_ids()) {
-    for (const auto& path : topology.paths_to_mtu(ied, options_.encoder.max_paths_per_ied)) {
+    for (const auto& path : topology.paths_to_mtu(ied)) {
       for (const auto& [a, b] : topology.logical_hops(path)) {
         if (!policy.secured_hop(a, b, rules)) {
           hops.insert(a < b ? std::pair{a, b} : std::pair{b, a});

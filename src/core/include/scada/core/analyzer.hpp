@@ -6,12 +6,12 @@
 // enumerate_threats() — the full threat space via blocking constraints
 //                       (Fig. 7(b)'s metric).
 // max_resiliency()    — largest k for which the property is still resilient
-//                       (Fig. 7(a)'s metric), by a gallop-then-bisect search
-//                       over guarded failure budgets on one incremental
-//                       session.
+//                       (Fig. 7(a)'s metric): one less than the failure
+//                       class's security index (Optimizer::security_index).
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,12 +62,14 @@ struct MaxResiliencyResult {
   /// Largest budget k with a resilient (unsat) verdict; -1 if even k = 0
   /// fails (the property does not hold in the nominal configuration).
   int max_k = -1;
-  /// Number of budgets solved in the search.
-  int probes = 0;
-  /// False when an interrupt (or solver budget) cut the sweep short before a
-  /// Sat verdict decided it; max_k is then a proven lower bound, not the
-  /// exact answer.
+  /// False when an interrupt (or solver budget) cut the search short; max_k
+  /// is then a proven lower bound, not the exact answer.
   bool completed = true;
+  /// With SessionOptions::certify on the CDCL backend: "no k+1 failures of
+  /// the class break the property" carries a checker-accepted DRAT
+  /// certificate (the security index's closing bound). Set whenever the
+  /// class breaks the property at a positive index.
+  bool certified = false;
 };
 
 struct AnalyzerOptions {
@@ -89,8 +91,11 @@ struct AnalyzerOptions {
   const std::atomic<bool>* interrupt = nullptr;
 };
 
-/// Reads the failure assignment of the last Sat model out of a session as a
-/// ThreatVector (id lists ascending). Used by verify() and
+/// Reads the failure assignment of a model as a ThreatVector (id lists
+/// ascending); `value` evaluates one of the encoder's variables under it.
+[[nodiscard]] ThreatVector extract_threat_vector(
+    const ThreatEncoder& encoder, const std::function<bool(smt::Formula)>& value);
+/// The same for the last Sat model of a session. Used by verify() and
 /// enumerate_threats(), and by callers that drive their own Session over a
 /// ThreatEncoder's formulas.
 [[nodiscard]] ThreatVector extract_threat_vector(const ThreatEncoder& encoder,
@@ -123,11 +128,10 @@ class ScadaAnalyzer {
                                                             std::size_t max_vectors = 1024,
                                                             bool minimal_only = true);
 
-  /// Largest k (for the failure class) with an unsat verdict. The
-  /// ¬property encoding is asserted once; each probed k adds a guarded
-  /// ThreatEncoder::failure_budget and is solved under its guard. Probes
-  /// gallop from the low end (0, 1, 2, 4, ...) and then bisect the bracketed
-  /// interval. For BadDataDetectability pass spec_r.
+  /// Largest k (for the failure class) with an unsat verdict, capped at the
+  /// class size: the class's MaxSAT security index minus one. An interrupted
+  /// search reports the index's proven lower bound minus one. For
+  /// BadDataDetectability pass spec_r.
   [[nodiscard]] MaxResiliencyResult max_resiliency(Property property, FailureClass failure_class,
                                                    int spec_r = 1);
 

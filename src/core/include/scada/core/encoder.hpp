@@ -36,8 +36,6 @@ struct EncoderOptions {
   /// Extension: links may fail too (free LinkStatus_l variables). The
   /// failure budget then also bounds the number of down links.
   bool links_can_fail = false;
-  /// Cap on enumerated forwarding paths per IED.
-  std::size_t max_paths_per_ied = 4096;
 };
 
 class ThreatEncoder {

@@ -6,9 +6,10 @@
 // specification.
 #pragma once
 
+#include <string>
 #include <vector>
 
-#include "scada/core/analyzer.hpp"
+#include "scada/core/scenario.hpp"
 
 namespace scada::core {
 
@@ -33,7 +34,7 @@ struct HardeningAction {
 
 class HardeningAdvisor {
  public:
-  explicit HardeningAdvisor(const ScadaScenario& scenario, AnalyzerOptions options = {});
+  explicit HardeningAdvisor(const ScadaScenario& scenario);
 
   /// The candidate hops considered (insecure logical hops on some IED path);
   /// apply_hardening() applies a chosen set.
@@ -41,7 +42,6 @@ class HardeningAdvisor {
 
  private:
   const ScadaScenario& scenario_;
-  AnalyzerOptions options_;
 };
 
 }  // namespace scada::core

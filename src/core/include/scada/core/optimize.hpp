@@ -1,11 +1,14 @@
 // core::Optimizer: optimization queries over a SCADA scenario, built on the
 // MaxSAT engine (smt::MaxSatSolver) and unsat cores.
 //
-// security_index()     — minimum number of device/link failures that violates
-//                        a property (the paper's security index): soft-clause
-//                        every availability indicator and take the MaxSAT
-//                        optimum. The witness is a minimum-cardinality threat
-//                        vector, cross-checked against the direct oracle.
+// security_index()     — minimum number of device/link failures of a failure
+//                        class that violates a property (the paper's
+//                        security index): soft-clause every availability
+//                        indicator of the class and take the MaxSAT optimum.
+//                        The witness is a minimum-cardinality threat vector,
+//                        cross-checked against the direct oracle. This is the
+//                        only minimum-failure search; ScadaAnalyzer::
+//                        max_resiliency reads its answer off the index.
 // min_cost_hardening() — cheapest set of crypto-profile upgrades restoring a
 //                        resiliency spec, by CEGIS: propose the cheapest
 //                        candidate subset with MaxSAT, verify it with the
@@ -37,11 +40,12 @@ struct OptimizerOptions {
 };
 
 struct SecurityIndexResult {
-  /// Some failure set violates the property. False with completed means the
-  /// property holds under EVERY contingency (the index is undefined/infinite).
+  /// Some failure set of the class violates the property. False with
+  /// completed means the property holds under EVERY contingency of the class
+  /// (the index is undefined/infinite).
   bool attackable = false;
-  /// Minimum number of simultaneous device/link failures violating the
-  /// property (0 when the nominal configuration already violates it).
+  /// Minimum number of simultaneous failures of the failure class violating
+  /// the property (0 when the nominal configuration already violates it).
   /// Meaningful only when completed: an interrupted search ends with no
   /// model, and maxsat.lower_bound holds the proven lower bound.
   std::uint64_t index = 0;
@@ -88,9 +92,13 @@ class Optimizer {
   explicit Optimizer(const ScadaScenario& scenario, OptimizerOptions options = {});
 
   /// Minimum-cardinality threat vector for the property (spec_r only matters
-  /// for BadDataDetectability). Hard constraint: ¬property; soft constraints:
-  /// each device (and, with links_can_fail, link) stays up.
-  [[nodiscard]] SecurityIndexResult security_index(Property property, int spec_r = 1);
+  /// for BadDataDetectability) whose failures all lie in `failure_class`.
+  /// Hard constraint: ¬property; soft constraints: each class member stays
+  /// up — IEDs, RTUs or both, plus up links under links_can_fail for
+  /// Combined. Devices and links outside the class are hard "stays up", the
+  /// per-type rule of ThreatEncoder::failure_budget.
+  [[nodiscard]] SecurityIndexResult security_index(
+      Property property, int spec_r = 1, FailureClass failure_class = FailureClass::Combined);
 
   /// Cheapest hop-upgrade set (over HardeningAdvisor::candidates()) whose
   /// applied scenario verifies resilient. `cost` defaults to 1 per action.

@@ -24,11 +24,11 @@ struct AdmissiblePath {
 };
 
 /// All statically admissible forwarding paths of an IED for the given
-/// delivery kind. Paths failing protocol/crypto checks are dropped here;
-/// paths over administratively down links are kept (LinkStatus is part of
-/// the dynamic state).
+/// delivery kind, among the ScadaTopology::paths_to_mtu paths (default cap).
+/// Paths failing protocol/crypto checks are dropped here; paths over
+/// administratively down links are kept (LinkStatus is part of the dynamic
+/// state).
 [[nodiscard]] std::vector<AdmissiblePath> admissible_paths(const ScadaScenario& scenario,
-                                                           int ied_id, DeliveryKind kind,
-                                                           std::size_t max_paths = 4096);
+                                                           int ied_id, DeliveryKind kind);
 
 }  // namespace scada::core

@@ -19,20 +19,33 @@ smt::MaxSatOptions Optimizer::maxsat_options() const {
   return {.session = options_.analyzer.solver, .interrupt = options_.analyzer.interrupt};
 }
 
-SecurityIndexResult Optimizer::security_index(Property property, int spec_r) {
+SecurityIndexResult Optimizer::security_index(Property property, int spec_r,
+                                              FailureClass failure_class) {
   smt::FormulaBuilder builder;
   ThreatEncoder encoder(scenario_, options_.analyzer.encoder, builder);
 
-  // Hard: the property is violated. Soft (unit weight): each device/link
-  // stays up. The MaxSAT optimum is then the minimum number of simultaneous
-  // failures that breaks the property — the security index.
+  // Hard: the property is violated. Soft (unit weight): each member of the
+  // failure class stays up; every other device/link is hard-pinned up. The
+  // MaxSAT optimum is then the minimum number of simultaneous class failures
+  // that breaks the property — the security index.
   smt::MaxSatSolver maxsat(builder, maxsat_options());
   maxsat.add_hard(builder.mk_not(encoder.property(property, spec_r)));
-  for (const int id : scenario_.ied_ids()) maxsat.add_soft(encoder.node_var(id));
-  for (const int id : scenario_.rtu_ids()) maxsat.add_soft(encoder.node_var(id));
+  const auto stays_up = [&](smt::Formula up, bool may_fail) {
+    if (may_fail) {
+      maxsat.add_soft(up);
+    } else {
+      maxsat.add_hard(up);
+    }
+  };
+  for (const int id : scenario_.ied_ids()) {
+    stays_up(encoder.node_var(id), failure_class != FailureClass::RtuOnly);
+  }
+  for (const int id : scenario_.rtu_ids()) {
+    stays_up(encoder.node_var(id), failure_class != FailureClass::IedOnly);
+  }
   if (options_.analyzer.encoder.links_can_fail) {
     for (const auto& link : scenario_.topology().links()) {
-      if (link.up) maxsat.add_soft(encoder.link_var(link.id));
+      if (link.up) stays_up(encoder.link_var(link.id), failure_class == FailureClass::Combined);
     }
   }
 
@@ -45,19 +58,7 @@ SecurityIndexResult Optimizer::security_index(Property property, int spec_r) {
 
   out.attackable = true;
   out.index = out.maxsat.cost;
-  for (const int id : scenario_.ied_ids()) {
-    if (!maxsat.value(encoder.node_var(id))) out.witness.failed_ieds.push_back(id);
-  }
-  for (const int id : scenario_.rtu_ids()) {
-    if (!maxsat.value(encoder.node_var(id))) out.witness.failed_rtus.push_back(id);
-  }
-  if (options_.analyzer.encoder.links_can_fail) {
-    for (const auto& link : scenario_.topology().links()) {
-      if (link.up && !maxsat.value(encoder.link_var(link.id))) {
-        out.witness.failed_links.push_back(link.id);
-      }
-    }
-  }
+  out.witness = extract_threat_vector(encoder, [&](smt::Formula f) { return maxsat.value(f); });
   if (out.witness.size() != out.index) {
     throw ScadaError("internal: security-index witness size " +
                      std::to_string(out.witness.size()) + " != optimum " +
@@ -173,7 +174,7 @@ MinCostResult Optimizer::min_cost_hardening(Property property, const ResiliencyS
   if (property == Property::Observability) {
     throw ConfigError("Optimizer::min_cost_hardening: plain observability has no crypto levers");
   }
-  HardeningAdvisor advisor(scenario_, options_.analyzer);
+  HardeningAdvisor advisor(scenario_);
   const std::vector<HardeningAction> pool = advisor.candidates();
   std::vector<std::size_t> winning;
   MinCostResult out = min_cost_synthesis(

@@ -12,12 +12,10 @@ ScenarioOracle::ScenarioOracle(const ScadaScenario& scenario, EncoderOptions opt
     : scenario_(scenario), options_(options) {
   for (const int ied : scenario_.ied_ids()) {
     PathSet set;
-    for (auto& p :
-         admissible_paths(scenario_, ied, DeliveryKind::Assured, options_.max_paths_per_ied)) {
+    for (auto& p : admissible_paths(scenario_, ied, DeliveryKind::Assured)) {
       set.assured.push_back({std::move(p.field_devices), std::move(p.link_ids)});
     }
-    for (auto& p :
-         admissible_paths(scenario_, ied, DeliveryKind::Secured, options_.max_paths_per_ied)) {
+    for (auto& p : admissible_paths(scenario_, ied, DeliveryKind::Secured)) {
       set.secured.push_back({std::move(p.field_devices), std::move(p.link_ids)});
     }
     paths_by_ied_.emplace(ied, std::move(set));

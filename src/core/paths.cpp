@@ -3,13 +3,13 @@
 namespace scada::core {
 
 std::vector<AdmissiblePath> admissible_paths(const ScadaScenario& scenario, int ied_id,
-                                             DeliveryKind kind, std::size_t max_paths) {
+                                             DeliveryKind kind) {
   const auto& topology = scenario.topology();
   const auto& policy = scenario.policy();
   const auto& rules = scenario.crypto_rules();
 
   std::vector<AdmissiblePath> result;
-  for (const auto& path : topology.paths_to_mtu(ied_id, max_paths)) {
+  for (const auto& path : topology.paths_to_mtu(ied_id)) {
     bool admissible = true;
     for (const auto& [a, b] : topology.logical_hops(path)) {
       const auto& da = topology.device(a);

@@ -1,6 +1,7 @@
 #include "scada/io/case_format.hpp"
 
 #include <fstream>
+#include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -29,6 +30,16 @@ struct RawCase {
 
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
   throw ParseError("case file line " + std::to_string(line_no) + ": " + what);
+}
+
+/// An int-valued field (id, endpoint, key bits, spec knob). Out-of-range
+/// values are errors, never a silent wrap: 2^32 + 1 must not read as 1.
+int parse_int(std::size_t line_no, const std::string& token) {
+  const long value = util::parse_long(token);
+  if (value < std::numeric_limits<int>::min() || value > std::numeric_limits<int>::max()) {
+    fail(line_no, "integer '" + token + "' out of range");
+  }
+  return static_cast<int>(value);
 }
 
 DeviceType parse_device_type(std::size_t line_no, const std::string& word) {
@@ -85,21 +96,21 @@ CaseFile read_case(std::istream& in) {
       if (tokens.size() != 2) fail(line_no, "[devices] expects '<type> <id>'");
       Device d;
       d.type = parse_device_type(line_no, tokens[0]);
-      d.id = static_cast<int>(util::parse_long(tokens[1]));
+      d.id = parse_int(line_no, tokens[1]);
       raw.devices.push_back(std::move(d));
     } else if (section == "links") {
       if (tokens.size() != 3 && !(tokens.size() == 4 && tokens[3] == "down")) {
         fail(line_no, "[links] expects '<id> <a> <b> [down]'");
       }
       Link l;
-      l.id = static_cast<int>(util::parse_long(tokens[0]));
-      l.a = static_cast<int>(util::parse_long(tokens[1]));
-      l.b = static_cast<int>(util::parse_long(tokens[2]));
+      l.id = parse_int(line_no, tokens[0]);
+      l.a = parse_int(line_no, tokens[1]);
+      l.b = parse_int(line_no, tokens[2]);
       l.up = tokens.size() == 3;
       raw.links.push_back(l);
     } else if (section == "measurements") {
       if (tokens.size() < 2) fail(line_no, "[measurements] expects '<ied> <m...>'");
-      const int ied = static_cast<int>(util::parse_long(tokens[0]));
+      const int ied = parse_int(line_no, tokens[0]);
       auto& list = raw.measurements_of_ied[ied];
       for (std::size_t i = 1; i < tokens.size(); ++i) {
         const long m = util::parse_long(tokens[i]);
@@ -110,18 +121,17 @@ CaseFile read_case(std::istream& in) {
       if (tokens.size() < 4 || (tokens.size() - 2) % 2 != 0) {
         fail(line_no, "[security] expects '<a> <b> (<algo> <bits>)+'");
       }
-      const int a = static_cast<int>(util::parse_long(tokens[0]));
-      const int b = static_cast<int>(util::parse_long(tokens[1]));
+      const int a = parse_int(line_no, tokens[0]);
+      const int b = parse_int(line_no, tokens[1]);
       std::vector<CryptoSuite> suites;
       for (std::size_t i = 2; i + 1 < tokens.size(); i += 2) {
-        suites.push_back(
-            {util::to_lower(tokens[i]), static_cast<int>(util::parse_long(tokens[i + 1]))});
+        suites.push_back({util::to_lower(tokens[i]), parse_int(line_no, tokens[i + 1])});
       }
       raw.policy.set_pair_suites(a, b, std::move(suites));
     } else if (section == "spec") {
       if (tokens.size() != 2) fail(line_no, "[spec] expects '<knob> <value>'");
       if (!raw.spec) raw.spec = core::ResiliencySpec{};
-      const int value = static_cast<int>(util::parse_long(tokens[1]));
+      const int value = parse_int(line_no, tokens[1]);
       if (tokens[0] == "k") {
         raw.spec->k_total = value;
       } else if (tokens[0] == "k1") {

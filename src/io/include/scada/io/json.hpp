@@ -80,9 +80,14 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses once
+/// per level, so a bound keeps one hostile line from overflowing the stack;
+/// the protocol's deepest request nests three objects plus its "id".
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parses one JSON document (the whole input must be consumed apart from
 /// trailing whitespace); throws scada::ParseError with an offset on
-/// malformed input.
+/// malformed input, including nesting deeper than kMaxJsonDepth.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// Escapes and quotes a string per RFC 8259.

@@ -57,8 +57,15 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) {
+          fail(pos_, "nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (!consume_literal("true")) fail(pos_, "invalid literal");
@@ -217,6 +224,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 [[noreturn]] void kind_error(const char* wanted) {

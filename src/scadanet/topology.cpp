@@ -104,30 +104,46 @@ std::vector<ForwardingPath> ScadaTopology::paths_to_mtu(int ied_id,
   current.devices.push_back(ied_id);
   on_path[index_of(ied_id)] = true;
 
-  const auto dfs = [&](auto&& self, int at) -> void {
-    if (result.size() >= max_paths) return;
-    if (at == mtu_id_) {
-      result.push_back(current);
-      return;
+  // Depth-first with an explicit stack: one recursion per hop would overflow
+  // the thread stack on a long RTU chain. Each frame is a device on
+  // `current` and the next adjacency slot to try, so paths come out in the
+  // order a recursive DFS over the adjacency lists would emit them. Reaching
+  // the MTU records a path instead of opening a frame.
+  std::vector<std::pair<std::size_t, std::size_t>> stack;
+  stack.reserve(16);  // deeper than any real hierarchy; one allocation per call
+  stack.emplace_back(index_of(ied_id), 0);
+  while (!stack.empty() && result.size() < max_paths) {
+    auto [at, slot] = stack.back();
+    const std::vector<std::size_t>& edges = adjacency_[at];
+    // The next neighbor that extends the path: not on it already, and not an
+    // IED — data flows up the acquisition hierarchy, so measurements never
+    // route *through* another IED (IEDs are sources, not forwarders).
+    std::size_t next_idx = 0;
+    const Link* via = nullptr;
+    while (via == nullptr && slot < edges.size()) {
+      const Link& l = links_[edges[slot++]];
+      next_idx = index_of(l.a == devices_[at].id ? l.b : l.a);
+      if (!on_path[next_idx] && devices_[next_idx].type != DeviceType::Ied) via = &l;
     }
-    for (const std::size_t li : adjacency_[index_of(at)]) {
-      const Link& l = links_[li];
-      const int next = (l.a == at) ? l.b : l.a;
-      const std::size_t next_idx = index_of(next);
-      if (on_path[next_idx]) continue;
-      // Data flows up the acquisition hierarchy: measurements never route
-      // *through* another IED (IEDs are sources, not forwarders).
-      if (devices_[next_idx].type == DeviceType::Ied) continue;
-      on_path[next_idx] = true;
-      current.devices.push_back(next);
-      current.link_ids.push_back(l.id);
-      self(self, next);
+    stack.back().second = slot;
+    if (via == nullptr) {
+      on_path[at] = false;
+      stack.pop_back();
+      current.devices.pop_back();
+      if (!current.link_ids.empty()) current.link_ids.pop_back();
+      continue;
+    }
+    current.devices.push_back(devices_[next_idx].id);
+    current.link_ids.push_back(via->id);
+    if (devices_[next_idx].id == mtu_id_) {
+      result.push_back(current);
       current.devices.pop_back();
       current.link_ids.pop_back();
-      on_path[next_idx] = false;
+    } else {
+      on_path[next_idx] = true;
+      stack.emplace_back(next_idx, 0);
     }
-  };
-  dfs(dfs, ied_id);
+  }
   return result;
 }
 

@@ -70,7 +70,6 @@ JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property
   key += options.minimize_threats ? "\nminimize=1" : "\nminimize=0";
   key += options.encoder.injection_redundancy ? "\ninj_redundancy=1" : "\ninj_redundancy=0";
   key += options.encoder.links_can_fail ? "\nlinks_fail=1" : "\nlinks_fail=0";
-  key += "\nmax_paths=" + std::to_string(options.encoder.max_paths_per_ied);
   key += "\nscenario=\n";
   key += scenario_blob;
 

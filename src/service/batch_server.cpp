@@ -176,7 +176,9 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
     out.spec = core::ResiliencySpec::total(0);  // r = 1; budget unused
   }
   job.spec = out.spec;
-  job.options.solver.backend = options_.default_backend;
+  // Requests that name no backend run on the native CDCL engine: it honors
+  // mid-solve deadline interrupts (Z3 only polls between solves).
+  job.options.solver.backend = smt::Backend::Cdcl;
   if (const JsonValue* b = request.find("backend")) {
     job.options.solver.backend = parse_backend(b->as_string());
   }

@@ -52,10 +52,6 @@ namespace scada::service {
 
 struct ServerOptions {
   SchedulerOptions scheduler;
-  /// Default solver backend for requests that don't name one. The native
-  /// CDCL engine is the default: it honors mid-solve deadline interrupts
-  /// (Z3 only polls between solves).
-  smt::Backend default_backend = smt::Backend::Cdcl;
 };
 
 class BatchServer {

@@ -7,9 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <set>
-#include <thread>
 
 #include "scada/core/brute_force.hpp"
 #include "scada/core/case_study.hpp"
@@ -79,8 +77,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, AnalyzerVsBruteForce, ::testing::Range(0, 8));
 class MaxResiliencyVsEnumeration : public ::testing::TestWithParam<int> {};
 
 TEST_P(MaxResiliencyVsEnumeration, MatchesLargestThreatFreeBudget) {
-  // The gallop-then-bisect search against the largest k whose enumeration
-  // finds no threat at all: 3 failure classes x 2 properties x 2 backends.
+  // The MaxSAT-backed search against the largest k whose enumeration finds
+  // no threat at all: 3 failure classes x 2 properties x 2 backends.
   const ScadaScenario s = make_case_study();
   const Property property =
       GetParam() < 4 ? Property::Observability : Property::SecuredObservability;
@@ -249,14 +247,6 @@ TEST(AnalyzerTest, CombinedBudgetMatchesPerTypeUnion) {
   EXPECT_EQ(total_sat, any_split_sat);
 }
 
-TEST(AnalyzerTest, MaxResiliencyProbesCounted) {
-  const ScadaScenario s = make_case_study();
-  ScadaAnalyzer analyzer(s);
-  const auto r = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly);
-  EXPECT_EQ(r.max_k, 3);
-  EXPECT_EQ(r.probes, 5);  // k = 0..4, sat at 4
-}
-
 TEST(AnalyzerTest, MaxResiliencyCombined) {
   const ScadaScenario s = make_case_study();
   ScadaAnalyzer analyzer(s);
@@ -304,68 +294,6 @@ TEST(AnalyzerTest, CertifiedVerifyWithInprocessing) {
   ASSERT_EQ(sat.result, smt::SolveResult::Sat);
   EXPECT_TRUE(sat.certified);
   ASSERT_TRUE(sat.threat.has_value());
-}
-
-TEST(AnalyzerTest, MaxResiliencyInterruptedReturnsPartialResult) {
-  // Regression: an interrupt during the k-sweep used to surface as a thrown
-  // SolverError because the session was never wired to options_.interrupt and
-  // Unknown was treated as a solver defect. It must degrade to a partial,
-  // non-throwing result like every other analyzer operation.
-  const ScadaScenario s = make_case_study();
-  std::atomic<bool> stop{true};
-  AnalyzerOptions options;
-  options.solver.backend = smt::Backend::Cdcl;
-  options.interrupt = &stop;
-  ScadaAnalyzer analyzer(s, options);
-
-  MaxResiliencyResult r;
-  ASSERT_NO_THROW(
-      r = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly));
-  EXPECT_FALSE(r.completed);
-  EXPECT_EQ(r.max_k, -1);  // nothing proven before the very first probe
-  EXPECT_EQ(r.probes, 1);
-
-  // Clearing the flag restores the full search on the same analyzer.
-  stop.store(false);
-  const auto full = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly);
-  EXPECT_TRUE(full.completed);
-  EXPECT_EQ(full.max_k, 3);
-}
-
-TEST(AnalyzerTest, MaxResiliencyInterruptedMidSearchKeepsProvenBound) {
-  // Fire the interrupt from a watchdog thread while the sweep runs on a
-  // larger synthetic system. Whatever probe it lands in, the result must be
-  // a sound partial bound, never a throw.
-  synth::SynthConfig config;
-  config.buses = 30;
-  config.seed = 7;
-  const ScadaScenario s = synth::generate_scenario(config);
-
-  AnalyzerOptions reference_options;
-  reference_options.solver.backend = smt::Backend::Cdcl;
-  ScadaAnalyzer reference(s, reference_options);
-  const auto full = reference.max_resiliency(Property::Observability, FailureClass::Combined);
-  ASSERT_TRUE(full.completed);
-
-  std::atomic<bool> stop{false};
-  AnalyzerOptions options = reference_options;
-  options.interrupt = &stop;
-  ScadaAnalyzer analyzer(s, options);
-  std::thread watchdog([&stop] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    stop.store(true);
-  });
-  MaxResiliencyResult partial;
-  ASSERT_NO_THROW(
-      partial = analyzer.max_resiliency(Property::Observability, FailureClass::Combined));
-  watchdog.join();
-
-  EXPECT_GE(partial.max_k, -1);
-  EXPECT_LE(partial.max_k, full.max_k);
-  if (partial.completed) {
-    // The sweep outran the watchdog — then it must be the full answer.
-    EXPECT_EQ(partial.max_k, full.max_k);
-  }
 }
 
 TEST(AnalyzerTest, EnumerationHonoursInterruptAndCertify) {

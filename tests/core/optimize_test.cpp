@@ -2,15 +2,19 @@
 // with a Sat (attackable) verdict from the plain analyzer, minimum-cost
 // hardening must match the smallest restoring upgrade set, the CEGIS
 // placement loop must reach the requested resiliency (and give up quickly
-// when it cannot). The analyzer's gallop-then-bisect max_resiliency is
-// checked here too, against the same kind of per-k verify() sweep.
+// when it cannot). The analyzer's max_resiliency, which reads its answer off
+// the per-class security index, is checked here too: against the same kind
+// of per-k verify() sweep, certified, and under interrupts.
 #include "scada/core/optimize.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "scada/core/case_study.hpp"
@@ -33,16 +37,20 @@ std::optional<int> index_by_sweep(const ScadaScenario& scenario, Property proper
   return std::nullopt;
 }
 
+/// Number of devices in a failure class: the largest budget max_resiliency
+/// reports.
+int class_size(const ScadaScenario& scenario, FailureClass cls) {
+  const int ieds = static_cast<int>(scenario.ied_ids().size());
+  const int rtus = static_cast<int>(scenario.rtu_ids().size());
+  return cls == FailureClass::IedOnly ? ieds : cls == FailureClass::RtuOnly ? rtus : ieds + rtus;
+}
+
 /// Largest k whose per-k verify() is resilient for the failure class — the
 /// definition max_resiliency searches for, by a plain linear sweep.
 int max_k_by_sweep(const ScadaScenario& scenario, Property property, FailureClass cls, int r,
                    const AnalyzerOptions& options) {
   ScadaAnalyzer analyzer(scenario, options);
-  const int ieds = static_cast<int>(scenario.ied_ids().size());
-  const int rtus = static_cast<int>(scenario.rtu_ids().size());
-  const int limit = cls == FailureClass::IedOnly   ? ieds
-                    : cls == FailureClass::RtuOnly ? rtus
-                                                   : ieds + rtus;
+  const int limit = class_size(scenario, cls);
   for (int k = 0; k <= limit; ++k) {
     const ResiliencySpec spec = cls == FailureClass::IedOnly   ? ResiliencySpec::per_type(k, 0, r)
                                 : cls == FailureClass::RtuOnly ? ResiliencySpec::per_type(0, k, r)
@@ -58,7 +66,7 @@ int max_k_by_sweep(const ScadaScenario& scenario, Property property, FailureClas
 std::optional<std::size_t> min_upgrades_by_sweep(const ScadaScenario& scenario,
                                                  Property property, const ResiliencySpec& spec,
                                                  const AnalyzerOptions& options) {
-  const std::vector<HardeningAction> pool = HardeningAdvisor(scenario, options).candidates();
+  const std::vector<HardeningAction> pool = HardeningAdvisor(scenario).candidates();
   std::optional<std::size_t> best;
   util::for_each_subset_up_to(pool.size(), pool.size(), [&](const std::vector<std::size_t>& subset) {
     std::vector<HardeningAction> actions;
@@ -187,12 +195,13 @@ TEST_P(OptimizerBothBackends, PlainObservabilityHardeningRejected) {
 }
 
 TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
-  // ScadaAnalyzer::max_resiliency (gallop-then-bisect over guarded budgets)
+  // ScadaAnalyzer::max_resiliency (the per-class MaxSAT security index)
   // against an independent per-k verify() sweep, on every budget path
   // ThreatEncoder::failure_budget owns: per-type classes, the combined
-  // budget, spec_r > 1 and link failures under the combined budget. On CDCL
-  // the search also runs certified, so SessionOptions::certify reaches the
-  // incremental session (proof logging under guarded budget assumptions).
+  // budget, spec_r > 1 and link failures, which only the combined budget
+  // lets happen (a per-type class keeps links up). On CDCL the search also
+  // runs certified: every answer below the class size rests on a positive
+  // index, whose closing bound must carry a checked proof.
   struct Case {
     Property property;
     int r;
@@ -214,13 +223,18 @@ TEST_P(OptimizerBothBackends, BinarySearchMaxResiliencyMatchesTheLinearSweep) {
         ScadaAnalyzer analyzer(s, analyzer_options);
         for (const auto cls :
              {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
-          if (c.links_can_fail && cls != FailureClass::Combined) continue;
           const MaxResiliencyResult searched = analyzer.max_resiliency(c.property, cls, c.r);
-          ASSERT_TRUE(searched.completed);
+          const std::string where = std::string(to_string(c.property)) +
+                                    " r=" + std::to_string(c.r) +
+                                    " links=" + std::to_string(c.links_can_fail) + " " +
+                                    to_string(cls) + " certify=" + std::to_string(certify) +
+                                    (topology == CaseStudyTopology::Fig3 ? " on fig3" : " on fig4");
+          ASSERT_TRUE(searched.completed) << where;
           EXPECT_EQ(searched.max_k, max_k_by_sweep(s, c.property, cls, c.r, analyzer_options))
-              << to_string(c.property) << " r=" << c.r << " links=" << c.links_can_fail << " "
-              << to_string(cls) << " certify=" << certify << " on "
-              << (topology == CaseStudyTopology::Fig3 ? "fig3" : "fig4");
+              << where;
+          if (certify && searched.max_k >= 0 && searched.max_k < class_size(s, cls)) {
+            EXPECT_TRUE(searched.certified) << where;
+          }
         }
       }
     }
@@ -272,6 +286,25 @@ TEST(OptimizerTest, CertifiedSecurityIndexOnCdcl) {
   EXPECT_TRUE(result.certified) << result.maxsat.detail;
 }
 
+TEST(OptimizerTest, CertifiedMaxResiliencyOnCdcl) {
+  // Fig. 3, IED-only observability: three IED failures are survived and the
+  // fourth breaks it. "No 4 IED failures within budget 3" is the security
+  // index's closing bound, so max_k = 3 carries its DRAT certificate on
+  // CDCL; Z3 sessions have no certificate to give.
+  const ScadaScenario s = make_case_study(CaseStudyTopology::Fig3);
+  for (const auto backend : {smt::Backend::Cdcl, smt::Backend::Z3}) {
+    AnalyzerOptions options;
+    options.solver.backend = backend;
+    options.solver.certify = true;
+    ScadaAnalyzer analyzer(s, options);
+    const MaxResiliencyResult r =
+        analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly);
+    ASSERT_TRUE(r.completed) << smt::to_string(backend);
+    EXPECT_EQ(r.max_k, 3) << smt::to_string(backend);
+    EXPECT_EQ(r.certified, backend == smt::Backend::Cdcl) << smt::to_string(backend);
+  }
+}
+
 TEST(OptimizerTest, CertifiedHardeningVerification) {
   const ScadaScenario s = make_case_study();
   OptimizerOptions options;
@@ -300,6 +333,67 @@ TEST(OptimizerTest, PresetInterruptDegradesGracefully) {
       optimizer.min_cost_hardening(Property::SecuredObservability, ResiliencySpec::per_type(1, 1));
   EXPECT_FALSE(hardening.completed);
   EXPECT_FALSE(hardening.achievable);
+}
+
+TEST(AnalyzerTest, MaxResiliencyInterruptedReturnsPartialResult) {
+  // Regression: an interrupt during the search used to surface as a thrown
+  // SolverError because the session was never wired to options_.interrupt and
+  // Unknown was treated as a solver defect. It must degrade to a partial,
+  // non-throwing result like every other analyzer operation.
+  const ScadaScenario s = make_case_study();
+  std::atomic<bool> stop{true};
+  AnalyzerOptions options;
+  options.solver.backend = smt::Backend::Cdcl;
+  options.interrupt = &stop;
+  ScadaAnalyzer analyzer(s, options);
+
+  MaxResiliencyResult r;
+  ASSERT_NO_THROW(
+      r = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly));
+  EXPECT_FALSE(r.completed);
+  EXPECT_EQ(r.max_k, -1);  // nothing proven before the first solve
+
+  // Clearing the flag restores the full search on the same analyzer.
+  stop.store(false);
+  const auto full = analyzer.max_resiliency(Property::Observability, FailureClass::IedOnly);
+  EXPECT_TRUE(full.completed);
+  EXPECT_EQ(full.max_k, 3);
+}
+
+TEST(AnalyzerTest, MaxResiliencyInterruptedMidSearchKeepsProvenBound) {
+  // Fire the interrupt from a watchdog thread while the search runs on a
+  // larger synthetic system. Whatever solve it lands in, the result must be
+  // a sound partial bound, never a throw.
+  synth::SynthConfig config;
+  config.buses = 30;
+  config.seed = 7;
+  const ScadaScenario s = synth::generate_scenario(config);
+
+  AnalyzerOptions reference_options;
+  reference_options.solver.backend = smt::Backend::Cdcl;
+  ScadaAnalyzer reference(s, reference_options);
+  const auto full = reference.max_resiliency(Property::Observability, FailureClass::Combined);
+  ASSERT_TRUE(full.completed);
+
+  std::atomic<bool> stop{false};
+  AnalyzerOptions options = reference_options;
+  options.interrupt = &stop;
+  ScadaAnalyzer analyzer(s, options);
+  std::thread watchdog([&stop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stop.store(true);
+  });
+  MaxResiliencyResult partial;
+  ASSERT_NO_THROW(
+      partial = analyzer.max_resiliency(Property::Observability, FailureClass::Combined));
+  watchdog.join();
+
+  EXPECT_GE(partial.max_k, -1);
+  EXPECT_LE(partial.max_k, full.max_k);
+  if (partial.completed) {
+    // The search outran the watchdog — then it must be the full answer.
+    EXPECT_EQ(partial.max_k, full.max_k);
+  }
 }
 
 TEST(PlacementTest, UnachievableWithinBudget) {

@@ -12,13 +12,14 @@
 // rejected certificate fails via ScadaError, same as a divergence. A fifth
 // configuration repeats the CDCL run with inprocessing disabled so
 // simplifier-induced divergences are attributable. A sixth configuration
-// gates the optimization subsystem: the MaxSAT security index (both
-// strategies, both backends) must equal the brute-force minimum attack
-// cardinality.
+// gates the optimization subsystem: the MaxSAT security index of every
+// failure class on both backends must equal the brute-force minimum attack
+// cardinality, and max_resiliency must report one less.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -169,10 +170,12 @@ TEST(DifferentialFuzzTest, ThreatSetsAgreeOnRandomScenarios) {
 }
 
 TEST(DifferentialFuzzTest, SecurityIndexMatchesTheBruteForceMinimum) {
-  // Sixth configuration: for small random scenarios the MaxSAT security
-  // index must equal the smallest total failure budget k with an attackable
-  // (Sat) brute-force verdict on both backends. Any disagreement is a
-  // soft-clause encoding, core-extraction, or bound bug.
+  // Sixth configuration: for small random scenarios and every failure class
+  // the MaxSAT security index must equal the smallest class budget k with an
+  // attackable (Sat) brute-force verdict on both backends, and
+  // max_resiliency must be k - 1 (the class size when no k breaks the
+  // property). Any disagreement is a soft-clause encoding, class-pinning,
+  // core-extraction, or bound bug.
   util::Rng rng(0x0517);
   int attackable_rounds = 0;
   for (int round = 0; round < 8; ++round) {
@@ -180,32 +183,47 @@ TEST(DifferentialFuzzTest, SecurityIndexMatchesTheBruteForceMinimum) {
     c.config.buses = 5 + static_cast<int>(rng.index(2));  // keep brute force cheap
     c.encoder.links_can_fail = false;  // the index soft-clauses device vars only
     const ScadaScenario s = synth::generate_scenario(c.config);
-    const int limit = static_cast<int>(s.ied_ids().size() + s.rtu_ids().size());
-    ASSERT_LE(limit, 16) << describe(c);  // brute force sweeps 2^limit subsets
+    const int ieds = static_cast<int>(s.ied_ids().size());
+    const int rtus = static_cast<int>(s.rtu_ids().size());
+    ASSERT_LE(ieds + rtus, 16) << describe(c);  // brute force sweeps 2^limit subsets
 
     BruteForceVerifier brute(s, c.encoder);
-    std::optional<int> expected;
-    for (int k = 0; k <= limit && !expected.has_value(); ++k) {
-      if (brute.verify(c.property, ResiliencySpec::total(k, c.spec.r)).result ==
-          smt::SolveResult::Sat) {
-        expected = k;
+    for (const auto cls : {FailureClass::IedOnly, FailureClass::RtuOnly, FailureClass::Combined}) {
+      const int limit = cls == FailureClass::IedOnly   ? ieds
+                        : cls == FailureClass::RtuOnly ? rtus
+                                                       : ieds + rtus;
+      const auto spec_for = [&](int k) {
+        return cls == FailureClass::IedOnly   ? ResiliencySpec::per_type(k, 0, c.spec.r)
+               : cls == FailureClass::RtuOnly ? ResiliencySpec::per_type(0, k, c.spec.r)
+                                              : ResiliencySpec::total(k, c.spec.r);
+      };
+      std::optional<int> expected;
+      for (int k = 0; k <= limit && !expected.has_value(); ++k) {
+        if (brute.verify(c.property, spec_for(k)).result == smt::SolveResult::Sat) expected = k;
       }
-    }
-    if (expected.has_value()) ++attackable_rounds;
+      if (expected.has_value()) ++attackable_rounds;
+      const std::string where = std::string(to_string(cls)) + " " + describe(c);
 
-    for (const auto backend : {smt::Backend::Z3, smt::Backend::Cdcl}) {
-      OptimizerOptions options;
-      options.analyzer.encoder = c.encoder;
-      options.analyzer.solver.backend = backend;
-      Optimizer optimizer(s, options);
-      const SecurityIndexResult result = optimizer.security_index(c.property, c.spec.r);
-      ASSERT_TRUE(result.completed) << describe(c);
-      EXPECT_EQ(result.attackable, expected.has_value())
-          << smt::to_string(backend) << " " << describe(c);
-      if (expected.has_value() && result.attackable) {
-        EXPECT_EQ(result.index, static_cast<std::uint64_t>(*expected))
-            << smt::to_string(backend) << " " << describe(c);
-        EXPECT_EQ(result.witness.size(), result.index) << describe(c);
+      for (const auto backend : {smt::Backend::Z3, smt::Backend::Cdcl}) {
+        OptimizerOptions options;
+        options.analyzer.encoder = c.encoder;
+        options.analyzer.solver.backend = backend;
+        Optimizer optimizer(s, options);
+        const SecurityIndexResult result = optimizer.security_index(c.property, c.spec.r, cls);
+        ASSERT_TRUE(result.completed) << smt::to_string(backend) << " " << where;
+        EXPECT_EQ(result.attackable, expected.has_value())
+            << smt::to_string(backend) << " " << where;
+        if (expected.has_value() && result.attackable) {
+          EXPECT_EQ(result.index, static_cast<std::uint64_t>(*expected))
+              << smt::to_string(backend) << " " << where;
+          EXPECT_EQ(result.witness.size(), result.index) << where;
+        }
+
+        const MaxResiliencyResult max_k =
+            ScadaAnalyzer(s, options.analyzer).max_resiliency(c.property, cls, c.spec.r);
+        ASSERT_TRUE(max_k.completed) << smt::to_string(backend) << " " << where;
+        EXPECT_EQ(max_k.max_k, expected.has_value() ? *expected - 1 : limit)
+            << smt::to_string(backend) << " " << where;
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "scada/core/analyzer.hpp"
 #include "scada/core/case_study.hpp"
 #include "scada/util/error.hpp"
@@ -119,6 +121,26 @@ TEST(CaseFormatTest, Errors) {
   EXPECT_THROW((void)read_case_string("[counts]\nstates -1\n"), ParseError);
   EXPECT_THROW((void)read_case_string("[jacobian]\n1 2\n"), ParseError);  // before counts
   EXPECT_THROW((void)read_case_file("/nonexistent/path.case"), ParseError);
+
+  // Integers outside int used to wrap silently: k = 2^32 + 1 read as k = 1,
+  // RTU 2^32 + 9 as RTU 9 and a 2^32 + 256-bit key as 256 bits.
+  const auto replaced = [](std::string text, const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::string case_study = write_case_string(core::make_case_study());
+  for (const std::string& bad :
+       {std::string(kTinyCase) + "k 4294967297\n",
+        replaced(case_study, "\nrtu 9\n", "\nrtu 4294967305\n"),
+        replaced(kTinyCase, "aes 256", "aes 4294967552")}) {
+    try {
+      (void)read_case_string(bad);
+      ADD_FAILURE() << "expected ParseError for:\n" << bad;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(CaseFormatTest, SecuritySectionValidation) {

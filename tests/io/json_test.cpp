@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "scada/core/case_study.hpp"
+#include "scada/util/error.hpp"
 
 namespace scada::io {
 namespace {
@@ -65,6 +66,28 @@ TEST(JsonTest, NumbersAreLocaleIndependent) {
   EXPECT_TRUE(std::isinf(parse_json("1e999").as_double()));
   EXPECT_LT(parse_json("-1e999").as_double(), 0.0);
   EXPECT_EQ(parse_json("1e-999").as_double(), 0.0);
+}
+
+TEST(JsonTest, NestingDepthIsBounded) {
+  // Regression: the recursive descent had no depth bound, so one deeply
+  // nested request line overflowed the stack and killed the whole server.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)parse_json(nested(kMaxJsonDepth)));
+  try {
+    (void)parse_json(nested(kMaxJsonDepth + 1));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("at offset " + std::to_string(kMaxJsonDepth)),
+              std::string::npos)
+        << e.what();
+  }
+  const std::string objects = R"({"a":)";
+  std::string deep_objects;
+  for (std::size_t i = 0; i <= kMaxJsonDepth; ++i) deep_objects += objects;
+  deep_objects += "1" + std::string(kMaxJsonDepth + 1, '}');
+  EXPECT_THROW((void)parse_json(deep_objects), ParseError);
 }
 
 TEST(JsonTest, VerificationSatAndUnsat) {

@@ -101,6 +101,27 @@ TEST(TopologyTest, MaxPathsTruncates) {
   EXPECT_EQ(t.paths_to_mtu(1, 0).size(), 0u);
 }
 
+TEST(TopologyTest, MillionRtuChainHasOnePath) {
+  // Regression: path enumeration recursed once per hop, so a long RTU chain
+  // (one "hierarchy" request to the service) overflowed the stack.
+  constexpr int kRtus = 1'000'000;
+  std::vector<Device> devices = {{.id = 1, .type = DeviceType::Ied}};
+  std::vector<Link> links;
+  for (int id = 2; id <= kRtus + 1; ++id) {
+    devices.push_back({.id = id, .type = DeviceType::Rtu});
+    links.push_back({id - 1, id - 1, id});
+  }
+  devices.push_back({.id = kRtus + 2, .type = DeviceType::Mtu});
+  links.push_back({kRtus + 1, kRtus + 1, kRtus + 2});
+  const ScadaTopology t(std::move(devices), std::move(links));
+
+  const auto paths = t.paths_to_mtu(1);
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_EQ(paths[0].devices.size(), static_cast<std::size_t>(kRtus) + 2);
+  EXPECT_EQ(paths[0].link_ids.size(), static_cast<std::size_t>(kRtus) + 1);
+  EXPECT_EQ(paths[0].devices.back(), kRtus + 2);
+}
+
 TEST(TopologyTest, PathsFromNonIedRejected) {
   const ScadaTopology t = fig3();
   EXPECT_THROW((void)t.paths_to_mtu(9), ConfigError);

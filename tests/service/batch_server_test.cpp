@@ -132,6 +132,10 @@ TEST(BatchServerTest, MalformedRequestsAreErrorsNotCrashes) {
       R"("property":"observability","spec":{"k":2},"max_vectors":-1})",
       R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},"spec":{"k":1},)"
       R"("max_conflicts":-1})",
+      // 100,000 nested arrays (a 200 KB line) overflowed the parser's stack
+      // and killed the server for every client.
+      R"({"id":1,"op":"verify","x":)" + std::string(100000, '[') + std::string(100000, ']') +
+          "}",
   };
   for (const std::string& line : bad) {
     const io::JsonValue r = response(server, line);

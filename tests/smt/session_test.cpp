@@ -189,7 +189,7 @@ TEST_P(SessionAssumptions, CompositeFormulaAssumptions) {
 }
 
 TEST_P(SessionAssumptions, IncrementalBudgetSweepPattern) {
-  // The max_resiliency pattern: one constraint set, per-step selector vars.
+  // Incremental budget sweep: one constraint set, per-step selector vars.
   FormulaBuilder fb;
   std::vector<Formula> fails;
   for (int i = 0; i < 6; ++i) fails.push_back(fb.mk_var("f" + std::to_string(i)));

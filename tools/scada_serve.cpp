@@ -35,7 +35,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--threads N] [--cache-capacity N] [--default-backend cdcl|z3] [-v]\n"
+      "usage: %s [--threads N] [--cache-capacity N] [-v]\n"
       "          [--listen [host:]port] [--unix PATH] [--max-connections N]\n"
       "          [--max-line-bytes N] [--idle-timeout-ms X] [--port-file PATH]\n"
       "  Without --listen/--unix: serves line-delimited JSON analysis requests\n"
@@ -71,16 +71,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache-capacity") == 0) {
       net.server.scheduler.cache_capacity = static_cast<std::size_t>(
           scada::util::cli_long_in("--cache-capacity", num_arg(), 0, 100000000));
-    } else if (std::strcmp(argv[i], "--default-backend") == 0) {
-      if (i + 1 >= argc) return usage(argv[0]);
-      const char* name = argv[++i];
-      if (std::strcmp(name, "cdcl") == 0) {
-        net.server.default_backend = scada::smt::Backend::Cdcl;
-      } else if (std::strcmp(name, "z3") == 0) {
-        net.server.default_backend = scada::smt::Backend::Z3;
-      } else {
-        return usage(argv[0]);
-      }
     } else if (std::strcmp(argv[i], "--listen") == 0) {
       if (i + 1 >= argc) return usage(argv[0]);
       try {
