@@ -79,16 +79,13 @@ JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property
   return out;
 }
 
-AnalysisCache::AnalysisCache(std::size_t capacity, util::MetricsRegistry* metrics)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  if (metrics != nullptr) {
-    hits_ = &metrics->counter("cache.hits");
-    misses_ = &metrics->counter("cache.misses");
-    insertions_ = &metrics->counter("cache.insertions");
-    evictions_ = &metrics->counter("cache.evictions");
-    entries_ = &metrics->gauge("cache.entries");
-  }
-}
+AnalysisCache::AnalysisCache(std::size_t capacity, util::MetricsRegistry& metrics)
+    : capacity_(std::max<std::size_t>(capacity, 1)),
+      hits_(metrics.counter("cache.hits")),
+      misses_(metrics.counter("cache.misses")),
+      insertions_(metrics.counter("cache.insertions")),
+      evictions_(metrics.counter("cache.evictions")),
+      entries_(metrics.gauge("cache.entries")) {}
 
 std::optional<CachedAnalysis> AnalysisCache::lookup(const JobKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -97,23 +94,17 @@ std::optional<CachedAnalysis> AnalysisCache::lookup(const JobKey& key) {
     for (const LruList::iterator it : chain->second) {
       if (it->canonical == key.canonical) {
         lru_.splice(lru_.begin(), lru_, it);  // promote to MRU
-        ++stats_.hits;
-        if (hits_ != nullptr) hits_->inc();
+        hits_.inc();
         return it->value;
       }
     }
   }
-  ++stats_.misses;
-  if (misses_ != nullptr) misses_->inc();
+  misses_.inc();
   return std::nullopt;
 }
 
 bool AnalysisCache::insert(const JobKey& key, CachedAnalysis value) {
-  if (value.verdict.result == smt::SolveResult::Unknown) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.rejected;
-    return false;
-  }
+  if (value.verdict.result == smt::SolveResult::Unknown) return false;
   const std::lock_guard<std::mutex> lock(mutex_);
   if (auto chain = index_.find(key.fingerprint); chain != index_.end()) {
     for (const LruList::iterator it : chain->second) {
@@ -127,14 +118,12 @@ bool AnalysisCache::insert(const JobKey& key, CachedAnalysis value) {
   while (lru_.size() >= capacity_) {
     unindex(std::prev(lru_.end()));
     lru_.pop_back();
-    ++stats_.evictions;
-    if (evictions_ != nullptr) evictions_->inc();
+    evictions_.inc();
   }
   lru_.push_front(Entry{key.canonical, std::move(value)});
   index_[key.fingerprint].push_back(lru_.begin());
-  ++stats_.insertions;
-  if (insertions_ != nullptr) insertions_->inc();
-  if (entries_ != nullptr) entries_->set(static_cast<std::int64_t>(lru_.size()));
+  insertions_.inc();
+  entries_.set(static_cast<std::int64_t>(lru_.size()));
   return true;
 }
 
@@ -151,17 +140,12 @@ void AnalysisCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
-  if (entries_ != nullptr) entries_->set(0);
+  entries_.set(0);
 }
 
 std::size_t AnalysisCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return lru_.size();
-}
-
-CacheStats AnalysisCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace scada::service

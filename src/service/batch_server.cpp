@@ -1,8 +1,6 @@
 #include "scada/service/batch_server.hpp"
 
-#include <chrono>
 #include <cstdio>
-#include <deque>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -183,7 +181,6 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
     job.options.solver.backend = parse_backend(b->as_string());
   }
   if (const JsonValue* v = request.find("certify")) job.options.solver.certify = v->as_bool();
-  if (const JsonValue* v = request.find("simplify")) job.options.solver.simplify = v->as_bool();
   if (const JsonValue* v = request.find("minimize")) job.options.minimize_threats = v->as_bool();
   if (const JsonValue* v = request.find("links_can_fail")) {
     job.options.encoder.links_can_fail = v->as_bool();
@@ -195,7 +192,6 @@ BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {
     job.max_vectors = budget_field(*v, "max_vectors", 1);
   }
   if (const JsonValue* v = request.find("minimal_only")) job.minimal_only = v->as_bool();
-  if (const JsonValue* v = request.find("priority")) job.priority = int_field(*v, "priority");
   if (const JsonValue* v = request.find("deadline_ms")) job.deadline_ms = v->as_double();
 
   out.ticket = scheduler_.submit(std::move(job));
@@ -233,17 +229,21 @@ std::string BatchServer::render_outcome(const Submitted& submitted,
 }
 
 std::string BatchServer::render_stats(const std::string& id_json) {
-  const CacheStats cache = scheduler_.cache().stats();
+  util::MetricsRegistry& metrics = scheduler_.metrics();
+  const auto count = [&](const char* name) -> unsigned long long {
+    return metrics.counter(name).value();
+  };
+  const unsigned long long hits = count("cache.hits");
+  const unsigned long long misses = count("cache.misses");
+  const double hit_rate =
+      hits + misses == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(hits + misses);
   char cache_json[256];
   std::snprintf(cache_json, sizeof cache_json,
                 "{\"hits\":%llu,\"misses\":%llu,\"insertions\":%llu,\"evictions\":%llu,"
                 "\"hit_rate\":%.4f}",
-                static_cast<unsigned long long>(cache.hits),
-                static_cast<unsigned long long>(cache.misses),
-                static_cast<unsigned long long>(cache.insertions),
-                static_cast<unsigned long long>(cache.evictions), cache.hit_rate());
+                hits, misses, count("cache.insertions"), count("cache.evictions"), hit_rate);
   return "{\"id\":" + id_json + ",\"ok\":true,\"op\":\"stats\",\"cache\":" + cache_json +
-         ",\"metrics\":" + scheduler_.metrics().to_json() + "}";
+         ",\"metrics\":" + metrics.to_json() + "}";
 }
 
 std::string BatchServer::render_error(const std::string& id_json, const std::string& message) {
@@ -299,51 +299,66 @@ bool BatchServer::is_blank(const std::string& line) noexcept {
   return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
-std::string BatchServer::handle_line(const std::string& line) {
-  Dispatch dispatch = dispatch_line(line);
+BatchServer::Dispatch::Kind BatchServer::ResponseStream::dispatch(const std::string& line) {
+  Dispatch dispatch = server_.dispatch_line(line);
   if (dispatch.kind == Dispatch::Kind::Job) {
-    JobOutcome outcome = dispatch.submitted.ticket.outcome.get();
-    outcome.coalesced = dispatch.submitted.ticket.coalesced;
-    return render_outcome(dispatch.submitted, outcome);
+    outstanding_.push_back(std::move(dispatch.submitted));
+    flush(/*wait_all=*/false);
+    return Dispatch::Kind::Job;
   }
-  return render_control(dispatch);
+  flush(/*wait_all=*/true);  // first, so a stats snapshot counts every earlier job
+  if (open_) open_ = send_(server_.render_control(dispatch));
+  if (dispatch.kind == Dispatch::Kind::Shutdown) open_ = false;
+  return dispatch.kind;
+}
+
+void BatchServer::ResponseStream::flush(bool wait_all) {
+  while (open_ && !outstanding_.empty()) {
+    const Submitted& head = outstanding_.front();
+    if (!wait_all &&
+        head.ticket.outcome.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      return;
+    }
+    JobOutcome outcome = head.ticket.outcome.get();
+    outcome.coalesced = head.ticket.coalesced;
+    open_ = send_(server_.render_outcome(head, outcome));
+    outstanding_.pop_front();
+  }
+}
+
+void BatchServer::ResponseStream::send_after_all(std::string line) {
+  flush(/*wait_all=*/true);
+  if (open_) open_ = send_(std::move(line));
+}
+
+void BatchServer::ResponseStream::wait_for_head(std::chrono::milliseconds timeout) const {
+  if (!outstanding_.empty()) (void)outstanding_.front().ticket.outcome.wait_for(timeout);
+}
+
+std::string BatchServer::handle_line(const std::string& line) {
+  std::string response;
+  ResponseStream stream(*this, [&response](std::string r) {
+    response = std::move(r);
+    return true;
+  });
+  stream.dispatch(line);
+  stream.flush(/*wait_all=*/true);
+  return response;
 }
 
 std::size_t BatchServer::serve(std::istream& in, std::ostream& out) {
   std::size_t served = 0;
-  std::deque<Submitted> pending;  // request-order responses not yet written
-
-  const auto flush_ready = [&](bool wait_all) {
-    while (!pending.empty()) {
-      const Submitted& head = pending.front();
-      if (!wait_all &&
-          head.ticket.outcome.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-        return;
-      }
-      JobOutcome outcome = head.ticket.outcome.get();
-      outcome.coalesced = head.ticket.coalesced;
-      out << render_outcome(head, outcome) << "\n" << std::flush;
-      pending.pop_front();
-    }
-  };
-
+  ResponseStream stream(*this, [&out](std::string response) {
+    out << response << "\n" << std::flush;
+    return true;
+  });
   std::string line;
-  while (std::getline(in, line)) {
+  while (stream.open() && std::getline(in, line)) {
     if (is_blank(line)) continue;
     ++served;
-    Dispatch dispatch = dispatch_line(line);
-    if (dispatch.kind == Dispatch::Kind::Job) {
-      pending.push_back(std::move(dispatch.submitted));
-      flush_ready(/*wait_all=*/false);  // stream completed heads
-      continue;
-    }
-    // Control ops (and errors) act as barriers: all prior responses land
-    // first, so a "stats" reply reflects every job submitted before it.
-    flush_ready(/*wait_all=*/true);
-    out << render_control(dispatch) << "\n" << std::flush;
-    if (dispatch.kind == Dispatch::Kind::Shutdown) return served;
+    stream.dispatch(line);
   }
-  flush_ready(/*wait_all=*/true);
+  stream.flush(/*wait_all=*/true);
   return served;
 }
 

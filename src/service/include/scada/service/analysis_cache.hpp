@@ -88,25 +88,12 @@ struct CachedAnalysis {
   core::MinCostResult hardening;
 };
 
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t rejected = 0;  ///< insert() refusals (Unknown verdicts)
-
-  [[nodiscard]] double hit_rate() const noexcept {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
-
 class AnalysisCache {
  public:
-  /// `capacity` = max resident entries (≥ 1). An optional registry receives
-  /// the cache.{hits,misses,evictions,insertions} counters and a
-  /// cache.entries gauge.
-  explicit AnalysisCache(std::size_t capacity, util::MetricsRegistry* metrics = nullptr);
+  /// `capacity` = max resident entries (≥ 1). The cache.{hits,misses,
+  /// insertions,evictions} counters and the cache.entries gauge in `metrics`
+  /// are the cache's only ledger; the registry must outlive the cache.
+  AnalysisCache(std::size_t capacity, util::MetricsRegistry& metrics);
 
   /// Returns (a copy of) the cached answer and promotes the entry to
   /// most-recently-used; nullopt on miss.
@@ -119,7 +106,6 @@ class AnalysisCache {
   void clear();
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] CacheStats stats() const;
 
  private:
   struct Entry {
@@ -134,13 +120,12 @@ class AnalysisCache {
   /// fingerprint -> entries with that hash (collision chain; virtually
   /// always length 1).
   std::unordered_map<std::uint64_t, std::vector<LruList::iterator>> index_;
-  CacheStats stats_;
 
-  util::Counter* hits_ = nullptr;
-  util::Counter* misses_ = nullptr;
-  util::Counter* insertions_ = nullptr;
-  util::Counter* evictions_ = nullptr;
-  util::Gauge* entries_ = nullptr;
+  util::Counter& hits_;
+  util::Counter& misses_;
+  util::Counter& insertions_;
+  util::Counter& evictions_;
+  util::Gauge& entries_;
 
   void unindex(LruList::iterator it);
 };

@@ -9,7 +9,7 @@
 //
 //   {"id":"r1","op":"verify","scenario":{"builtin":"case_study_fig3"},
 //    "property":"observability","spec":{"k":1,"r":1},
-//    "backend":"cdcl","deadline_ms":5000,"priority":2}
+//    "backend":"cdcl","deadline_ms":5000}
 //   {"id":"r2","op":"enumerate", ... ,"max_vectors":64,"minimal_only":true}
 //   {"id":"s","op":"stats"}       — metrics + cache statistics snapshot
 //   {"id":"b","op":"barrier"}     — wait for every prior job, then reply
@@ -30,7 +30,7 @@
 //    "coalesced":false,"fingerprint":"…","queue_ms":x,"run_ms":x,
 //    "verification":{…}}                        (+"threats":[…] for enumerate,
 //                                                +"diagnostics":"…" on
-//                                                timeout/cancel/failure)
+//                                                timeout/failure)
 //   {"id":"x","ok":false,"error":"…"}           (malformed request; the batch
 //                                                continues)
 //
@@ -39,6 +39,9 @@
 // crash and never a wrong verdict.
 #pragma once
 
+#include <chrono>
+#include <deque>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -67,8 +70,8 @@ class BatchServer {
 
   /// The classified result of dispatching one request line. Every front end
   /// (the stdio loop, handle_line, the socket framing loop) goes through
-  /// dispatch_line + render_outcome/render_control, so all of them parse,
-  /// validate, submit, and render through identical code.
+  /// dispatch_line + render_outcome/render_control inside a ResponseStream,
+  /// so all of them parse, validate, submit, render and order alike.
   struct Dispatch {
     enum class Kind {
       Job,       ///< accepted into the scheduler; render when the future lands
@@ -81,6 +84,34 @@ class BatchServer {
     Submitted submitted;           ///< Kind::Job only
     std::string id_json = "null";  ///< echoed "id" for control-op rendering
     std::string response;          ///< Kind::Error only (pre-rendered)
+  };
+
+  /// One client's responses, under the ordering contract every front end
+  /// shares: job responses go out in request order as their jobs finish;
+  /// any other response first waits for every earlier job; a shutdown op,
+  /// or a `send` that returns false, ends the stream.
+  class ResponseStream {
+   public:
+    using Send = std::function<bool(std::string line)>;
+    ResponseStream(BatchServer& server, Send send) : server_(server), send_(std::move(send)) {}
+
+    /// Dispatches one request line and answers it under the contract.
+    Dispatch::Kind dispatch(const std::string& line);
+    /// Sends the finished responses at the head; with `wait_all`, waits
+    /// for and sends every outstanding one.
+    void flush(bool wait_all);
+    /// Sends a line of the caller's own after every earlier response.
+    void send_after_all(std::string line);
+    /// Blocks up to `timeout` for the head job (the next response owed).
+    void wait_for_head(std::chrono::milliseconds timeout) const;
+    [[nodiscard]] bool jobs_outstanding() const noexcept { return !outstanding_.empty(); }
+    [[nodiscard]] bool open() const noexcept { return open_; }
+
+   private:
+    BatchServer& server_;
+    Send send_;
+    std::deque<Submitted> outstanding_;  ///< accepted jobs not yet answered
+    bool open_ = true;
   };
 
   explicit BatchServer(ServerOptions options = {});
@@ -105,9 +136,9 @@ class BatchServer {
   [[nodiscard]] std::string render_outcome(const Submitted& submitted,
                                            const JobOutcome& outcome) const;
 
-  /// Renders the response line for a non-Job dispatch. The caller is
-  /// responsible for barrier semantics (flush prior responses first) so a
-  /// stats snapshot reflects every job submitted before it.
+  /// Renders the response line for a non-Job dispatch. ResponseStream calls
+  /// it only after every earlier response went out, so a stats snapshot
+  /// reflects every job submitted before it.
   [[nodiscard]] std::string render_control(const Dispatch& dispatch);
 
   /// True for lines the stream loops skip without dispatching.

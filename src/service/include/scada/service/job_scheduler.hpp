@@ -1,6 +1,6 @@
 // JobScheduler: the execution engine of the fleet-audit service.
 //
-// A priority job queue drained by a util::ThreadPool, with:
+// Jobs wait in one queue, the util::ThreadPool's FIFO, with:
 //
 //   * content-addressed caching — every job is fingerprinted (see
 //     AnalysisCache); a worker consults the cache before solving and
@@ -18,21 +18,15 @@
 //     enumeration had found) and diagnostics, never an exception; a job that
 //     throws yields status Failed with the error text. One bad job never
 //     poisons a batch.
-//
-// Ordering: higher `priority` first, FIFO within a priority level. Workers
-// pop the globally highest-priority pending job, not the one whose submit
-// enqueued them.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -57,8 +51,6 @@ struct JobRequest {
   /// must be at least 1.
   std::size_t max_vectors = 1024;
   bool minimal_only = true;
-  /// Higher runs first; FIFO within a level.
-  int priority = 0;
   /// Wall-clock budget measured from submit() — it covers queue wait plus
   /// solve time. nullopt (or a deadline beyond the steady clock's range) =
   /// no deadline.
@@ -72,10 +64,9 @@ struct JobRequest {
 inline constexpr std::size_t kScenarioMemoCapacity = 256;
 
 enum class JobStatus {
-  Done,       ///< verdict (or threat space) delivered, possibly from cache
-  TimedOut,   ///< deadline expired; verdict Unknown + diagnostics
-  Cancelled,  ///< cancel() before completion
-  Failed,     ///< the analysis threw; diagnostics carries the error
+  Done,      ///< verdict (or threat space) delivered, possibly from cache
+  TimedOut,  ///< deadline expired; verdict Unknown + diagnostics
+  Failed,    ///< the analysis threw; diagnostics carries the error
 };
 
 [[nodiscard]] const char* to_string(JobStatus status) noexcept;
@@ -92,7 +83,7 @@ struct JobOutcome {
   std::string fingerprint;  ///< hex job key fingerprint
   double queue_ms = 0.0;    ///< submit → execution start
   double run_ms = 0.0;      ///< execution start → completion
-  /// Human-readable detail for TimedOut/Cancelled/Failed outcomes.
+  /// Human-readable detail for TimedOut/Failed outcomes.
   std::string diagnostics;
 };
 
@@ -106,17 +97,13 @@ struct SchedulerOptions {
 class JobScheduler {
  public:
   struct Ticket {
-    std::uint64_t job_id = 0;
     std::shared_future<JobOutcome> outcome;
     /// True when this submit attached to an already in-flight identical
-    /// job; the shared job keeps the first submitter's priority/deadline.
+    /// job; the shared job keeps the first submitter's deadline.
     bool coalesced = false;
   };
 
-  /// With `metrics == nullptr` the scheduler owns a private registry
-  /// (reachable via metrics()).
-  explicit JobScheduler(SchedulerOptions options = {},
-                        util::MetricsRegistry* metrics = nullptr);
+  explicit JobScheduler(SchedulerOptions options = {});
   /// Drains: blocks until every submitted job has delivered its outcome.
   ~JobScheduler();
   JobScheduler(const JobScheduler&) = delete;
@@ -127,45 +114,26 @@ class JobScheduler {
   /// enumeration with max_vectors == 0.
   [[nodiscard]] Ticket submit(JobRequest request);
 
-  /// Best-effort cancellation of a pending or running job. A running solve
-  /// aborts at its next interrupt poll. Cancelling a coalesced job cancels
-  /// it for every attached waiter. Returns false when the job is unknown or
-  /// already finished.
-  bool cancel(std::uint64_t job_id);
-
-  [[nodiscard]] AnalysisCache& cache() noexcept { return cache_; }
-  [[nodiscard]] util::MetricsRegistry& metrics() noexcept { return *metrics_; }
+  [[nodiscard]] util::MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] std::size_t threads() const noexcept { return pool_->size(); }
 
  private:
   using Clock = std::chrono::steady_clock;
 
   struct JobState {
-    std::uint64_t id = 0;
-    std::uint64_t seq = 0;  ///< FIFO tiebreak within a priority level
     JobRequest request;
     JobKey key;
     Clock::time_point submitted;
     std::optional<Clock::time_point> deadline;
+    /// Cancelled by the watchdog alone, when the deadline lapses.
     util::CancellationToken token;
-    std::atomic<bool> deadline_hit{false};
-    std::atomic<bool> user_cancelled{false};
     std::atomic<bool> finished{false};
     std::promise<JobOutcome> promise;
     std::shared_future<JobOutcome> future;
   };
   using StatePtr = std::shared_ptr<JobState>;
 
-  struct PendingOrder {
-    bool operator()(const StatePtr& a, const StatePtr& b) const noexcept {
-      if (a->request.priority != b->request.priority) {
-        return a->request.priority < b->request.priority;  // max-heap on priority
-      }
-      return a->seq > b->seq;  // FIFO within a level
-    }
-  };
-
-  void run_next();
+  void run(const StatePtr& job);
   void execute(const StatePtr& job, JobOutcome& out);
   void finish(const StatePtr& job, JobOutcome out);
   void watchdog_loop();
@@ -174,8 +142,7 @@ class JobScheduler {
       const std::shared_ptr<const core::ScadaScenario>& scenario);
 
   SchedulerOptions options_;
-  std::unique_ptr<util::MetricsRegistry> owned_metrics_;
-  util::MetricsRegistry* metrics_;
+  util::MetricsRegistry metrics_;  ///< declared before cache_, which counts into it
   AnalysisCache cache_;
 
   /// Scenario -> canonical serialization memo (keyed by object identity;
@@ -189,12 +156,8 @@ class JobScheduler {
       blobs_;
 
   std::mutex mutex_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_seq_ = 1;
-  std::priority_queue<StatePtr, std::vector<StatePtr>, PendingOrder> pending_;
   /// canonical key -> in-flight (pending or running) job, for coalescing.
   std::unordered_map<std::string, StatePtr> inflight_;
-  std::unordered_map<std::uint64_t, StatePtr> by_id_;
 
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
@@ -205,8 +168,8 @@ class JobScheduler {
   std::vector<std::pair<Clock::time_point, std::weak_ptr<JobState>>> deadlines_;
   std::thread watchdog_;
 
-  /// Declared last: destroyed (drained and joined) first, while the queues,
-  /// cache and metrics above are still alive for in-flight workers.
+  /// Declared last: destroyed (drained and joined) first, while the
+  /// in-flight map, cache and metrics above are still alive for its workers.
   std::unique_ptr<util::ThreadPool> pool_;
 };
 

@@ -4,10 +4,11 @@
 // socket path) and runs one newline-framing loop per connection on top of a
 // single shared BatchServer — every client funnels into the same
 // JobScheduler, AnalysisCache and scenario memo, so a verdict computed for
-// one operator is a cache hit for all of them. The per-connection loop has
-// the same pipelining and ordering contract as BatchServer::serve: job
-// responses stream back in request order per connection, control ops
-// (stats/barrier/shutdown) barrier the connection's outstanding jobs first.
+// one operator is a cache hit for all of them. Each connection answers
+// through its own BatchServer::ResponseStream, the ordering contract
+// BatchServer::serve shares: job responses stream back in request order per
+// connection, and every other line (control op, malformed or oversized
+// frame, idle timeout) waits for the connection's outstanding jobs first.
 //
 // Robustness contract (the chaos suite pins each of these down):
 //   * per-connection read timeout — a client that stalls mid-stream is

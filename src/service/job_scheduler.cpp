@@ -35,16 +35,13 @@ const char* to_string(JobStatus status) noexcept {
   switch (status) {
     case JobStatus::Done: return "done";
     case JobStatus::TimedOut: return "timeout";
-    case JobStatus::Cancelled: return "cancelled";
     case JobStatus::Failed: return "failed";
   }
   return "?";
 }
 
-JobScheduler::JobScheduler(SchedulerOptions options, util::MetricsRegistry* metrics)
+JobScheduler::JobScheduler(SchedulerOptions options)
     : options_(options),
-      owned_metrics_(metrics == nullptr ? std::make_unique<util::MetricsRegistry>() : nullptr),
-      metrics_(metrics != nullptr ? metrics : owned_metrics_.get()),
       cache_(options.cache_capacity, metrics_),
       watchdog_([this] { watchdog_loop(); }),
       pool_(std::make_unique<util::ThreadPool>(options.threads)) {}
@@ -84,7 +81,7 @@ JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
     throw ConfigError("JobScheduler::submit: an enumeration needs max_vectors >= 1");
   }
 
-  // Fingerprint outside the queue lock. The scenario serialization — the
+  // Fingerprint outside the in-flight lock. The scenario serialization — the
   // expensive part of keying — is memoized per scenario object, so repeat
   // submissions against the same scenario key in microseconds.
   const std::shared_ptr<const std::string> blob = scenario_blob(request.scenario);
@@ -96,52 +93,23 @@ JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (const auto hit = inflight_.find(key.canonical); hit != inflight_.end()) {
-      metrics_->counter("scheduler.jobs_coalesced").inc();
-      Ticket t;
-      t.job_id = hit->second->id;
-      t.outcome = hit->second->future;
-      t.coalesced = true;
-      return t;
+      metrics_.counter("scheduler.jobs_coalesced").inc();
+      return Ticket{hit->second->future, /*coalesced=*/true};
     }
     job = std::make_shared<JobState>();
-    job->id = next_id_++;
-    job->seq = next_seq_++;
     job->request = std::move(request);
     job->key = std::move(key);
     job->submitted = now;
     if (job->request.deadline_ms) job->deadline = deadline_after(now, *job->request.deadline_ms);
     job->future = job->promise.get_future().share();
-    pending_.push(job);
     inflight_.emplace(job->key.canonical, job);
-    by_id_.emplace(job->id, job);
   }
 
-  metrics_->counter("scheduler.jobs_submitted").inc();
-  metrics_->gauge("scheduler.queue_depth").add(1);
+  metrics_.counter("scheduler.jobs_submitted").inc();
+  metrics_.gauge("scheduler.queue_depth").add(1);
   if (job->deadline) register_deadline(job);
-  // One pool thunk per unique job; the thunk pops the globally
-  // highest-priority pending job, which need not be this one.
-  (void)pool_->submit([this] { run_next(); });
-
-  Ticket t;
-  t.job_id = job->id;
-  t.outcome = job->future;
-  return t;
-}
-
-bool JobScheduler::cancel(std::uint64_t job_id) {
-  StatePtr job;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = by_id_.find(job_id);
-    if (it == by_id_.end()) return false;
-    job = it->second;
-  }
-  if (job->finished.load()) return false;
-  job->user_cancelled.store(true);
-  job->token.cancel();
-  metrics_->counter("scheduler.cancel_requests").inc();
-  return true;
+  (void)pool_->submit([this, job] { run(job); });
+  return Ticket{job->future, /*coalesced=*/false};
 }
 
 void JobScheduler::register_deadline(const StatePtr& job) {
@@ -172,42 +140,29 @@ void JobScheduler::watchdog_loop() {
     const StatePtr job = deadlines_.back().second.lock();
     deadlines_.pop_back();
     if (job && !job->finished.load()) {
-      job->deadline_hit.store(true);
       job->token.cancel();
-      metrics_->counter("scheduler.deadline_expiries").inc();
+      metrics_.counter("scheduler.deadline_expiries").inc();
     }
   }
 }
 
-void JobScheduler::run_next() {
-  StatePtr job;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (pending_.empty()) return;  // defensive: one thunk per job
-    job = pending_.top();
-    pending_.pop();
-  }
-  metrics_->gauge("scheduler.queue_depth").sub(1);
-  metrics_->gauge("scheduler.running").add(1);
+void JobScheduler::run(const StatePtr& job) {
+  metrics_.gauge("scheduler.queue_depth").sub(1);
+  metrics_.gauge("scheduler.running").add(1);
 
   const Clock::time_point started = Clock::now();
   JobOutcome out;
   out.fingerprint = job->key.fingerprint_hex();
   out.queue_ms = ms_between(job->submitted, started);
-  metrics_->histogram("scheduler.queue_ms").record(out.queue_ms);
+  metrics_.histogram("scheduler.queue_ms").record(out.queue_ms);
 
   if (job->token.cancelled()) {
-    // Expired (or was cancelled) while still queued — degrade gracefully
-    // without spending a worker on a doomed solve.
+    // Expired while still queued — degrade gracefully without spending a
+    // worker on a doomed solve.
     out.analysis.kind = job->request.kind;
-    if (job->user_cancelled.load()) {
-      out.status = JobStatus::Cancelled;
-      out.diagnostics = "cancelled before execution";
-    } else {
-      out.status = JobStatus::TimedOut;
-      out.diagnostics = "deadline expired after " + std::to_string(out.queue_ms) +
-                        " ms in queue, before execution started";
-    }
+    out.status = JobStatus::TimedOut;
+    out.diagnostics = "deadline expired after " + std::to_string(out.queue_ms) +
+                      " ms in queue, before execution started";
   } else {
     execute(job, out);
   }
@@ -224,7 +179,7 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
     out.status = JobStatus::Done;
     out.analysis = std::move(*cached);
     out.cache_hit = true;
-    metrics_->histogram("scheduler.cache_hit_ms").record(ms_between(job->submitted, Clock::now()));
+    metrics_.histogram("scheduler.cache_hit_ms").record(ms_between(job->submitted, Clock::now()));
     return;
   }
 
@@ -239,23 +194,23 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
       const smt::SessionStats& ss = out.analysis.verdict.solver_stats;
       // Propagation hot-loop effectiveness: inspections per propagation is
       // the true work rate, blocker hits the cache-skip fraction.
-      metrics_->counter("smt.propagations").inc(ss.propagations);
-      metrics_->counter("smt.watch_inspections").inc(ss.watch_inspections);
-      metrics_->counter("smt.blocker_hits").inc(ss.blocker_hits);
-      metrics_->counter("solver.vars_eliminated").inc(ss.vars_eliminated);
-      metrics_->counter("solver.clauses_subsumed").inc(ss.clauses_subsumed);
-      metrics_->counter("solver.clauses_strengthened").inc(ss.clauses_strengthened);
-      metrics_->counter("solver.failed_literals").inc(ss.failed_literals);
-      metrics_->counter("solver.simplify_rounds").inc(ss.simplify_rounds);
+      metrics_.counter("smt.propagations").inc(ss.propagations);
+      metrics_.counter("smt.watch_inspections").inc(ss.watch_inspections);
+      metrics_.counter("smt.blocker_hits").inc(ss.blocker_hits);
+      metrics_.counter("solver.vars_eliminated").inc(ss.vars_eliminated);
+      metrics_.counter("solver.clauses_subsumed").inc(ss.clauses_subsumed);
+      metrics_.counter("solver.clauses_strengthened").inc(ss.clauses_strengthened);
+      metrics_.counter("solver.failed_literals").inc(ss.failed_literals);
+      metrics_.counter("solver.simplify_rounds").inc(ss.simplify_rounds);
       // Search-heuristic health: restart/rephase activity as counters,
       // learned-DB tier populations as point-in-time gauges (the tier split
       // of the verdict's solver, refreshed per verify).
-      metrics_->counter("smt.restarts").inc(ss.restarts);
-      metrics_->counter("smt.restarts_blocked").inc(ss.restarts_blocked);
-      metrics_->counter("smt.rephases").inc(ss.rephases);
-      metrics_->gauge("smt.db_core").set(static_cast<std::int64_t>(ss.db_core));
-      metrics_->gauge("smt.db_tier2").set(static_cast<std::int64_t>(ss.db_tier2));
-      metrics_->gauge("smt.db_local").set(static_cast<std::int64_t>(ss.db_local));
+      metrics_.counter("smt.restarts").inc(ss.restarts);
+      metrics_.counter("smt.restarts_blocked").inc(ss.restarts_blocked);
+      metrics_.counter("smt.rephases").inc(ss.rephases);
+      metrics_.gauge("smt.db_core").set(static_cast<std::int64_t>(ss.db_core));
+      metrics_.gauge("smt.db_tier2").set(static_cast<std::int64_t>(ss.db_tier2));
+      metrics_.gauge("smt.db_local").set(static_cast<std::int64_t>(ss.db_local));
     } else if (req.kind == JobKind::SecurityIndex || req.kind == JobKind::Harden) {
       core::OptimizerOptions opt_options;
       opt_options.analyzer = options;
@@ -271,7 +226,7 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
                                                      : smt::SolveResult::Unsat;
         out.analysis.verdict.certified = r.certified;
         if (r.completed && r.attackable) out.analysis.verdict.threat = r.witness;
-        metrics_->counter("opt.cores_extracted").inc(r.maxsat.cores_extracted);
+        metrics_.counter("opt.cores_extracted").inc(r.maxsat.cores_extracted);
         out.analysis.security_index = std::move(r);
       } else {
         core::MinCostResult r = optimizer.min_cost_hardening(req.property, req.spec);
@@ -282,11 +237,11 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
         out.analysis.verdict.result = !r.completed ? smt::SolveResult::Unknown
                                       : r.achievable ? smt::SolveResult::Unsat
                                                      : smt::SolveResult::Sat;
-        metrics_->counter("opt.cores_extracted").inc(r.maxsat.cores_extracted);
-        metrics_->counter("opt.cegis_iterations").inc(r.cegis_iterations);
+        metrics_.counter("opt.cores_extracted").inc(r.maxsat.cores_extracted);
+        metrics_.counter("opt.cegis_iterations").inc(r.cegis_iterations);
         out.analysis.hardening = std::move(r);
       }
-      metrics_->histogram("opt.solve_ms").record(opt_timer.seconds() * 1000.0);
+      metrics_.histogram("opt.solve_ms").record(opt_timer.seconds() * 1000.0);
     } else {
       out.analysis.threats =
           analyzer.enumerate_threats(req.property, req.spec, req.max_vectors, req.minimal_only);
@@ -315,17 +270,13 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
   const bool enum_interrupted =
       req.kind == JobKind::EnumerateThreats && job->token.cancelled();
   if (unknown || enum_interrupted) {
-    if (job->user_cancelled.load()) {
-      out.status = JobStatus::Cancelled;
-      out.diagnostics = "cancelled mid-solve";
-    } else if (job->deadline_hit.load()) {
-      out.status = JobStatus::TimedOut;
+    out.status = JobStatus::TimedOut;
+    if (job->token.cancelled()) {
       out.diagnostics = "deadline of " + std::to_string(req.deadline_ms.value_or(0.0)) +
                         " ms expired mid-solve; verdict unknown";
     } else {
       // Unknown without an interrupt: the solver's max_conflicts budget
       // ran out.
-      out.status = JobStatus::TimedOut;
       out.diagnostics = "solver budget exhausted; verdict unknown";
     }
     if (req.kind == JobKind::EnumerateThreats && !out.analysis.threats.empty()) {
@@ -346,20 +297,17 @@ void JobScheduler::finish(const StatePtr& job, JobOutcome out) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     inflight_.erase(job->key.canonical);
-    by_id_.erase(job->id);
   }
   job->finished.store(true);
-  metrics_->gauge("scheduler.running").sub(1);
-  metrics_->histogram("scheduler.run_ms").record(out.run_ms);
+  metrics_.gauge("scheduler.running").sub(1);
+  metrics_.histogram("scheduler.run_ms").record(out.run_ms);
   switch (out.status) {
-    case JobStatus::Done: metrics_->counter("scheduler.jobs_done").inc(); break;
-    case JobStatus::TimedOut: metrics_->counter("scheduler.jobs_timed_out").inc(); break;
-    case JobStatus::Cancelled: metrics_->counter("scheduler.jobs_cancelled").inc(); break;
-    case JobStatus::Failed: metrics_->counter("scheduler.jobs_failed").inc(); break;
+    case JobStatus::Done: metrics_.counter("scheduler.jobs_done").inc(); break;
+    case JobStatus::TimedOut: metrics_.counter("scheduler.jobs_timed_out").inc(); break;
+    case JobStatus::Failed: metrics_.counter("scheduler.jobs_failed").inc(); break;
   }
   if (out.status == JobStatus::Failed) {
-    SCADA_LOG(Warn) << "job " << job->id << " (" << job->key.fingerprint_hex()
-                    << ") failed: " << out.diagnostics;
+    SCADA_LOG(Warn) << "job " << out.fingerprint << " failed: " << out.diagnostics;
   }
   job->promise.set_value(std::move(out));
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
-#include <future>
 #include <utility>
 
 #include "scada/util/error.hpp"
@@ -84,71 +82,47 @@ void NetServer::serve_connection(Connection& connection) {
   // and stream out completed job responses while the client is quiet; the
   // (much longer) idle timeout is accumulated across slices below.
   net::LineReader reader(connection.socket, options_.max_line_bytes, kPollSlice);
-  std::deque<BatchServer::Submitted> pending;  // request-order, per connection
+  BatchServer::ResponseStream stream(batch_, [&](std::string line) {
+    line += '\n';
+    if (!net::write_all(connection.socket, line)) return false;
+    bytes_written.inc(line.size());
+    return true;
+  });
   std::uint64_t frames_seen = 0;
   std::uint64_t counted_bytes = 0;
   double idle_ms = 0.0;
-  bool peer_gone = false;
 
-  const auto send_line = [&](std::string line) {
-    line += '\n';
-    if (!net::write_all(connection.socket, line)) {
-      peer_gone = true;
-      return false;
-    }
-    bytes_written.inc(line.size());
-    return true;
-  };
-
-  /// Writes job responses that are due. wait_all blocks until every pending
-  /// job has answered (the barrier used by control ops, EOF, and drain).
-  const auto flush_ready = [&](bool wait_all) {
-    while (!pending.empty() && !peer_gone) {
-      const BatchServer::Submitted& head = pending.front();
-      if (!wait_all &&
-          head.ticket.outcome.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
-        return;
-      }
-      JobOutcome outcome = head.ticket.outcome.get();
-      outcome.coalesced = head.ticket.coalesced;
-      (void)send_line(batch_.render_outcome(head, outcome));
-      pending.pop_front();
-    }
+  const auto take_frame = [&](const std::string& line) {
+    if (BatchServer::is_blank(line)) return;
+    ++frames_seen;
+    frames.inc();
+    const BatchServer::Dispatch::Kind kind = stream.dispatch(line);
+    if (kind == BatchServer::Dispatch::Kind::Error) malformed.inc();
+    // Graceful: run() stops accepting and every connection drains.
+    if (kind == BatchServer::Dispatch::Kind::Shutdown) request_shutdown();
   };
 
   std::string line;
-  while (!peer_gone) {
+  while (stream.open()) {
     if (shutdown_requested()) {
       // Drain: requests the client already put on the wire still get
       // dispatched and answered (each read returns what is buffered, and
       // the first poll-slice timeout ends the intake); then barrier every
       // outstanding job so no accepted request goes unanswered.
       reader.set_read_timeout(kPollSlice);
-      while (!peer_gone) {
-        const net::LineReader::Status status = reader.read_line(line);
-        if (status != net::LineReader::Status::Line) break;
-        if (BatchServer::is_blank(line)) continue;
-        ++frames_seen;
-        frames.inc();
-        BatchServer::Dispatch dispatch = batch_.dispatch_line(line);
-        if (dispatch.kind == BatchServer::Dispatch::Kind::Job) {
-          pending.push_back(std::move(dispatch.submitted));
-          continue;
-        }
-        if (dispatch.kind == BatchServer::Dispatch::Kind::Error) malformed.inc();
-        flush_ready(/*wait_all=*/true);
-        (void)send_line(batch_.render_control(dispatch));
+      while (stream.open() && reader.read_line(line) == net::LineReader::Status::Line) {
+        take_frame(line);
       }
       bytes_read.inc(reader.bytes_read() - counted_bytes);
       counted_bytes = reader.bytes_read();
-      flush_ready(/*wait_all=*/true);
+      stream.flush(/*wait_all=*/true);
       break;
     }
     // With jobs outstanding, sweep the socket non-blockingly and park on the
     // head job's future instead of in poll(): finished responses go out the
     // moment they are ready, not after a full poll slice, while a pipelining
     // client's buffered requests are still drained at full speed.
-    const bool jobs_outstanding = !pending.empty();
+    const bool jobs_outstanding = stream.jobs_outstanding();
     reader.set_read_timeout(jobs_outstanding ? milliseconds(0) : kPollSlice);
     const net::LineReader::Status status = reader.read_line(line);
     bytes_read.inc(reader.bytes_read() - counted_bytes);
@@ -156,11 +130,9 @@ void NetServer::serve_connection(Connection& connection) {
 
     if (status == net::LineReader::Status::Timeout) {
       if (jobs_outstanding) {
-        // Quiet because the client waits on our answers is fine — never
-        // idle. Responses are in request order, so the head job is always
-        // the next thing owed.
-        (void)pending.front().ticket.outcome.wait_for(kPollSlice);
-        flush_ready(/*wait_all=*/false);
+        // Quiet because the client waits on our answers is fine — never idle.
+        stream.wait_for_head(kPollSlice);
+        stream.flush(/*wait_all=*/false);
         idle_ms = 0.0;
         continue;
       }
@@ -168,7 +140,7 @@ void NetServer::serve_connection(Connection& connection) {
       idle_ms += static_cast<double>(kPollSlice.count());
       if (options_.idle_timeout_ms > 0 && idle_ms >= options_.idle_timeout_ms) {
         metrics.counter("net.idle_timeouts").inc();
-        (void)send_line("{\"ok\":false,\"error\":\"idle timeout\"}");
+        stream.send_after_all("{\"ok\":false,\"error\":\"idle timeout\"}");
         break;
       }
       continue;
@@ -176,36 +148,18 @@ void NetServer::serve_connection(Connection& connection) {
     idle_ms = 0.0;
 
     if (status == net::LineReader::Status::Eof) {
-      flush_ready(/*wait_all=*/true);
+      stream.flush(/*wait_all=*/true);
       break;
     }
     if (status == net::LineReader::Status::Error) break;
     if (status == net::LineReader::Status::Oversized) {
       metrics.counter("net.oversized_frames").inc();
       malformed.inc();
-      flush_ready(/*wait_all=*/true);  // responses stay in request order
-      (void)send_line("{\"ok\":false,\"error\":\"frame exceeds max_line_bytes (" +
-                      std::to_string(options_.max_line_bytes) + ")\"}");
+      stream.send_after_all("{\"ok\":false,\"error\":\"frame exceeds max_line_bytes (" +
+                            std::to_string(options_.max_line_bytes) + ")\"}");
       continue;  // the reader has resynchronized at the next newline
     }
-
-    // Status::Line — same dispatch/ordering contract as BatchServer::serve.
-    if (BatchServer::is_blank(line)) continue;
-    ++frames_seen;
-    frames.inc();
-    BatchServer::Dispatch dispatch = batch_.dispatch_line(line);
-    if (dispatch.kind == BatchServer::Dispatch::Kind::Job) {
-      pending.push_back(std::move(dispatch.submitted));
-      flush_ready(/*wait_all=*/false);
-      continue;
-    }
-    if (dispatch.kind == BatchServer::Dispatch::Kind::Error) malformed.inc();
-    flush_ready(/*wait_all=*/true);
-    if (!send_line(batch_.render_control(dispatch))) break;
-    if (dispatch.kind == BatchServer::Dispatch::Kind::Shutdown) {
-      request_shutdown();  // graceful: run() stops accepting, all drain
-      break;
-    }
+    take_frame(line);
   }
 
   SCADA_LOG(Info) << "net_server: " << connection.peer << " closed (" << frames_seen

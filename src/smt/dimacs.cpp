@@ -26,7 +26,7 @@ DimacsInstance read_dimacs(std::istream& in) {
       std::string p, fmt, trailing;
       long vars = 0, clauses = 0;
       if (!(header >> p >> fmt >> vars >> clauses) || fmt != "cnf" || vars < 0 || clauses < 0 ||
-          (header >> trailing)) {
+          vars > kMaxVar || (header >> trailing)) {
         throw ParseError("malformed DIMACS header: " + line);
       }
       instance.num_vars = static_cast<Var>(vars);
@@ -42,11 +42,12 @@ DimacsInstance read_dimacs(std::istream& in) {
         instance.clauses.push_back(current);
         current.clear();
       } else {
-        const Var var = static_cast<Var>(v < 0 ? -v : v);
-        if (var > instance.num_vars) {
+        // Range-check while still a long: narrowing first would wrap 2^32 + 1
+        // to 1, and negating LONG_MIN overflows.
+        if (v < -static_cast<long>(instance.num_vars) || v > instance.num_vars) {
           throw ParseError("DIMACS literal exceeds declared variable count");
         }
-        current.push_back(Lit{var, v < 0});
+        current.push_back(Lit{static_cast<Var>(v < 0 ? -v : v), v < 0});
       }
     }
     if (!body.eof()) {

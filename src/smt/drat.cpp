@@ -121,8 +121,11 @@ DratProof read_drat_text(std::istream& in) {
       step = DratStep{};
       in_step = false;
     } else {
-      const Var var = static_cast<Var>(v < 0 ? -v : v);
-      step.clause.push_back(Lit{var, v < 0});
+      // Range-check while still a long, as read_dimacs does.
+      if (v < -kMaxVar || v > kMaxVar) {
+        throw ParseError("DRAT: literal '" + token + "' out of range");
+      }
+      step.clause.push_back(Lit{static_cast<Var>(v < 0 ? -v : v), v < 0});
     }
   }
   if (in_step) throw ParseError("DRAT: unterminated final step");

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,10 @@ namespace scada::smt {
 
 /// Propositional variable index. Valid variables are >= 1 (0 is reserved).
 using Var = std::int32_t;
+
+/// The largest variable a Lit can encode (its code 2 * var + 1 is an int32).
+/// Readers of outside input (DIMACS, DRAT text) reject anything larger.
+inline constexpr Var kMaxVar = std::numeric_limits<Var>::max() / 2;
 
 /// Literal in MiniSat-style encoding: lit = 2*var + sign, sign 1 == negated.
 /// Using a struct (not a bare int) keeps literals and variables from mixing.

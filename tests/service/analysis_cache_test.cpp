@@ -89,8 +89,9 @@ TEST(JobKeyTest, BlobOverloadMatchesScenarioOverload) {
 }
 
 TEST(AnalysisCacheTest, LookupMissThenHit) {
+  util::MetricsRegistry registry;
   const core::ScadaScenario s = core::make_case_study();
-  AnalysisCache cache(8);
+  AnalysisCache cache(8, registry);
   const JobKey key = key_for_spec(s, core::ResiliencySpec::per_type(1, 1));
 
   EXPECT_FALSE(cache.lookup(key).has_value());
@@ -98,30 +99,26 @@ TEST(AnalysisCacheTest, LookupMissThenHit) {
   const auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->verdict.result, smt::SolveResult::Unsat);
-
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
 TEST(AnalysisCacheTest, UnknownVerdictsAreNeverCached) {
+  util::MetricsRegistry registry;
   const core::ScadaScenario s = core::make_case_study();
-  AnalysisCache cache(8);
+  AnalysisCache cache(8, registry);
   const JobKey key = key_for_spec(s, core::ResiliencySpec::per_type(1, 1));
 
   CachedAnalysis unknown;
   unknown.verdict = verdict(smt::SolveResult::Unknown);
   EXPECT_FALSE(cache.insert(key, unknown));
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().rejected, 1u);
+  EXPECT_EQ(registry.counter("cache.insertions").value(), 0u);
   EXPECT_FALSE(cache.lookup(key).has_value());
 }
 
 TEST(AnalysisCacheTest, EvictsLeastRecentlyUsed) {
+  util::MetricsRegistry registry;
   const core::ScadaScenario s = core::make_case_study();
-  AnalysisCache cache(2);
+  AnalysisCache cache(2, registry);
   const JobKey k1 = key_for_spec(s, core::ResiliencySpec::total(1));
   const JobKey k2 = key_for_spec(s, core::ResiliencySpec::total(2));
   const JobKey k3 = key_for_spec(s, core::ResiliencySpec::total(3));
@@ -136,12 +133,13 @@ TEST(AnalysisCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.lookup(k1).has_value());
   EXPECT_FALSE(cache.lookup(k2).has_value());  // evicted
   EXPECT_TRUE(cache.lookup(k3).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(registry.counter("cache.evictions").value(), 1u);
 }
 
 TEST(AnalysisCacheTest, ClearEmptiesTheCache) {
+  util::MetricsRegistry registry;
   const core::ScadaScenario s = core::make_case_study();
-  AnalysisCache cache(4);
+  AnalysisCache cache(4, registry);
   EXPECT_TRUE(cache.insert(key_for_spec(s, core::ResiliencySpec::total(1)), unsat_analysis()));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -151,7 +149,7 @@ TEST(AnalysisCacheTest, ClearEmptiesTheCache) {
 TEST(AnalysisCacheTest, ExportsMetricsToRegistry) {
   util::MetricsRegistry registry;
   const core::ScadaScenario s = core::make_case_study();
-  AnalysisCache cache(8, &registry);
+  AnalysisCache cache(8, registry);
   const JobKey key = key_for_spec(s, core::ResiliencySpec::total(1));
 
   (void)cache.lookup(key);

@@ -9,6 +9,7 @@
 #include "scada/core/case_study.hpp"
 #include "scada/io/case_format.hpp"
 #include "scada/io/json.hpp"
+#include "service/response_equivalence.hpp"
 
 namespace scada::service {
 namespace {
@@ -182,21 +183,24 @@ TEST(BatchServerTest, HardenOpReturnsUpgradePlan) {
 }
 
 TEST(BatchServerTest, LeftoverStrategyFieldIsIgnored) {
-  // The MaxSAT search has one strategy; a client still naming one gets the
-  // same answer, under the same fingerprint, as a client that does not.
-  BatchServer server;
-  const std::string plain =
+  // The MaxSAT search has one strategy, jobs wait in one FIFO queue and the
+  // protocol always simplifies; a client still naming a strategy, a priority
+  // or simplify gets the same answer, under the same fingerprint, as a
+  // client that does not.
+  const std::string request =
       R"({"op":"security-index","scenario":{"builtin":"case_study_fig3"},)"
-      R"("property":"secured_observability"})";
-  const std::string leftover =
-      R"({"op":"security-index","scenario":{"builtin":"case_study_fig3"},)"
-      R"("property":"secured_observability","strategy":"linear"})";
-  const io::JsonValue a = response(server, leftover);
-  const io::JsonValue b = response(server, plain);
-  EXPECT_TRUE(field(a, "ok").as_bool());
-  EXPECT_EQ(field(a, "status").as_string(), "done");
-  EXPECT_EQ(field(field(a, "security_index"), "index").as_int(), 2);
-  EXPECT_EQ(field(a, "fingerprint").as_string(), field(b, "fingerprint").as_string());
+      R"("property":"secured_observability")";
+  for (const std::string leftover :
+       {R"(,"strategy":"linear")", R"(,"priority":5)", R"(,"simplify":false)"}) {
+    BatchServer server;
+    const io::JsonValue a = response(server, request + leftover + "}");
+    const io::JsonValue b = response(server, request + "}");
+    EXPECT_TRUE(field(a, "ok").as_bool()) << leftover;
+    EXPECT_EQ(field(a, "status").as_string(), "done") << leftover;
+    EXPECT_EQ(field(field(a, "security_index"), "index").as_int(), 2) << leftover;
+    EXPECT_EQ(field(a, "fingerprint").as_string(), field(b, "fingerprint").as_string())
+        << leftover;
+  }
 }
 
 TEST(BatchServerTest, OptimizationMetricsSurfaceInStats) {
@@ -237,9 +241,45 @@ TEST(BatchServerTest, StatsSnapshotsCacheAndScheduler) {
   const io::JsonValue stats = response(server, R"({"id":"s","op":"stats"})");
   EXPECT_TRUE(field(stats, "ok").as_bool());
   EXPECT_EQ(field(stats, "op").as_string(), "stats");
-  EXPECT_EQ(field(field(stats, "cache"), "hits").as_int(), 1);
+  // The "cache" object keeps its keys and their order; clients parse it.
+  const io::JsonValue& cache = field(stats, "cache");
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : cache.members()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"hits", "misses", "insertions", "evictions",
+                                            "hit_rate"}));
+  EXPECT_EQ(field(cache, "hits").as_int(), 1);
+  EXPECT_EQ(field(cache, "misses").as_int(), 1);
+  EXPECT_EQ(field(cache, "insertions").as_int(), 1);
+  EXPECT_DOUBLE_EQ(field(cache, "hit_rate").as_double(), 0.5);
   const io::JsonValue& metrics = field(stats, "metrics");
   EXPECT_GE(field(field(metrics, "counters"), "scheduler.jobs_submitted").as_int(), 2);
+}
+
+TEST(BatchServerTest, PipelinedStatsCountsTheJobBeforeIt) {
+  BatchServer server;
+  // A multi-millisecond enumeration and, with no barrier between, a stats
+  // op: the snapshot is owed after the job, so it must already count it.
+  std::istringstream in(
+      R"({"id":"slow","op":"enumerate","scenario":{"synth":{"buses":30}},)"
+      R"("spec":{"k":2},"max_vectors":16})"
+      "\n"
+      R"({"id":"s","op":"stats"})"
+      "\n");
+  std::ostringstream out;
+  EXPECT_EQ(server.serve(in, out), 2u);
+
+  std::istringstream lines(out.str());
+  std::string job_line;
+  std::string stats_line;
+  ASSERT_TRUE(std::getline(lines, job_line));
+  ASSERT_TRUE(std::getline(lines, stats_line));
+  const io::JsonValue stats = io::parse_json(stats_line);
+  EXPECT_EQ(field(stats, "id").as_string(), "s");
+  EXPECT_EQ(field(field(stats, "cache"), "insertions").as_int(), 1);
+  const io::JsonValue* done =
+      field(field(stats, "metrics"), "counters").find("scheduler.jobs_done");
+  ASSERT_NE(done, nullptr);  // the counter is registered when the first job finishes
+  EXPECT_GE(done->as_int(), 1);
 }
 
 TEST(BatchServerTest, ServeKeepsResponsesInRequestOrder) {
@@ -280,59 +320,12 @@ TEST(BatchServerTest, ShutdownStopsTheStream) {
   EXPECT_EQ(out.str().find("\"id\":2"), std::string::npos);
 }
 
-/// True for response fields that legitimately differ between two runs of
-/// the same request (wall-clock measurements).
-bool is_timing_field(const std::string& key) {
-  return key == "queue_ms" || key == "run_ms" || key == "solve_seconds" ||
-         key == "encode_seconds";
-}
-
-/// Asserts two parsed responses are the same modulo timing: same members in
-/// the same order, equal values everywhere but the wall-clock fields
-/// (recursively, so nested verification timings are excused too).
-void expect_equivalent_json(const io::JsonValue& a, const io::JsonValue& b,
-                            const std::string& path) {
-  if (a.is_object() && b.is_object()) {
-    ASSERT_EQ(a.members().size(), b.members().size()) << "at " << path;
-    for (std::size_t i = 0; i < a.members().size(); ++i) {
-      const auto& [key_a, value_a] = a.members()[i];
-      const auto& [key_b, value_b] = b.members()[i];
-      EXPECT_EQ(key_a, key_b) << "at " << path;
-      if (is_timing_field(key_a)) continue;
-      expect_equivalent_json(value_a, value_b, path + "." + key_a);
-    }
-    return;
-  }
-  EXPECT_EQ(a.dump(), b.dump()) << "field '" << path << "' diverges";
-}
-
-void expect_equivalent_responses(const std::string& x, const std::string& y) {
-  const io::JsonValue a = io::parse_json(x);
-  const io::JsonValue b = io::parse_json(y);
-  ASSERT_TRUE(a.is_object() && b.is_object()) << x << "\nvs\n" << y;
-  expect_equivalent_json(a, b, "$");
-}
-
-// Regression for the PR-7 refactor: handle_line, the stdio serve loop, and
-// the socket framing loop all route through one dispatch_line, so the same
-// input must yield the same response (modulo timing) via every path — the
-// parse/error handling can never drift apart again.
+// handle_line and the stdio serve loop answer through one ResponseStream
+// over one dispatch_line, so the same input must yield the same response
+// (modulo timing) via both; NetServerTest.SocketAnswersMatchHandleLine
+// holds the socket loop to the same inputs.
 TEST(BatchServerTest, HandleLineAndServeProduceIdenticalResponses) {
-  const std::vector<std::string> inputs = {
-      R"({"id":1,"op":"verify","scenario":{"builtin":"case_study_fig3"},)"
-      R"("property":"observability","spec":{"k1":1,"k2":1}})",
-      R"({"id":2,"op":"verify","scenario":{"builtin":"case_study_fig3"},)"
-      R"("property":"observability","spec":{"k1":2,"k2":1}})",
-      R"({"id":3,"op":"enumerate","scenario":{"builtin":"case_study_fig3"},)"
-      R"("property":"observability","spec":{"k1":2,"k2":1},"max_vectors":4})",
-      R"({"id":"b","op":"barrier"})",
-      "not json at all",
-      R"({"op":"frobnicate"})",
-      R"({"op":"verify"})",
-      R"({"op":"verify","scenario":{"builtin":"no_such_system"},"spec":{"k":1}})",
-      R"([1,2,3])",
-  };
-  for (const std::string& input : inputs) {
+  for (const std::string& input : testing::parity_inputs()) {
     BatchServer direct;  // fresh servers: both paths start cache-cold
     BatchServer streamed;
     const std::string via_handle = direct.handle_line(input);
@@ -345,7 +338,7 @@ TEST(BatchServerTest, HandleLineAndServeProduceIdenticalResponses) {
     ASSERT_EQ(via_serve.back(), '\n');
     via_serve.pop_back();
 
-    expect_equivalent_responses(via_handle, via_serve);
+    testing::expect_equivalent_responses(via_handle, via_serve);
   }
 }
 

@@ -24,6 +24,7 @@
 #include "scada/io/json.hpp"
 #include "scada/service/net_io.hpp"
 #include "scada/util/error.hpp"
+#include "service/response_equivalence.hpp"
 
 namespace scada::service {
 namespace {
@@ -230,6 +231,23 @@ TEST(NetServerTest, ConcurrentClientsInterleaveOpsCorrectly) {
   EXPECT_GT(field(counters, "net.bytes_written").as_int(), 0);
 }
 
+TEST(NetServerTest, SocketAnswersMatchHandleLine) {
+  // The socket loop answers through the same ResponseStream as handle_line.
+  for (const std::string& input : testing::parity_inputs()) {
+    BatchServer direct;  // fresh servers: both paths start cache-cold
+    const std::string via_handle = direct.handle_line(input);
+
+    ServerFixture fixture;
+    Client client(fixture.port());
+    client.send_line(input);
+    std::string via_socket;
+    ASSERT_EQ(static_cast<int>(client.read_status(via_socket)),
+              static_cast<int>(net::LineReader::Status::Line))
+        << input;
+    testing::expect_equivalent_responses(via_handle, via_socket);
+  }
+}
+
 TEST(NetServerTest, CacheHitsAreSharedAcrossConnections) {
   ServerFixture fixture;
   {
@@ -324,6 +342,28 @@ TEST(NetServerChaosTest, OversizedFrameIsRejectedAndTheStreamResynchronizes) {
   const io::JsonValue& counters = field(field(stats, "metrics"), "counters");
   EXPECT_GE(field(counters, "net.oversized_frames").as_int(), 1);
   EXPECT_GE(field(counters, "net.malformed_frames").as_int(), 1);
+}
+
+TEST(NetServerChaosTest, OversizedFrameErrorWaitsForEarlierJobs) {
+  NetServerOptions options;
+  options.max_line_bytes = 1024;
+  ServerFixture fixture(std::move(options));
+  Client client(fixture.port());
+
+  // A multi-millisecond enumeration and, in the same write, a frame over
+  // the limit: the error is owed after the job's response.
+  client.send_raw(
+      R"({"id":"slow","op":"enumerate","scenario":{"synth":{"buses":30}},)"
+      R"("spec":{"k":2},"max_vectors":16})"
+      "\n" +
+      std::string(8 * 1024, 'x') + "\n");
+  const io::JsonValue job = client.read_response();
+  EXPECT_EQ(field(job, "id").as_string(), "slow");
+  EXPECT_TRUE(field(job, "ok").as_bool());
+  EXPECT_EQ(field(job, "status").as_string(), "done");
+  const io::JsonValue rejected = client.read_response();
+  EXPECT_FALSE(field(rejected, "ok").as_bool());
+  EXPECT_NE(field(rejected, "error").as_string().find("max_line_bytes"), std::string::npos);
 }
 
 TEST(NetServerChaosTest, EmptyAndBlankLinesAreIgnored) {

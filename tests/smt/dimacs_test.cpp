@@ -38,6 +38,9 @@ TEST(DimacsTest, RejectsMissingHeader) {
 TEST(DimacsTest, RejectsMalformedHeader) {
   EXPECT_THROW((void)read_dimacs_string("p dnf 2 1\n1 0\n"), ParseError);
   EXPECT_THROW((void)read_dimacs_string("p cnf x 1\n1 0\n"), ParseError);
+  // 2^32 + 1 variables used to wrap to 1, and the literal 2^32 + 1 to
+  // variable 1: a satisfiable formula read as {1} and {-1}.
+  EXPECT_THROW((void)read_dimacs_string("p cnf 4294967297 2\n4294967297 0\n-1 0\n"), ParseError);
 }
 
 TEST(DimacsTest, RejectsClauseCountMismatch) {
@@ -51,6 +54,12 @@ TEST(DimacsTest, RejectsUnterminatedClause) {
 
 TEST(DimacsTest, RejectsOutOfRangeLiteral) {
   EXPECT_THROW((void)read_dimacs_string("p cnf 2 1\n3 0\n"), ParseError);
+  // Literals beyond the int32 range used to wrap to variable 1, to a
+  // negative variable, or (for LONG_MIN) to undefined behaviour.
+  EXPECT_THROW((void)read_dimacs_string("p cnf 5 2\n4294967297 0\n-1 0\n"), ParseError);
+  EXPECT_THROW((void)read_dimacs_string("p cnf 3 1\n2147483648 0\n"), ParseError);
+  EXPECT_THROW((void)read_dimacs_string("p cnf 3 1\n-2147483648 0\n"), ParseError);
+  EXPECT_THROW((void)read_dimacs_string("p cnf 3 1\n-9223372036854775808 0\n"), ParseError);
 }
 
 TEST(DimacsTest, AcceptsCrlfLineEndings) {

@@ -95,6 +95,9 @@ TEST(DratIoTest, TextParserSkipsCommentsAndRejectsGarbage) {
   EXPECT_THROW((void)read_drat_text(bad), ParseError);
   std::istringstream unterminated("1 2\n");
   EXPECT_THROW((void)read_drat_text(unterminated), ParseError);
+  // 2^32 + 1 used to wrap to variable 1.
+  std::istringstream wrapped("1 4294967297 0\n");
+  EXPECT_THROW((void)read_drat_text(wrapped), ParseError);
 }
 
 TEST(DratCheckTest, AcceptsSolverProofOnPigeonhole) {
