@@ -15,9 +15,12 @@
 // previous commit, so the JSON records the before/after comparison directly.
 //
 // With --quick-check the binary skips the benchmark table and timing loops
-// entirely and only runs the correctness half: the propagation-count oracle,
-// and verdict parity between the CDCL and Z3 backends. Exit 0 on success,
-// 1 on any mismatch — cheap enough for a ctest step.
+// and only runs the correctness half: the propagation-count oracle, verdict
+// parity between the CDCL and Z3 backends, and the ingestion guard — clause
+// ingestion must stay linear, so ns per clause may not grow more than
+// kMaxIngestGrowth from a small threat CNF to a large one. Exit 0 on
+// success, 1 on any violation — cheap enough for a ctest step, and the
+// guard is a ratio, so it holds under sanitizer slowdowns.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include "scada/core/case_study.hpp"
 #include "scada/core/encoder.hpp"
 #include "scada/smt/cdcl.hpp"
+#include "scada/smt/cnf.hpp"
 #include "scada/smt/session.hpp"
 #include "scada/synth/generator.hpp"
 #include "scada/util/rng.hpp"
@@ -43,12 +47,20 @@ using namespace scada;
 /// interleaved with runs of this commit). Recorded so
 /// BENCH_cdcl.json carries the before/after comparison; re-measure when
 /// moving to different hardware.
-constexpr double kBaselinePhpPropsPerSec = 657860.0;
-constexpr double kBaselineFig5PropsPerSec = 7787667.0;
+constexpr double kBaselinePhpPropsPerSec = 629388.0;
+constexpr double kBaselineFig5PropsPerSec = 7670518.0;
 /// Exact propagation counts of the search on the two suites — the
 /// bit-exactness oracle every change that keeps the search must reproduce.
 constexpr std::uint64_t kOraclePhpPropagations = 184926;
 constexpr std::uint64_t kOracleFig5Propagations = 588183;
+/// Ingestion cost of the two guard CNFs at the previous commit, whose
+/// add_clause reallocated on every clause (same host and runs as above).
+constexpr double kBaselineIngestNsSmall = 3783.0;
+constexpr double kBaselineIngestNsLarge = 16459.0;
+/// Largest allowed growth of ns per clause from the small to the large
+/// guard CNF. Linear ingestion reads ~1x (also under ASan); reallocating a
+/// buffer that grows with the CNF on every clause reads 4-5x.
+constexpr double kMaxIngestGrowth = 2.5;
 /// Derived time-to-verdict baselines (propagations / props-per-sec).
 constexpr double kBaselinePhpMs =
     1e3 * static_cast<double>(kOraclePhpPropagations) / kBaselinePhpPropsPerSec;
@@ -228,6 +240,63 @@ void BM_Fig5Enumeration(benchmark::State& state) {
 BENCHMARK(BM_Fig5Enumeration)->Arg(0)->Arg(30)->Arg(57)->ArgName("buses")
     ->Unit(benchmark::kMillisecond);
 
+/// The observability threat CNF (k = 1) of a synthetic grid, lowered once.
+smt::RecordingSink threat_cnf(int buses, int hierarchy) {
+  synth::SynthConfig config;
+  config.buses = buses;
+  config.hierarchy_level = hierarchy;
+  const core::ScadaScenario scenario = synth::generate_scenario(config);
+  smt::FormulaBuilder builder;
+  core::ThreatEncoder encoder(scenario, core::EncoderOptions{}, builder);
+  smt::RecordingSink sink;
+  smt::CnfTransformer transformer(builder, sink);
+  transformer.assert_root(
+      encoder.threat(core::Property::Observability, core::ResiliencySpec::total(1)));
+  return sink;
+}
+
+/// Best-of-three ns per clause to add `cnf` to a bare solver.
+double ingest_ns_per_clause(const smt::RecordingSink& cnf) {
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    smt::CdclSolver solver;
+    const util::WallTimer timer;
+    for (const smt::Clause& clause : cnf.clauses()) (void)solver.add_clause(clause);
+    const double ns = 1e9 * timer.seconds() / static_cast<double>(cnf.clauses().size());
+    if (rep == 0 || ns < best) best = ns;
+  }
+  return best;
+}
+
+struct IngestGuard {
+  double small_ns = 0.0;
+  double large_ns = 0.0;
+  std::size_t small_clauses = 0;
+  std::size_t large_clauses = 0;
+  [[nodiscard]] double growth() const { return small_ns > 0.0 ? large_ns / small_ns : 0.0; }
+  [[nodiscard]] bool ok() const { return growth() <= kMaxIngestGrowth; }
+};
+
+/// Ingests a 57-bus and a 118-bus threat CNF. Returns the guard's reading
+/// and explains on stderr when ingestion grew superlinearly.
+IngestGuard check_ingestion() {
+  const smt::RecordingSink small = threat_cnf(57, 2);
+  const smt::RecordingSink large = threat_cnf(118, 2);
+  IngestGuard guard;
+  guard.small_clauses = small.clauses().size();
+  guard.large_clauses = large.clauses().size();
+  guard.small_ns = ingest_ns_per_clause(small);
+  guard.large_ns = ingest_ns_per_clause(large);
+  if (!guard.ok()) {
+    std::fprintf(stderr,
+                 "bench_cdcl: ingestion %.0f ns/clause at %zu clauses vs %.0f at %zu "
+                 "(%.2fx > %.1fx: clause ingestion is superlinear)\n",
+                 guard.large_ns, guard.large_clauses, guard.small_ns, guard.small_clauses,
+                 guard.growth(), kMaxIngestGrowth);
+  }
+  return guard;
+}
+
 /// The search must be bit-identical to the one the oracle counts were taken
 /// from: the exact propagation counts pin that down. Returns false (and
 /// explains on stderr) when the oracle is violated.
@@ -283,6 +352,7 @@ void write_summary(const char* path) {
   // time over enough reps converges on the unloaded verdict time. The
   // propagation counts are identical across reps (the search is
   // deterministic) — only wall time varies.
+  const IngestGuard ingest = check_ingestion();  // first, on a fresh heap
   Throughput php;
   Throughput fig5;
   for (int rep = 0; rep < 9; ++rep) {
@@ -313,7 +383,13 @@ void write_summary(const char* path) {
       "\"baseline_fig5_time_to_verdict_ms\":%.1f,\"baseline_fig5_props_per_sec\":%.0f,"
       "\"baseline_fig5_propagations\":%llu,"
       "\"php_speedup\":%.3f,\"fig5_speedup\":%.3f,"
-      "\"oracle_ok\":%s}\n",
+      "\"ingest_clauses_small\":%zu,\"ingest_clauses_large\":%zu,"
+      "\"ingest_ns_per_clause_small\":%.0f,\"ingest_ns_per_clause_large\":%.0f,"
+      "\"ingest_growth\":%.3f,"
+      "\"baseline_ingest_ns_per_clause_small\":%.0f,"
+      "\"baseline_ingest_ns_per_clause_large\":%.0f,"
+      "\"baseline_ingest_growth\":%.3f,"
+      "\"oracle_ok\":%s,\"ingest_ok\":%s}\n",
       php_ms, php.props_per_sec, static_cast<unsigned long long>(php.propagations),
       static_cast<unsigned long long>(php.peak_arena_bytes), fig5_ms, fig5.props_per_sec,
       static_cast<unsigned long long>(fig5.propagations),
@@ -322,12 +398,15 @@ void write_summary(const char* path) {
       kBaselineFig5Ms, kBaselineFig5PropsPerSec,
       static_cast<unsigned long long>(kOracleFig5Propagations),
       php_ms > 0.0 ? kBaselinePhpMs / php_ms : 0.0,
-      fig5_ms > 0.0 ? kBaselineFig5Ms / fig5_ms : 0.0, oracle_ok ? "true" : "false");
+      fig5_ms > 0.0 ? kBaselineFig5Ms / fig5_ms : 0.0, ingest.small_clauses, ingest.large_clauses,
+      ingest.small_ns, ingest.large_ns, ingest.growth(), kBaselineIngestNsSmall,
+      kBaselineIngestNsLarge, kBaselineIngestNsLarge / kBaselineIngestNsSmall,
+      oracle_ok ? "true" : "false", ingest.ok() ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s (php %.1f ms vs %.1f ms baseline, fig5 %.1f ms vs %.1f ms, "
-              "oracle %s)\n",
-              path, php_ms, kBaselinePhpMs, fig5_ms, kBaselineFig5Ms,
-              oracle_ok ? "ok" : "VIOLATED");
+              "ingestion %.0f -> %.0f ns/clause, oracle %s)\n",
+              path, php_ms, kBaselinePhpMs, fig5_ms, kBaselineFig5Ms, ingest.small_ns,
+              ingest.large_ns, oracle_ok ? "ok" : "VIOLATED");
 }
 
 }  // namespace
@@ -338,9 +417,13 @@ int main(int argc, char** argv) {
       const bool oracle_ok = check_oracle(php_throughput(9, smt::CdclConfig{}),
                                           fig5_throughput(default_cdcl_options()));
       const bool parity_ok = check_verdict_parity();
-      std::printf("bench_cdcl --quick-check: oracle %s, verdict parity %s\n",
-                  oracle_ok ? "ok" : "VIOLATED", parity_ok ? "ok" : "VIOLATED");
-      return oracle_ok && parity_ok ? 0 : 1;
+      const IngestGuard ingest = check_ingestion();
+      std::printf("bench_cdcl --quick-check: oracle %s, verdict parity %s, ingestion %s "
+                  "(%.0f -> %.0f ns/clause, %zu -> %zu clauses, %.2fx)\n",
+                  oracle_ok ? "ok" : "VIOLATED", parity_ok ? "ok" : "VIOLATED",
+                  ingest.ok() ? "ok" : "VIOLATED", ingest.small_ns, ingest.large_ns,
+                  ingest.small_clauses, ingest.large_clauses, ingest.growth());
+      return oracle_ok && parity_ok && ingest.ok() ? 0 : 1;
     }
   }
   ::benchmark::Initialize(&argc, argv);

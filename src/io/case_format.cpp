@@ -1,5 +1,6 @@
 #include "scada/io/case_format.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -49,6 +50,13 @@ DeviceType parse_device_type(std::size_t line_no, const std::string& word) {
   if (t == "mtu") return DeviceType::Mtu;
   if (t == "router") return DeviceType::Router;
   fail(line_no, "unknown device type '" + word + "'");
+}
+
+/// Appends `value` exactly as an ostream's default formatting prints it
+/// (%g, six significant digits), without the stream's per-value overhead.
+void append_number(std::string& out, double value) {
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, 6).ptr);
 }
 
 }  // namespace
@@ -190,13 +198,17 @@ void write_case(std::ostream& out, const core::ScadaScenario& scenario,
   out << "states " << model.num_states() << "\n";
   out << "measurements " << model.num_measurements() << "\n";
 
+  // The dense Jacobian is nearly all of the text: format it row by row.
   out << "[jacobian]\n";
+  std::string row;
   for (std::size_t r = 0; r < model.num_measurements(); ++r) {
+    row.clear();
     for (std::size_t c = 0; c < model.num_states(); ++c) {
-      if (c > 0) out << ' ';
-      out << model.jacobian().at(r, c);
+      if (c > 0) row += ' ';
+      append_number(row, model.jacobian().at(r, c));
     }
-    out << '\n';
+    row += '\n';
+    out << row;
   }
 
   out << "[devices]\n";

@@ -17,13 +17,12 @@ const char* to_string(JobKind kind) noexcept {
   return "?";
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t state) noexcept {
   for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
+    state ^= static_cast<unsigned char>(c);
+    state *= 0x100000001b3ULL;
   }
-  return h;
+  return state;
 }
 
 std::string JobKey::fingerprint_hex() const {
@@ -32,21 +31,20 @@ std::string JobKey::fingerprint_hex() const {
   return buf;
 }
 
-std::string scenario_fingerprint_blob(const core::ScadaScenario& scenario) {
-  // The scenario's canonical form is its Table-II serialization: stable
-  // section order, devices/links/measurements in id order, so structurally
-  // equal scenarios serialize identically regardless of construction order.
-  return io::write_case_string(scenario);
+bool JobKey::operator==(const JobKey& other) const {
+  if (fingerprint != other.fingerprint || header != other.header) return false;
+  if (blob == other.blob) return true;
+  return blob != nullptr && other.blob != nullptr && *blob == *other.blob;
 }
 
-JobKey make_job_key(const core::ScadaScenario& scenario, JobKind kind, core::Property property,
-                    const core::ResiliencySpec& spec, const core::AnalyzerOptions& options,
-                    std::size_t max_vectors, bool minimal_only) {
-  return make_job_key(scenario_fingerprint_blob(scenario), kind, property, spec, options,
-                      max_vectors, minimal_only);
+std::shared_ptr<const ScenarioEntry> make_scenario_entry(core::ScadaScenario scenario) {
+  auto blob = std::make_shared<const std::string>(io::write_case_string(scenario));
+  const std::uint64_t blob_hash = fnv1a64(*blob);
+  return std::make_shared<const ScenarioEntry>(
+      ScenarioEntry{std::move(scenario), std::move(blob), blob_hash});
 }
 
-JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property property,
+JobKey make_job_key(const ScenarioEntry& scenario, JobKind kind, core::Property property,
                     const core::ResiliencySpec& spec, const core::AnalyzerOptions& options,
                     std::size_t max_vectors, bool minimal_only) {
   std::string key = "scada-job-v1\n";
@@ -70,12 +68,11 @@ JobKey make_job_key(std::string_view scenario_blob, JobKind kind, core::Property
   key += options.minimize_threats ? "\nminimize=1" : "\nminimize=0";
   key += options.encoder.injection_redundancy ? "\ninj_redundancy=1" : "\ninj_redundancy=0";
   key += options.encoder.links_can_fail ? "\nlinks_fail=1" : "\nlinks_fail=0";
-  key += "\nscenario=\n";
-  key += scenario_blob;
 
   JobKey out;
-  out.fingerprint = fnv1a64(key);
-  out.canonical = std::move(key);
+  out.fingerprint = fnv1a64(key, scenario.blob_hash);  // blob‖header
+  out.header = std::move(key);
+  out.blob = scenario.blob;
   return out;
 }
 
@@ -85,14 +82,15 @@ AnalysisCache::AnalysisCache(std::size_t capacity, util::MetricsRegistry& metric
       misses_(metrics.counter("cache.misses")),
       insertions_(metrics.counter("cache.insertions")),
       evictions_(metrics.counter("cache.evictions")),
-      entries_(metrics.gauge("cache.entries")) {}
+      entries_(metrics.gauge("cache.entries")),
+      bytes_(metrics.gauge("cache.bytes")) {}
 
 std::optional<CachedAnalysis> AnalysisCache::lookup(const JobKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto chain = index_.find(key.fingerprint);
   if (chain != index_.end()) {
     for (const LruList::iterator it : chain->second) {
-      if (it->canonical == key.canonical) {
+      if (it->key == key) {
         lru_.splice(lru_.begin(), lru_, it);  // promote to MRU
         hits_.inc();
         return it->value;
@@ -108,7 +106,7 @@ bool AnalysisCache::insert(const JobKey& key, CachedAnalysis value) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (auto chain = index_.find(key.fingerprint); chain != index_.end()) {
     for (const LruList::iterator it : chain->second) {
-      if (it->canonical == key.canonical) {  // refresh in place
+      if (it->key == key) {  // refresh in place
         it->value = std::move(value);
         lru_.splice(lru_.begin(), lru_, it);
         return true;
@@ -116,31 +114,40 @@ bool AnalysisCache::insert(const JobKey& key, CachedAnalysis value) {
     }
   }
   while (lru_.size() >= capacity_) {
-    unindex(std::prev(lru_.end()));
-    lru_.pop_back();
+    evict_lru();
     evictions_.inc();
   }
-  lru_.push_front(Entry{key.canonical, std::move(value)});
+  lru_.push_front(Entry{key, std::move(value)});
   index_[key.fingerprint].push_back(lru_.begin());
+  bytes_.add(static_cast<std::int64_t>(key.header.size()));
+  if (blob_refs_[key.blob.get()]++ == 0) bytes_.add(static_cast<std::int64_t>(key.blob->size()));
   insertions_.inc();
   entries_.set(static_cast<std::int64_t>(lru_.size()));
   return true;
 }
 
-void AnalysisCache::unindex(LruList::iterator it) {
-  const std::uint64_t fp = fnv1a64(it->canonical);
-  const auto chain = index_.find(fp);
-  if (chain == index_.end()) return;
+void AnalysisCache::evict_lru() {
+  const LruList::iterator it = std::prev(lru_.end());
+  const JobKey& key = it->key;
+  const auto chain = index_.find(key.fingerprint);
   auto& vec = chain->second;
   vec.erase(std::remove(vec.begin(), vec.end(), it), vec.end());
   if (vec.empty()) index_.erase(chain);
+  bytes_.sub(static_cast<std::int64_t>(key.header.size()));
+  if (const auto refs = blob_refs_.find(key.blob.get()); --refs->second == 0) {
+    blob_refs_.erase(refs);
+    bytes_.sub(static_cast<std::int64_t>(key.blob->size()));
+  }
+  lru_.pop_back();
 }
 
 void AnalysisCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
+  blob_refs_.clear();
   entries_.set(0);
+  bytes_.set(0);
 }
 
 std::size_t AnalysisCache::size() const {

@@ -1,5 +1,6 @@
 #include "scada/service/batch_server.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <istream>
 #include <limits>
@@ -71,45 +72,20 @@ smt::Backend parse_backend(const std::string& name) {
   throw ParseError("unknown backend '" + name + "'");
 }
 
-}  // namespace
-
-BatchServer::BatchServer(ServerOptions options)
-    : options_(options),
-      scheduler_(options.scheduler),
-      memo_size_(scheduler_.metrics().gauge("service.scenario_memo")) {}
-
-std::shared_ptr<const core::ScadaScenario> BatchServer::resolve_scenario(
-    const JsonValue& source) {
-  if (!source.is_object()) throw ParseError("'scenario' must be an object");
-  // Memoized by the serialized source spec: one parse/generation per
-  // distinct fleet member while it stays memoized (the memo is cleared when
-  // it fills up). The lock covers only the lookup/insert; two connections
-  // racing on the same cold key may both generate, and the first insert
-  // wins for everyone after.
-  const std::string memo_key = source.dump();
-  {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
-    if (const auto hit = scenario_memo_.find(memo_key); hit != scenario_memo_.end()) {
-      return hit->second;
-    }
-  }
-
-  std::shared_ptr<const core::ScadaScenario> scenario;
+/// Parses or generates the scenario a request's "scenario" member names.
+core::ScadaScenario build_scenario(const JsonValue& source) {
   if (const JsonValue* builtin = source.find("builtin")) {
     const std::string& name = builtin->as_string();
     if (name == "case_study_fig3" || name == "case_study") {
-      scenario = std::make_shared<core::ScadaScenario>(
-          core::make_case_study(core::CaseStudyTopology::Fig3));
-    } else if (name == "case_study_fig4") {
-      scenario = std::make_shared<core::ScadaScenario>(
-          core::make_case_study(core::CaseStudyTopology::Fig4));
-    } else {
-      throw ParseError("unknown builtin scenario '" + name + "'");
+      return core::make_case_study(core::CaseStudyTopology::Fig3);
     }
-  } else if (const JsonValue* case_text = source.find("case")) {
-    scenario = std::make_shared<core::ScadaScenario>(
-        io::read_case_string(case_text->as_string()).scenario);
-  } else if (const JsonValue* synth = source.find("synth")) {
+    if (name == "case_study_fig4") return core::make_case_study(core::CaseStudyTopology::Fig4);
+    throw ParseError("unknown builtin scenario '" + name + "'");
+  }
+  if (const JsonValue* case_text = source.find("case")) {
+    return io::read_case_string(case_text->as_string()).scenario;
+  }
+  if (const JsonValue* synth = source.find("synth")) {
     if (!synth->is_object()) throw ParseError("'synth' must be an object");
     synth::SynthConfig config;
     if (const JsonValue* v = synth->find("buses")) config.buses = int_field(*v, "buses");
@@ -126,15 +102,46 @@ std::shared_ptr<const core::ScadaScenario> BatchServer::resolve_scenario(
     if (const JsonValue* v = synth->find("secured_hop_fraction")) {
       config.secured_hop_fraction = v->as_double();
     }
-    scenario = std::make_shared<core::ScadaScenario>(synth::generate_scenario(config));
-  } else {
-    throw ParseError("'scenario' needs one of builtin, case, synth");
+    return synth::generate_scenario(config);
   }
-  const std::lock_guard<std::mutex> lock(memo_mutex_);
-  if (scenario_memo_.size() >= kScenarioMemoCapacity) scenario_memo_.clear();
-  const auto& resolved = scenario_memo_.emplace(memo_key, std::move(scenario)).first->second;
-  memo_size_.set(static_cast<std::int64_t>(scenario_memo_.size()));
-  return resolved;
+  throw ParseError("'scenario' needs one of builtin, case, synth");
+}
+
+/// The entry resident in `store` for `source`, moved to most recently used;
+/// null on a miss. Caller holds the store's lock.
+std::shared_ptr<const ScenarioEntry> touch(auto& store, const std::string& source) {
+  const auto hit = std::find_if(store.begin(), store.end(),
+                                [&](const auto& resident) { return resident.first == source; });
+  if (hit == store.end()) return nullptr;
+  std::rotate(hit, std::next(hit), store.end());
+  return store.back().second;
+}
+
+}  // namespace
+
+BatchServer::BatchServer(ServerOptions options)
+    : scheduler_(options.scheduler),
+      memo_size_(scheduler_.metrics().gauge("service.scenario_memo")) {}
+
+std::shared_ptr<const ScenarioEntry> BatchServer::resolve_scenario(const JsonValue& source) {
+  if (!source.is_object()) throw ParseError("'scenario' must be an object");
+  // Keyed by the serialized source spec: one parse/generation and one
+  // serialization per distinct fleet member while it stays resident. The
+  // lock covers only the lookup/admission; two connections racing on the
+  // same cold source may both build, and the first admission wins for
+  // everyone after.
+  const std::string source_key = source.dump();
+  {
+    const std::lock_guard<std::mutex> lock(store_mutex_);
+    if (auto hit = touch(store_, source_key)) return hit;
+  }
+  std::shared_ptr<const ScenarioEntry> entry = make_scenario_entry(build_scenario(source));
+  const std::lock_guard<std::mutex> lock(store_mutex_);
+  if (auto twin = touch(store_, source_key)) return twin;
+  if (store_.size() >= kScenarioMemoCapacity) store_.erase(store_.begin());
+  store_.emplace_back(source_key, entry);
+  memo_size_.set(static_cast<std::int64_t>(store_.size()));
+  return entry;
 }
 
 BatchServer::Submitted BatchServer::submit_job(const JsonValue& request) {

@@ -5,10 +5,10 @@
 // everything that determines its answer — the scenario (via the stable
 // Table-II text format), the property, the resiliency spec, the analysis
 // kind and its budgets, and every analyzer/solver option that can change the
-// verdict. Two requests with byte-identical canonical keys are the same
-// analysis, however they were constructed; the 64-bit hash is only an index
-// accelerator, full keys are compared on lookup so hash collisions can never
-// alias verdicts.
+// verdict. Every key over one ScenarioEntry shares its blob by handle. Keys
+// with equal headers and byte-identical blobs are the same analysis, however
+// they were constructed; the 64-bit hash is only an index accelerator, full
+// keys are compared on lookup so hash collisions can never alias verdicts.
 //
 // Replacement: a classic doubly-linked LRU under one mutex (lookups are
 // O(1) and promote to front; inserts evict from the back). Unknown verdicts
@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -40,38 +41,47 @@ enum class JobKind {
 
 [[nodiscard]] const char* to_string(JobKind kind) noexcept;
 
+/// 64-bit FNV-1a (the stable hash behind JobKey::fingerprint); `state`
+/// continues a hash over bytes that preceded `bytes`.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes,
+                                    std::uint64_t state = 0xcbf29ce484222325ULL) noexcept;
+
+/// A resolved scenario, its canonical blob (the Table-II serialization, so
+/// structurally equal scenarios serialize identically) and the blob's FNV-1a.
+struct ScenarioEntry {
+  core::ScadaScenario scenario;
+  std::shared_ptr<const std::string> blob;
+  std::uint64_t blob_hash = 0;
+};
+
+/// The one way to build a ScenarioEntry: serializes and hashes once.
+[[nodiscard]] std::shared_ptr<const ScenarioEntry> make_scenario_entry(
+    core::ScadaScenario scenario);
+
 /// The canonical identity of one analysis job.
 struct JobKey {
-  /// Full canonical serialization (scenario text + property + spec + kind +
-  /// options). Equality of keys == equality of analyses.
-  std::string canonical;
-  /// FNV-1a of `canonical`; index accelerator and the id reported to
+  /// Everything but the scenario, one short line per input (kind, property,
+  /// spec, budgets, options).
+  std::string header;
+  /// The scenario's blob, shared with its ScenarioEntry.
+  std::shared_ptr<const std::string> blob;
+  /// FNV-1a of blob‖header; index accelerator and the id reported to
   /// clients (hex) for cache introspection.
   std::uint64_t fingerprint = 0;
 
   [[nodiscard]] std::string fingerprint_hex() const;
-  bool operator==(const JobKey&) const = default;
+  /// Equal analyses: compares the fingerprint and header, then the blob by
+  /// handle, and only for distinct handles by bytes.
+  [[nodiscard]] bool operator==(const JobKey& other) const;
 };
 
-/// 64-bit FNV-1a (the stable hash behind JobKey::fingerprint).
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
+struct JobKeyHash {
+  std::size_t operator()(const JobKey& key) const noexcept { return key.fingerprint; }
+};
 
 /// Builds the canonical key for a job. `max_vectors` and `minimal_only` only
 /// participate for EnumerateThreats.
-[[nodiscard]] JobKey make_job_key(const core::ScadaScenario& scenario, JobKind kind,
-                                  core::Property property, const core::ResiliencySpec& spec,
-                                  const core::AnalyzerOptions& options,
-                                  std::size_t max_vectors = 0, bool minimal_only = true);
-
-/// The canonical scenario blob used inside job keys (its Table-II
-/// serialization). Expose it so callers submitting many jobs against the
-/// same scenario can serialize once and key with the overload below.
-[[nodiscard]] std::string scenario_fingerprint_blob(const core::ScadaScenario& scenario);
-
-/// Same as make_job_key(scenario, ...) but takes a pre-computed
-/// scenario_fingerprint_blob — the serialization dominates keying cost, so
-/// hot submit paths memoize it per scenario.
-[[nodiscard]] JobKey make_job_key(std::string_view scenario_blob, JobKind kind,
+[[nodiscard]] JobKey make_job_key(const ScenarioEntry& scenario, JobKind kind,
                                   core::Property property, const core::ResiliencySpec& spec,
                                   const core::AnalyzerOptions& options,
                                   std::size_t max_vectors = 0, bool minimal_only = true);
@@ -91,8 +101,9 @@ struct CachedAnalysis {
 class AnalysisCache {
  public:
   /// `capacity` = max resident entries (≥ 1). The cache.{hits,misses,
-  /// insertions,evictions} counters and the cache.entries gauge in `metrics`
-  /// are the cache's only ledger; the registry must outlive the cache.
+  /// insertions,evictions} counters and the cache.{entries,bytes} gauges in
+  /// `metrics` are the cache's only ledger (bytes: resident key bytes, each
+  /// shared blob once); the registry must outlive the cache.
   AnalysisCache(std::size_t capacity, util::MetricsRegistry& metrics);
 
   /// Returns (a copy of) the cached answer and promotes the entry to
@@ -105,11 +116,10 @@ class AnalysisCache {
 
   void clear();
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   struct Entry {
-    std::string canonical;
+    JobKey key;
     CachedAnalysis value;
   };
   using LruList = std::list<Entry>;
@@ -120,14 +130,18 @@ class AnalysisCache {
   /// fingerprint -> entries with that hash (collision chain; virtually
   /// always length 1).
   std::unordered_map<std::uint64_t, std::vector<LruList::iterator>> index_;
+  /// blob -> resident entries sharing it, so cache.bytes counts it once.
+  std::unordered_map<const std::string*, std::size_t> blob_refs_;
 
   util::Counter& hits_;
   util::Counter& misses_;
   util::Counter& insertions_;
   util::Counter& evictions_;
   util::Gauge& entries_;
+  util::Gauge& bytes_;
 
-  void unindex(LruList::iterator it);
+  /// Drops the least-recently-used entry from the index and the byte count.
+  void evict_lru();
 };
 
 }  // namespace scada::service

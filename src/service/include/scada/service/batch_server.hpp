@@ -20,10 +20,10 @@
 //   {"case":"<Table-II case text>"}            (see io::read_case_string)
 //   {"synth":{"buses":30,"seed":7,"hierarchy":2,"measurement_fraction":0.7,
 //             "rtus_per_bus":0.3}}             (see synth::SynthConfig)
-// Parsed/generated scenarios are memoized by their source spec, so a batch
-// over one fleet parses each system once. The memo holds at most
-// kScenarioMemoCapacity scenarios (it is cleared when full); its size is the
-// "service.scenario_memo" gauge in stats.
+// Parsed/generated scenarios live in one store keyed by their source spec,
+// with their Table-II blob, so a batch over one fleet parses and serializes
+// each system once. The store is an LRU of kScenarioMemoCapacity entries;
+// its size is the "service.scenario_memo" gauge in stats.
 //
 // Responses:
 //   {"id":"r1","ok":true,"op":"verify","status":"done","cache_hit":false,
@@ -43,10 +43,11 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "scada/io/json.hpp"
 #include "scada/service/job_scheduler.hpp"
@@ -146,22 +147,24 @@ class BatchServer {
 
   [[nodiscard]] JobScheduler& scheduler() noexcept { return scheduler_; }
 
- private:
-  /// Resolves (and memoizes) the scenario named by the request's
-  /// "scenario" member. Thread-safe.
-  std::shared_ptr<const core::ScadaScenario> resolve_scenario(const io::JsonValue& source);
+  /// The store entry for a request's "scenario" member, built and admitted
+  /// on a miss (evicting the least recently used). Thread-safe.
+  [[nodiscard]] std::shared_ptr<const ScenarioEntry> resolve_scenario(
+      const io::JsonValue& source);
 
+ private:
   [[nodiscard]] Submitted submit_job(const io::JsonValue& request);
   [[nodiscard]] std::string render_stats(const std::string& id_json);
   [[nodiscard]] static std::string render_error(const std::string& id_json,
                                                 const std::string& message);
 
-  ServerOptions options_;
   JobScheduler scheduler_;
-  /// Guards scenario_memo_: connection threads dispatch concurrently.
-  std::mutex memo_mutex_;
-  std::map<std::string, std::shared_ptr<const core::ScadaScenario>> scenario_memo_;
-  util::Gauge& memo_size_;  ///< "service.scenario_memo": scenario_memo_.size()
+  /// Guards store_: connection threads dispatch concurrently.
+  std::mutex store_mutex_;
+  /// The scenario store, (source spec, entry) from least to most recently
+  /// used; at most kScenarioMemoCapacity long.
+  std::vector<std::pair<std::string, std::shared_ptr<const ScenarioEntry>>> store_;
+  util::Gauge& memo_size_;  ///< "service.scenario_memo": store_.size()
 };
 
 }  // namespace scada::service

@@ -39,11 +39,12 @@
 
 namespace scada::service {
 
-/// One analysis request. The scenario is shared-ownership so batches can
-/// reuse one parsed scenario across many jobs without copying.
+/// One analysis request. The scenario entry (make_scenario_entry) is
+/// shared-ownership so batches reuse one resolved scenario, and its blob,
+/// across many jobs without copying or re-serializing.
 struct JobRequest {
   JobKind kind = JobKind::Verify;
-  std::shared_ptr<const core::ScadaScenario> scenario;
+  std::shared_ptr<const ScenarioEntry> scenario;
   core::Property property = core::Property::Observability;
   core::ResiliencySpec spec = core::ResiliencySpec::total(1);
   core::AnalyzerOptions options;
@@ -57,11 +58,10 @@ struct JobRequest {
   std::optional<double> deadline_ms;
 };
 
-/// Capacity of the per-scenario memos: the scheduler's fingerprint blobs and
-/// the batch server's resolved scenarios. A fleet audit touches few distinct
-/// scenarios; a memo that fills up is cleared, so a client sending ever-new
-/// scenarios cannot grow the process without limit.
-inline constexpr std::size_t kScenarioMemoCapacity = 256;
+/// Capacity of the batch server's scenario store, an LRU of resolved
+/// scenarios with their blobs. A fleet audit touches few distinct scenarios;
+/// a client sending ever-new scenarios only cycles the store.
+inline constexpr std::size_t kScenarioMemoCapacity = 32;
 
 enum class JobStatus {
   Done,      ///< verdict (or threat space) delivered, possibly from cache
@@ -115,7 +115,6 @@ class JobScheduler {
   [[nodiscard]] Ticket submit(JobRequest request);
 
   [[nodiscard]] util::MetricsRegistry& metrics() noexcept { return metrics_; }
-  [[nodiscard]] std::size_t threads() const noexcept { return pool_->size(); }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -138,26 +137,13 @@ class JobScheduler {
   void finish(const StatePtr& job, JobOutcome out);
   void watchdog_loop();
   void register_deadline(const StatePtr& job);
-  [[nodiscard]] std::shared_ptr<const std::string> scenario_blob(
-      const std::shared_ptr<const core::ScadaScenario>& scenario);
 
-  SchedulerOptions options_;
   util::MetricsRegistry metrics_;  ///< declared before cache_, which counts into it
   AnalysisCache cache_;
 
-  /// Scenario -> canonical serialization memo (keyed by object identity;
-  /// the value pins the scenario alive so a recycled address can never
-  /// alias a stale blob). Serialization dominates job-keying cost, and a
-  /// fleet audit submits many jobs against few scenarios.
-  std::mutex blob_mutex_;
-  std::unordered_map<const core::ScadaScenario*,
-                     std::pair<std::shared_ptr<const core::ScadaScenario>,
-                               std::shared_ptr<const std::string>>>
-      blobs_;
-
   std::mutex mutex_;
-  /// canonical key -> in-flight (pending or running) job, for coalescing.
-  std::unordered_map<std::string, StatePtr> inflight_;
+  /// In-flight (pending or running) jobs by key, for coalescing.
+  std::unordered_map<JobKey, StatePtr, JobKeyHash> inflight_;
 
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;

@@ -41,8 +41,7 @@ const char* to_string(JobStatus status) noexcept {
 }
 
 JobScheduler::JobScheduler(SchedulerOptions options)
-    : options_(options),
-      cache_(options.cache_capacity, metrics_),
+    : cache_(options.cache_capacity, metrics_),
       watchdog_([this] { watchdog_loop(); }),
       pool_(std::make_unique<util::ThreadPool>(options.threads)) {}
 
@@ -58,21 +57,6 @@ JobScheduler::~JobScheduler() {
   watchdog_.join();
 }
 
-std::shared_ptr<const std::string> JobScheduler::scenario_blob(
-    const std::shared_ptr<const core::ScadaScenario>& scenario) {
-  {
-    const std::lock_guard<std::mutex> lock(blob_mutex_);
-    if (const auto hit = blobs_.find(scenario.get()); hit != blobs_.end()) {
-      return hit->second.second;
-    }
-  }
-  auto blob = std::make_shared<const std::string>(scenario_fingerprint_blob(*scenario));
-  const std::lock_guard<std::mutex> lock(blob_mutex_);
-  if (blobs_.size() >= kScenarioMemoCapacity) blobs_.clear();
-  blobs_.emplace(scenario.get(), std::make_pair(scenario, blob));
-  return blob;
-}
-
 JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
   if (!request.scenario) throw ConfigError("JobScheduler::submit: request has no scenario");
   // An enumeration that may not solve even once would read as a proven
@@ -81,18 +65,16 @@ JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
     throw ConfigError("JobScheduler::submit: an enumeration needs max_vectors >= 1");
   }
 
-  // Fingerprint outside the in-flight lock. The scenario serialization — the
-  // expensive part of keying — is memoized per scenario object, so repeat
-  // submissions against the same scenario key in microseconds.
-  const std::shared_ptr<const std::string> blob = scenario_blob(request.scenario);
-  JobKey key = make_job_key(*blob, request.kind, request.property, request.spec, request.options,
-                            request.max_vectors, request.minimal_only);
+  // Key outside the in-flight lock: the entry carries its blob and the blob's
+  // hash, so keying only formats and hashes the short header.
+  JobKey key = make_job_key(*request.scenario, request.kind, request.property, request.spec,
+                            request.options, request.max_vectors, request.minimal_only);
   const Clock::time_point now = Clock::now();
 
   StatePtr job;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto hit = inflight_.find(key.canonical); hit != inflight_.end()) {
+    if (const auto hit = inflight_.find(key); hit != inflight_.end()) {
       metrics_.counter("scheduler.jobs_coalesced").inc();
       return Ticket{hit->second->future, /*coalesced=*/true};
     }
@@ -102,7 +84,7 @@ JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
     job->submitted = now;
     if (job->request.deadline_ms) job->deadline = deadline_after(now, *job->request.deadline_ms);
     job->future = job->promise.get_future().share();
-    inflight_.emplace(job->key.canonical, job);
+    inflight_.emplace(job->key, job);
   }
 
   metrics_.counter("scheduler.jobs_submitted").inc();
@@ -186,7 +168,8 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
   core::AnalyzerOptions options = req.options;
   options.interrupt = job->token.flag();
   try {
-    core::ScadaAnalyzer analyzer(*req.scenario, options);
+    const core::ScadaScenario& scenario = req.scenario->scenario;
+    core::ScadaAnalyzer analyzer(scenario, options);
     if (req.kind == JobKind::Verify) {
       out.analysis.verdict = analyzer.verify(req.property, req.spec);
       // Fleet-wide inprocessing effectiveness, scraped alongside the
@@ -214,7 +197,7 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
     } else if (req.kind == JobKind::SecurityIndex || req.kind == JobKind::Harden) {
       core::OptimizerOptions opt_options;
       opt_options.analyzer = options;
-      core::Optimizer optimizer(*req.scenario, opt_options);
+      core::Optimizer optimizer(scenario, opt_options);
       const util::WallTimer opt_timer;
       if (req.kind == JobKind::SecurityIndex) {
         core::SecurityIndexResult r = optimizer.security_index(req.property, req.spec.r);
@@ -296,7 +279,7 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
 void JobScheduler::finish(const StatePtr& job, JobOutcome out) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    inflight_.erase(job->key.canonical);
+    inflight_.erase(job->key);
   }
   job->finished.store(true);
   metrics_.gauge("scheduler.running").sub(1);

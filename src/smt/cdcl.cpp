@@ -140,8 +140,9 @@ bool CdclSolver::add_clause(std::span<const Lit> lits_in) {
   ++num_problem_clauses_;
   attach_clause(cref);
   // Feed the incremental inprocessor: only these neighborhoods need a
-  // fresh subsumption/BVE look next pass.
-  fresh_clause_vars_.reserve(fresh_clause_vars_.size() + normalized.size());
+  // fresh subsumption/BVE look next pass. Let push_back grow the list
+  // geometrically: reserving the exact new size per clause reallocates every
+  // time and makes ingestion quadratic.
   for (const Lit l : normalized) fresh_clause_vars_.push_back(l.var());
   return true;
 }

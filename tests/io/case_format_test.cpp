@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "scada/core/analyzer.hpp"
 #include "scada/core/case_study.hpp"
+#include "scada/synth/generator.hpp"
 #include "scada/util/error.hpp"
 #include "scada/util/rng.hpp"
 
@@ -197,6 +200,65 @@ TEST(CaseFormatTest, FuzzedInputsFailCleanly) {
   // Both outcomes occur across 200 rounds; nothing else escaped.
   EXPECT_GT(rejected, 0);
   EXPECT_EQ(parsed_ok + rejected, 200);
+}
+
+/// The [jacobian] rows of a written case file.
+std::vector<std::string> jacobian_rows(const std::string& text) {
+  std::istringstream in(text.substr(text.find("[jacobian]\n") + 11));
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(in, line) && line.front() != '[';) rows.push_back(line);
+  return rows;
+}
+
+/// The reference the writer must reproduce: each Jacobian row printed
+/// through an ostream's default double formatting.
+std::vector<std::string> stream_rows(const core::ScadaScenario& scenario) {
+  const auto& model = scenario.model();
+  std::vector<std::string> rows;
+  for (std::size_t r = 0; r < model.num_measurements(); ++r) {
+    std::ostringstream row;
+    for (std::size_t c = 0; c < model.num_states(); ++c) {
+      if (c > 0) row << ' ';
+      row << model.jacobian().at(r, c);
+    }
+    rows.push_back(row.str());
+  }
+  return rows;
+}
+
+TEST(CaseFormatTest, JacobianTextMatchesStreamFormatting) {
+  std::vector<core::ScadaScenario> scenarios = {
+      core::make_case_study(core::CaseStudyTopology::Fig3),
+      core::make_case_study(core::CaseStudyTopology::Fig4)};
+  for (const int buses : {14, 30, 57, 118}) {
+    synth::SynthConfig config;
+    config.buses = buses;
+    scenarios.push_back(synth::generate_scenario(config));
+  }
+  // Values that exercise %g: a fraction, a negative, negative zero, the
+  // switch to exponent notation on both sides, and rounding to 6 digits.
+  scenarios.push_back(read_case_string(R"([counts]
+states 6
+measurements 2
+[jacobian]
+0.5 -1 -0.0 1e-07 123456789 2.5e+10
+1 0 0 0 0 0
+[devices]
+ied 1
+mtu 2
+[links]
+1 1 2
+[measurements]
+1 1 2
+)").scenario);
+
+  for (const core::ScadaScenario& scenario : scenarios) {
+    const std::string text = write_case_string(scenario);
+    EXPECT_EQ(jacobian_rows(text), stream_rows(scenario));
+    EXPECT_EQ(write_case_string(read_case_string(text).scenario), text);
+  }
+  EXPECT_EQ(jacobian_rows(write_case_string(scenarios.back())).front(),
+            "0.5 -1 -0 1e-07 1.23457e+08 2.5e+10");
 }
 
 TEST(CaseFormatTest, TruncatedFilesRejected) {

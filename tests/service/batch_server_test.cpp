@@ -231,6 +231,23 @@ TEST(BatchServerTest, ScenarioMemoIsBounded) {
   EXPECT_LE(memo, static_cast<std::int64_t>(kScenarioMemoCapacity));
 }
 
+TEST(BatchServerTest, ScenarioStoreKeepsATouchedSourceResident) {
+  // The store is an LRU: a source touched between fresh ones stays resident
+  // (the same entry, so its blob is never rebuilt) while the store itself
+  // never outgrows its capacity.
+  BatchServer server;
+  const io::JsonValue touched = io::parse_json(R"({"synth":{"buses":14,"seed":0}})");
+  const std::shared_ptr<const ScenarioEntry> first = server.resolve_scenario(touched);
+  const util::Gauge& resident = server.scheduler().metrics().gauge("service.scenario_memo");
+  for (int seed = 1; seed <= 300; ++seed) {
+    (void)server.resolve_scenario(io::parse_json(
+        R"({"synth":{"buses":14,"seed":)" + std::to_string(seed) + "}}"));
+    ASSERT_EQ(server.resolve_scenario(touched), first) << seed;
+    ASSERT_LE(resident.value(), static_cast<std::int64_t>(kScenarioMemoCapacity));
+  }
+  EXPECT_EQ(resident.value(), static_cast<std::int64_t>(kScenarioMemoCapacity));
+}
+
 TEST(BatchServerTest, StatsSnapshotsCacheAndScheduler) {
   BatchServer server;
   const std::string line =

@@ -16,14 +16,14 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::shared_ptr<const core::ScadaScenario> case_study() {
-  return std::make_shared<const core::ScadaScenario>(core::make_case_study());
+std::shared_ptr<const ScenarioEntry> case_study() {
+  return make_scenario_entry(core::make_case_study());
 }
 
-std::shared_ptr<const core::ScadaScenario> synth_30bus() {
+std::shared_ptr<const ScenarioEntry> synth_30bus() {
   synth::SynthConfig config;
   config.buses = 30;
-  return std::make_shared<const core::ScadaScenario>(synth::generate_scenario(config));
+  return make_scenario_entry(synth::generate_scenario(config));
 }
 
 /// A single-threaded scheduler makes queueing behaviour deterministic: one
@@ -34,7 +34,7 @@ SchedulerOptions single_threaded() {
   return options;
 }
 
-JobRequest verify_request(std::shared_ptr<const core::ScadaScenario> scenario, int k1, int k2) {
+JobRequest verify_request(std::shared_ptr<const ScenarioEntry> scenario, int k1, int k2) {
   JobRequest request;
   request.kind = JobKind::Verify;
   request.scenario = std::move(scenario);
@@ -46,7 +46,7 @@ JobRequest verify_request(std::shared_ptr<const core::ScadaScenario> scenario, i
 /// A multi-millisecond job: threat enumeration on the 30-bus synthetic
 /// system. Keeps the single worker busy long enough for everything
 /// submitted after it to be reliably queued.
-JobRequest blocker_request(std::shared_ptr<const core::ScadaScenario> scenario) {
+JobRequest blocker_request(std::shared_ptr<const ScenarioEntry> scenario) {
   JobRequest request;
   request.kind = JobKind::EnumerateThreats;
   request.scenario = std::move(scenario);
@@ -79,8 +79,8 @@ TEST(JobSchedulerTest, FinishedJobsDoNotOutliveTheirOutcomeUntilTheirDeadline) {
   // Fifty jobs with generous deadlines, submitted one after another so none
   // coalesces; every job after the first is a cache hit. Once a job has
   // delivered, nothing may keep its request (and with it the scenario)
-  // alive until the deadline lapses: the only references left are the
-  // test's own and the scheduler's fingerprint memo.
+  // alive until the deadline lapses: the only reference left is the test's
+  // own (cached keys share the blob, not the entry).
   JobScheduler scheduler(single_threaded());
   const auto scenario = case_study();
   for (int i = 0; i < 50; ++i) {
@@ -93,10 +93,10 @@ TEST(JobSchedulerTest, FinishedJobsDoNotOutliveTheirOutcomeUntilTheirDeadline) {
   // The worker drops its own handle on the last job just after publishing
   // the outcome; give it that moment.
   const auto give_up = std::chrono::steady_clock::now() + 5s;
-  while (scenario.use_count() > 2 && std::chrono::steady_clock::now() < give_up) {
+  while (scenario.use_count() > 1 && std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(1ms);
   }
-  EXPECT_LE(scenario.use_count(), 2);
+  EXPECT_EQ(scenario.use_count(), 1);
 }
 
 TEST(JobSchedulerTest, SatVerdictCarriesThreatVector) {
@@ -127,6 +127,27 @@ TEST(JobSchedulerTest, IdenticalInflightRequestsCoalesce) {
   EXPECT_EQ(ob.analysis.verdict.result, oa.analysis.verdict.result);
   EXPECT_EQ(scheduler.metrics().counter("scheduler.jobs_coalesced").value(), 1u);
   (void)blocker.outcome.get();
+}
+
+TEST(JobSchedulerTest, EqualScenariosWithDistinctBlobsCoalesceAndHit) {
+  // Two entries of the same scenario hold separate blobs; keys compare by
+  // content, so the twin joins the in-flight job and a later one hits.
+  JobScheduler scheduler(single_threaded());
+  const auto a = case_study();
+  const auto b = case_study();
+  ASSERT_NE(a->blob, b->blob);
+
+  const auto blocker = scheduler.submit(blocker_request(synth_30bus()));
+  const auto first = scheduler.submit(verify_request(a, 1, 1));
+  const auto twin = scheduler.submit(verify_request(b, 1, 1));
+  EXPECT_FALSE(first.coalesced);
+  EXPECT_TRUE(twin.coalesced);
+  EXPECT_EQ(first.outcome.get().fingerprint, twin.outcome.get().fingerprint);
+  (void)blocker.outcome.get();
+
+  const JobOutcome warm = scheduler.submit(verify_request(case_study(), 1, 1)).outcome.get();
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.analysis.verdict.result, smt::SolveResult::Unsat);
 }
 
 TEST(JobSchedulerTest, UndersizedDeadlineDegradesToTimedOutUnknown) {
