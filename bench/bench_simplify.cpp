@@ -5,7 +5,9 @@
 // Besides the benchmark table, the run writes a BENCH_simplify.json summary
 // (same directory) with the headline numbers the acceptance gate tracks: the
 // fraction of Tseitin variables bounded variable elimination removes from the
-// case-study CNF, and the on/off wall-clock ratio over the Fig. 5 suite.
+// case-study CNF, the on/off wall-clock ratio over the Fig. 5 suite, and the
+// verify time on deep RTU chains (14-bus, hierarchy 1000 and 3000), where a
+// pass that scales badly with chain depth would show first.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -137,6 +139,25 @@ void write_summary(const char* path) {
     case_ratio = static_cast<double>(case_eliminated) / static_cast<double>(case_vars);
   }
 
+  // Deep chains: one k = 1 observability verify (encode + solve) of a
+  // 14-bus grid per hierarchy depth, simplifier on, best of three.
+  double deep_ms[2] = {0.0, 0.0};
+  const int depths[2] = {1000, 3000};
+  for (int d = 0; d < 2; ++d) {
+    synth::SynthConfig config;
+    config.buses = 14;
+    config.hierarchy_level = depths[d];
+    const core::ScadaScenario deep = synth::generate_scenario(config);
+    for (int rep = 0; rep < 3; ++rep) {
+      util::WallTimer timer;
+      core::ScadaAnalyzer analyzer(deep, options_with(true));
+      benchmark::DoNotOptimize(
+          analyzer.verify(core::Property::Observability, core::ResiliencySpec::total(1)));
+      const double ms = timer.millis();
+      if (rep == 0 || ms < deep_ms[d]) deep_ms[d] = ms;
+    }
+  }
+
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_simplify: cannot write %s\n", path);
@@ -147,13 +168,16 @@ void write_summary(const char* path) {
                "\"simplify_on_ms\":%.3f,\"simplify_off_ms\":%.3f,"
                "\"speedup\":%.3f,"
                "\"case_study_solver_vars\":%llu,\"case_study_vars_eliminated\":%llu,"
-               "\"case_study_elim_ratio\":%.4f}\n",
+               "\"case_study_elim_ratio\":%.4f,"
+               "\"deep_chain_h1000_verify_ms\":%.1f,\"deep_chain_h3000_verify_ms\":%.1f}\n",
                on_ms, off_ms, on_ms > 0.0 ? off_ms / on_ms : 0.0,
                static_cast<unsigned long long>(case_vars),
-               static_cast<unsigned long long>(case_eliminated), case_ratio);
+               static_cast<unsigned long long>(case_eliminated), case_ratio, deep_ms[0],
+               deep_ms[1]);
   std::fclose(f);
-  std::printf("wrote %s (on %.1f ms, off %.1f ms, case-study elim ratio %.1f%%)\n", path, on_ms,
-              off_ms, 100.0 * case_ratio);
+  std::printf("wrote %s (on %.1f ms, off %.1f ms, case-study elim ratio %.1f%%, deep chains "
+              "%.1f / %.1f ms)\n",
+              path, on_ms, off_ms, 100.0 * case_ratio, deep_ms[0], deep_ms[1]);
 }
 
 }  // namespace

@@ -113,15 +113,16 @@ bool AnalysisCache::insert(const JobKey& key, CachedAnalysis value) {
       }
     }
   }
-  while (lru_.size() >= capacity_) {
-    evict_lru();
-    evictions_.inc();
-  }
   lru_.push_front(Entry{key, std::move(value)});
   index_[key.fingerprint].push_back(lru_.begin());
   bytes_.add(static_cast<std::int64_t>(key.header.size()));
   if (blob_refs_[key.blob.get()]++ == 0) bytes_.add(static_cast<std::int64_t>(key.blob->size()));
   insertions_.inc();
+  while (lru_.size() > 1 && (lru_.size() > capacity_ ||
+                             bytes_.value() > static_cast<std::int64_t>(kCacheByteBudget))) {
+    evict_lru();
+    evictions_.inc();
+  }
   entries_.set(static_cast<std::int64_t>(lru_.size()));
   return true;
 }

@@ -11,7 +11,8 @@
 // keys are compared on lookup so hash collisions can never alias verdicts.
 //
 // Replacement: a classic doubly-linked LRU under one mutex (lookups are
-// O(1) and promote to front; inserts evict from the back). Unknown verdicts
+// O(1) and promote to front; inserts evict from the back, past either the
+// entry capacity or kCacheByteBudget resident key bytes). Unknown verdicts
 // (deadline expiries) must not be inserted — a timeout is a property of the
 // budget, not of the scenario — and insert() rejects them.
 #pragma once
@@ -53,6 +54,16 @@ struct ScenarioEntry {
   std::shared_ptr<const std::string> blob;
   std::uint64_t blob_hash = 0;
 };
+
+/// Capacity of the batch server's scenario store, an LRU of resolved
+/// scenarios with their blobs. A fleet audit touches few distinct scenarios;
+/// a client sending ever-new scenarios only cycles the store.
+inline constexpr std::size_t kScenarioMemoCapacity = 32;
+/// Resident key bytes (cache.bytes: headers plus each blob once) the verdict
+/// cache may hold. Every cached answer pins its scenario's blob (~31 KB for a
+/// 57-bus grid, ~120 KB for a 118-bus grid), so the entry capacity alone
+/// would let memory grow with the number of distinct scenarios answered.
+inline constexpr std::size_t kCacheByteBudget = std::size_t{16} << 20;
 
 /// The one way to build a ScenarioEntry: serializes and hashes once.
 [[nodiscard]] std::shared_ptr<const ScenarioEntry> make_scenario_entry(
@@ -110,8 +121,10 @@ class AnalysisCache {
   /// most-recently-used; nullopt on miss.
   [[nodiscard]] std::optional<CachedAnalysis> lookup(const JobKey& key);
 
-  /// Inserts (or refreshes) an answer; evicts the least-recently-used entry
-  /// when full. Unknown verdicts are rejected (returns false).
+  /// Inserts (or refreshes) an answer, then evicts least-recently-used
+  /// entries while the cache holds more than `capacity` entries or more than
+  /// kCacheByteBudget bytes; the new entry itself is never evicted. Unknown
+  /// verdicts are rejected (returns false).
   bool insert(const JobKey& key, CachedAnalysis value);
 
   void clear();

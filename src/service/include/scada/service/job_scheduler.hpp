@@ -12,7 +12,8 @@
 //   * per-job deadlines — a watchdog thread cancels the job's
 //     CancellationToken at submit_time + deadline_ms; the token is wired to
 //     Session::set_interrupt through AnalyzerOptions::interrupt, so a
-//     running solve aborts at its next conflict boundary;
+//     running solve aborts at its next conflict boundary. The watchdog
+//     holds unfinished jobs only (the scheduler.deadlines gauge);
 //   * graceful degradation — a deadline expiry yields a JobOutcome with
 //     status TimedOut, an Unknown verdict (plus any partial threat space an
 //     enumeration had found) and diagnostics, never an exception; a job that
@@ -20,17 +21,16 @@
 //     poisons a batch.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "scada/core/analyzer.hpp"
 #include "scada/service/analysis_cache.hpp"
@@ -57,11 +57,6 @@ struct JobRequest {
   /// no deadline.
   std::optional<double> deadline_ms;
 };
-
-/// Capacity of the batch server's scenario store, an LRU of resolved
-/// scenarios with their blobs. A fleet audit touches few distinct scenarios;
-/// a client sending ever-new scenarios only cycles the store.
-inline constexpr std::size_t kScenarioMemoCapacity = 32;
 
 enum class JobStatus {
   Done,      ///< verdict (or threat space) delivered, possibly from cache
@@ -126,7 +121,6 @@ class JobScheduler {
     std::optional<Clock::time_point> deadline;
     /// Cancelled by the watchdog alone, when the deadline lapses.
     util::CancellationToken token;
-    std::atomic<bool> finished{false};
     std::promise<JobOutcome> promise;
     std::shared_future<JobOutcome> future;
   };
@@ -148,10 +142,11 @@ class JobScheduler {
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
-  /// (deadline, job) min-heap; lapsed entries cancel the job's token. The
-  /// heap holds weak references so a finished job's request, key and
-  /// outcome are released right away, not when its deadline lapses.
-  std::vector<std::pair<Clock::time_point, std::weak_ptr<JobState>>> deadlines_;
+  /// Unfinished jobs with a deadline, earliest first. The watchdog cancels
+  /// and drops an entry once its deadline lapses, and finish() drops the
+  /// job's entry, so a finished job's state is released right away.
+  std::set<std::pair<Clock::time_point, StatePtr>> deadlines_;
+  util::Gauge& deadlines_gauge_;  ///< scheduler.deadlines: deadlines_.size()
   std::thread watchdog_;
 
   /// Declared last: destroyed (drained and joined) first, while the

@@ -42,6 +42,7 @@ const char* to_string(JobStatus status) noexcept {
 
 JobScheduler::JobScheduler(SchedulerOptions options)
     : cache_(options.cache_capacity, metrics_),
+      deadlines_gauge_(metrics_.gauge("scheduler.deadlines")),
       watchdog_([this] { watchdog_loop(); }),
       pool_(std::make_unique<util::ThreadPool>(options.threads)) {}
 
@@ -97,15 +98,13 @@ JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
 void JobScheduler::register_deadline(const StatePtr& job) {
   {
     const std::lock_guard<std::mutex> lock(watchdog_mutex_);
-    deadlines_.emplace_back(*job->deadline, job);
-    std::push_heap(deadlines_.begin(), deadlines_.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
+    deadlines_.emplace(*job->deadline, job);
+    deadlines_gauge_.set(static_cast<std::int64_t>(deadlines_.size()));
   }
   watchdog_cv_.notify_all();
 }
 
 void JobScheduler::watchdog_loop() {
-  const auto heap_greater = [](const auto& a, const auto& b) { return a.first > b.first; };
   std::unique_lock<std::mutex> lock(watchdog_mutex_);
   for (;;) {
     if (watchdog_stop_) return;
@@ -113,18 +112,16 @@ void JobScheduler::watchdog_loop() {
       watchdog_cv_.wait(lock);
       continue;
     }
-    const Clock::time_point next = deadlines_.front().first;
+    const Clock::time_point next = deadlines_.begin()->first;
     if (Clock::now() < next) {
       watchdog_cv_.wait_until(lock, next);
       continue;
     }
-    std::pop_heap(deadlines_.begin(), deadlines_.end(), heap_greater);
-    const StatePtr job = deadlines_.back().second.lock();
-    deadlines_.pop_back();
-    if (job && !job->finished.load()) {
-      job->token.cancel();
-      metrics_.counter("scheduler.deadline_expiries").inc();
-    }
+    // finish() drops a job's entry under this lock, so the job is unfinished.
+    deadlines_.begin()->second->token.cancel();
+    metrics_.counter("scheduler.deadline_expiries").inc();
+    deadlines_.erase(deadlines_.begin());
+    deadlines_gauge_.set(static_cast<std::int64_t>(deadlines_.size()));
   }
 }
 
@@ -181,9 +178,7 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
       metrics_.counter("smt.watch_inspections").inc(ss.watch_inspections);
       metrics_.counter("smt.blocker_hits").inc(ss.blocker_hits);
       metrics_.counter("solver.vars_eliminated").inc(ss.vars_eliminated);
-      metrics_.counter("solver.clauses_subsumed").inc(ss.clauses_subsumed);
       metrics_.counter("solver.clauses_strengthened").inc(ss.clauses_strengthened);
-      metrics_.counter("solver.failed_literals").inc(ss.failed_literals);
       metrics_.counter("solver.simplify_rounds").inc(ss.simplify_rounds);
       // Search-heuristic health: restart/rephase activity as counters,
       // learned-DB tier populations as point-in-time gauges (the tier split
@@ -281,7 +276,11 @@ void JobScheduler::finish(const StatePtr& job, JobOutcome out) {
     const std::lock_guard<std::mutex> lock(mutex_);
     inflight_.erase(job->key);
   }
-  job->finished.store(true);
+  if (job->deadline) {
+    const std::lock_guard<std::mutex> lock(watchdog_mutex_);
+    deadlines_.erase({*job->deadline, job});
+    deadlines_gauge_.set(static_cast<std::int64_t>(deadlines_.size()));
+  }
   metrics_.gauge("scheduler.running").sub(1);
   metrics_.histogram("scheduler.run_ms").record(out.run_ms);
   switch (out.status) {

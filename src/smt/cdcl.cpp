@@ -25,8 +25,6 @@ constexpr bool kInitialPhase = false;
 constexpr std::uint32_t kTierCoreLbd = 2;
 constexpr std::uint32_t kTierMidLbd = 6;
 constexpr std::uint32_t kTierMidMaxAge = 2;
-/// Vivify the learned DB every Nth restart.
-constexpr std::uint32_t kVivifyRestartInterval = 8;
 
 /// Tier a learned clause of this LBD starts in.
 std::uint32_t tier_for(std::uint32_t lbd) noexcept {
@@ -140,7 +138,7 @@ bool CdclSolver::add_clause(std::span<const Lit> lits_in) {
   ++num_problem_clauses_;
   attach_clause(cref);
   // Feed the incremental inprocessor: only these neighborhoods need a
-  // fresh subsumption/BVE look next pass. Let push_back grow the list
+  // fresh BVE look next pass. Let push_back grow the list
   // geometrically: reserving the exact new size per clause reallocates every
   // time and makes ingestion quadratic.
   for (const Lit l : normalized) fresh_clause_vars_.push_back(l.var());
@@ -724,7 +722,7 @@ void CdclSolver::garbage_collect() {
     if (level_[v] == 0) {
       // Level-0 facts hold unconditionally; nothing reads their reasons (the
       // analyzers stop at the level-0 boundary), and dropping them here means
-      // a stale ref to a clause vivification freed can never survive a GC.
+      // a stale ref to a clause inprocessing freed can never survive a GC.
       reason_[v] = kNoReason;
     } else if (reason_[v] != kNoReason) {
       reason_[v] = arena_.forwarded(reason_[v]);
@@ -839,13 +837,6 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
       if (config_.rephase_interval != 0 &&
           conflicts_since_rephase_ >= config_.rephase_interval) {
         apply_rephase();
-      }
-      // Inprocessing between solves: vivify the learned DB every few
-      // restarts (only at level 0, i.e. without an assumption prefix).
-      if (config_.simplify && assumptions.empty() &&
-          ++restarts_since_vivify_ >= kVivifyRestartInterval) {
-        restarts_since_vivify_ = 0;
-        if (!vivify_learned()) return SolveResult::Unsat;
       }
       continue;
     }

@@ -11,10 +11,9 @@
 //   * rephasing (best / original / inverted / random saved phases),
 //   * incremental use: clauses may be added between solve() calls, and
 //     solve() accepts assumption literals,
-//   * SatELite-style inprocessing (simplify.cpp): subsumption, self-subsuming
-//     resolution, bounded variable elimination with model reconstruction,
-//     failed-literal probing, and learned-clause vivification — all
-//     DRAT-logged so certified unsat verdicts survive simplification.
+//   * inprocessing (simplify.cpp): level-0 cleanup and bounded variable
+//     elimination with model reconstruction, DRAT-logged so certified
+//     unsat verdicts survive simplification.
 //
 // The implementation follows the MiniSat lineage (Eén & Sörensson 2003) but
 // shares no code with it.
@@ -164,11 +163,11 @@ struct CdclConfig {
   bool check_invariants = false;
   /// Conflict budget; solve() returns Unknown when exhausted. 0 = unlimited.
   std::uint64_t max_conflicts = 0;
-  /// SatELite-style inprocessing (subsumption, self-subsuming resolution,
-  /// bounded variable elimination, failed-literal probing) before search,
-  /// plus learned-clause vivification at restart boundaries. Frozen and
-  /// assumption variables are never eliminated; Sat models are reconstructed
-  /// over eliminated variables, and every derivation is DRAT-logged.
+  /// Inprocessing (level-0 cleanup, bounded variable elimination) before
+  /// search, and again between solves once the clause DB has grown. Frozen
+  /// and assumption variables are never eliminated; Sat models are
+  /// reconstructed over eliminated variables, and every derivation is
+  /// DRAT-logged.
   bool simplify = true;
 };
 
@@ -199,11 +198,8 @@ struct CdclStats {
   // --- inprocessing counters ---
   std::uint64_t simplify_rounds = 0;      ///< full simplify() passes executed
   std::uint64_t vars_eliminated = 0;      ///< variables removed by BVE
-  std::uint64_t clauses_subsumed = 0;     ///< clauses deleted by subsumption
-  std::uint64_t clauses_strengthened = 0; ///< literals-dropped rewrites (SSR/strip)
+  std::uint64_t clauses_strengthened = 0; ///< clauses stripped of level-0 false literals
   std::uint64_t resolvents_added = 0;     ///< BVE resolvents kept
-  std::uint64_t failed_literals = 0;      ///< units learned by probing
-  std::uint64_t vivified_clauses = 0;     ///< learned clauses shortened by vivification
   std::uint64_t restored_vars = 0;        ///< eliminated vars brought back on demand
 };
 
@@ -396,7 +392,7 @@ class CdclSolver {
   /// Flags the instance unsat; emits the empty clause to the proof once.
   void mark_unsat();
 
-  // --- inprocessing support (simplify.cpp implements simplify/vivify) ---
+  // --- inprocessing support (simplify.cpp implements simplify) ---
   /// One eliminated clause: `witness` is the literal of the eliminated
   /// variable it contained; replaying the stack in reverse repairs models.
   struct WitnessClause {
@@ -413,13 +409,10 @@ class CdclSolver {
   /// Drops the reason refs of the level-0 trail (permanent facts need none),
   /// so inprocessing may delete or rewrite any clause.
   void clear_level0_reasons();
-  /// Shortens the most active learned clauses by assumed-prefix propagation
-  /// (called at restart boundaries, level 0). Returns false iff unsat.
-  bool vivify_learned();
   [[nodiscard]] bool should_simplify() const noexcept;
   /// Lazily constructed by simplify() and kept for the solver's lifetime so
-  /// the pass's occurrence lists and scratch buffers keep their capacity
-  /// across rounds (incremental callers re-simplify often).
+  /// the pass's occurrence lists keep their capacity and its touched flags
+  /// carry over across rounds (incremental callers re-simplify often).
   std::unique_ptr<Simplifier> simplifier_;
   /// Variables of problem clauses added since the last inprocessing pass.
   /// The Simplifier seeds its touched-neighborhood flags from this list
@@ -482,7 +475,6 @@ class CdclSolver {
   std::vector<WitnessClause> witness_stack_;
   std::size_t clauses_at_last_simplify_ = 0;
   bool simplified_once_ = false;
-  std::uint32_t restarts_since_vivify_ = 0;
 
   // --- search-heuristic state ---
   AdaptiveRestartPolicy restart_policy_;  ///< restart trigger/block EMAs

@@ -29,8 +29,8 @@ struct SessionOptions {
   /// exported (export_certificate). Adds proof-recording overhead per
   /// learned clause; off by default.
   bool certify = false;
-  /// CDCL only: SatELite-style inprocessing (subsumption, bounded variable
-  /// elimination, probing, vivification) before and between searches.
+  /// CDCL only: inprocessing (level-0 cleanup, bounded variable
+  /// elimination) before and between searches.
   /// Builder-mapped variables are frozen so model extraction and later
   /// assumptions always see live variables. Composes with certify: every
   /// simplifier derivation lands in the DRAT trace. On by default.
@@ -68,10 +68,7 @@ struct SessionStats {
   /// Inprocessing counters (CDCL backend with SessionOptions::simplify).
   std::uint64_t simplify_rounds = 0;
   std::uint64_t vars_eliminated = 0;
-  std::uint64_t clauses_subsumed = 0;
   std::uint64_t clauses_strengthened = 0;
-  std::uint64_t failed_literals = 0;
-  std::uint64_t vivified_clauses = 0;
   std::uint64_t restored_vars = 0;
   /// Total solver variables allocated (Tseitin + cardinality auxiliaries);
   /// vars_eliminated / solver_vars is the BVE reduction ratio.

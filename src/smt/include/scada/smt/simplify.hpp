@@ -4,24 +4,19 @@
 // One pass, run by CdclSolver::simplify() at decision level 0:
 //   1. level-0 cleanup — satisfied clauses removed, permanently false
 //      literals stripped,
-//   2. subsumption + self-subsuming resolution over occurrence lists with
-//      64-bit literal signatures,
-//   3. bounded variable elimination (BVE) with a resolvent-growth budget;
-//      eliminated clauses go onto the solver's witness stack so Sat models
-//      can be reconstructed over the original formula,
-//   4. failed-literal probing over the binary implication graph.
-// Learned-clause vivification (CdclSolver::vivify_learned, also defined in
-// simplify.cpp) runs separately at restart boundaries.
+//   2. bounded variable elimination (BVE) with a resolvent-growth budget,
+//      in rounds over the variables whose neighborhood changed; eliminated
+//      clauses go onto the solver's witness stack so Sat models can be
+//      reconstructed over the original formula,
+//   3. the watcher rebuild, which propagates the units the pass found.
 //
 // Frozen variables — Session model-extraction variables and every assumption
 // variable — are never eliminated. Every clause addition (resolvents,
-// strengthened clauses, probed units) and every deletion is streamed to the
-// attached DRAT writer, so unsat verdicts remain certifiable; BVE parent
-// deletions keep the proof tight enough that dropping a resolvent is caught
-// by the checker.
+// stripped clauses) and every deletion is streamed to the attached DRAT
+// writer, so unsat verdicts remain certifiable; BVE parent deletions keep the
+// proof tight enough that dropping a resolvent is caught by the checker.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -30,13 +25,14 @@
 
 namespace scada::smt {
 
-/// One inprocessing pass over a CdclSolver. All state (occurrence lists,
-/// signatures) is per-pass; CdclSolver::simplify() constructs and runs one.
+/// One inprocessing pass over a CdclSolver. The occurrence lists are
+/// rebuilt per pass; CdclSolver::simplify() keeps one Simplifier for the
+/// solver's lifetime so the touched flags carry over between passes.
 class Simplifier {
  public:
   explicit Simplifier(CdclSolver& solver) : s_(solver) {}
 
-  /// cleanup -> (subsumption/SSR -> BVE) rounds -> watch rebuild -> probing.
+  /// cleanup -> BVE rounds -> watch rebuild.
   /// Returns false iff the instance became unsat.
   bool run();
 
@@ -52,24 +48,15 @@ class Simplifier {
   }
 
   /// Detaches all watchers, sorts/cleans every clause, builds occurrence
-  /// lists and signatures. Returns false iff unsat.
+  /// lists. Returns false iff unsat.
   bool collect();
-  /// Forward subsumption and self-subsuming resolution; `changed` is set
-  /// when any clause was removed or strengthened. Returns false iff unsat.
-  bool subsumption_pass(bool& changed);
-  /// Bounded variable elimination, cheapest variables first. Returns false
-  /// iff unsat.
+  /// Bounded variable elimination, cheapest variables first; `changed` is
+  /// set when any variable was eliminated. Returns false iff unsat.
   bool bve_pass(bool& changed);
   /// Reattaches watchers for all surviving clauses and propagates units
   /// found during the pass. Returns false iff unsat.
   bool rebuild_and_propagate();
-  /// Failed-literal probing over the binary implication graph. Returns false
-  /// iff unsat.
-  bool probe_pass();
 
-  /// Removes `~drop` from clause `dr` (proof: add shortened, delete
-  /// original). Returns false iff unsat.
-  bool strengthen(ClauseRef dr, Lit drop);
   /// Pushes the clause onto the witness stack, proof-deletes it, and retires
   /// it from the occurrence lists.
   void retire_parent(ClauseRef cr, Lit witness);
@@ -81,10 +68,10 @@ class Simplifier {
   /// for the BVE budget check so rejected candidates allocate nothing.
   bool resolvent_survives(ClauseRef pr, ClauseRef nr, Var v) const;
   /// Marks the variables of `lits` as touched: after the first round, BVE
-  /// and subsumption revisit only touched neighborhoods.
+  /// revisits only touched neighborhoods.
   void touch(std::span<const Lit> lits);
-  /// Allocates a problem clause and registers it in occ/sig (proof addition
-  /// already emitted by the caller or emitted here — see implementation).
+  /// Allocates a problem clause and registers it in occ (the caller has
+  /// already emitted its proof addition).
   ClauseRef add_problem_clause(std::span<const Lit> lits);
   /// Frees the clause in the arena (its words become GC waste), updates the
   /// problem-clause count, and optionally emits the proof deletion.
@@ -96,13 +83,8 @@ class Simplifier {
   CdclSolver& s_;
   std::vector<std::vector<ClauseRef>> occ_;   // Lit::code -> problem clauses
   std::vector<std::vector<ClauseRef>> locc_;  // Lit::code -> learned clauses
-  std::vector<std::uint64_t> sig_;            // ClauseRef (word offset) -> signature
-  std::vector<ClauseRef> problem_;            // active problem clauses
   std::vector<char> touched_;                 // Var -> revisit in the next BVE round
-  std::vector<char> stouched_;                // Var -> revisit in the next subsumption round
   bool warm_ = false;  // first pass flags every variable; later passes only changed ones
-  std::vector<Lit> clits_scratch_;            // subsumption_pass: stable copy of C
-  std::vector<ClauseRef> occ_scratch_;        // subsumption_pass: stable copy of occ(~l)
 };
 
 }  // namespace scada::smt

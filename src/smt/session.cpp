@@ -117,10 +117,7 @@ class CdclSessionImpl final : public SessionImpl {
     stats.db_local = tiers.local;
     stats.simplify_rounds = s.simplify_rounds;
     stats.vars_eliminated = s.vars_eliminated;
-    stats.clauses_subsumed = s.clauses_subsumed;
     stats.clauses_strengthened = s.clauses_strengthened;
-    stats.failed_literals = s.failed_literals;
-    stats.vivified_clauses = s.vivified_clauses;
     stats.restored_vars = s.restored_vars;
     stats.solver_vars = static_cast<std::uint64_t>(solver_.num_vars());
   }

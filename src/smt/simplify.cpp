@@ -16,44 +16,6 @@ namespace {
 /// more than kBveOccLimit clauses.
 constexpr std::size_t kBveGrow = 0;
 constexpr std::size_t kBveOccLimit = 20;
-/// Propagation budget for one failed-literal probing pass.
-constexpr std::uint64_t kProbeBudget = 200000;
-/// Most-active learned clauses vivified per pass.
-constexpr std::size_t kVivifyMaxClauses = 64;
-
-std::uint64_t lit_bit(Lit l) noexcept {
-  return std::uint64_t{1} << (static_cast<std::uint32_t>(l.code) & 63u);
-}
-
-std::uint64_t signature(std::span<const Lit> lits) noexcept {
-  std::uint64_t sig = 0;
-  for (const Lit l : lits) sig |= lit_bit(l);
-  return sig;
-}
-
-/// a ⊆ b for clauses sorted by Lit::code.
-bool subset(std::span<const Lit> a, std::span<const Lit> b) {
-  std::size_t j = 0;
-  for (const Lit l : a) {
-    while (j < b.size() && b[j].code < l.code) ++j;
-    if (j == b.size() || b[j].code != l.code) return false;
-    ++j;
-  }
-  return true;
-}
-
-/// (a \ {skip_a}) ⊆ (b \ {skip_b}) for clauses sorted by Lit::code.
-bool subset_except(std::span<const Lit> a, Lit skip_a, std::span<const Lit> b,
-                   Lit skip_b) {
-  std::size_t j = 0;
-  for (const Lit l : a) {
-    if (l == skip_a) continue;
-    while (j < b.size() && (b[j].code < l.code || b[j] == skip_b)) ++j;
-    if (j == b.size() || b[j].code != l.code) return false;
-    ++j;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -88,32 +50,20 @@ bool Simplifier::collect() {
   for (auto& refs : occ_) refs.clear();
   locc_.resize(s_.watches_.size());
   for (auto& refs : locc_) refs.clear();
-  // Signatures are indexed by ref, i.e. by arena word offset — sparse, but
-  // only ~2x the arena footprint and alive for this pass only.
-  sig_.assign(s_.arena_.words(), 0);
-  problem_.clear();
   // First pass ever: every variable is a candidate. Later passes keep the
-  // flags incremental across passes — a clause pair untouched since the
-  // last pass cannot yield a new subsumption (C ⊆ D forces var(C) ⊆
-  // var(D), so any actionable pair has a flagged participant), and a
-  // variable whose problem neighborhood and level-0 context are unchanged
-  // reproduces last pass's BVE budget verdict. Sources of change between
-  // passes: clauses the solver added (fresh_clause_vars_), clauses the
-  // cleanup below strips or removes (touched here), and leftovers from a
-  // pass that hit the round limit or an interrupt (never cleared).
+  // flags incremental across passes — a variable whose problem neighborhood
+  // and level-0 context are unchanged reproduces last pass's BVE budget
+  // verdict. Sources of change between passes: clauses the solver added
+  // (fresh_clause_vars_), clauses the cleanup below strips or removes
+  // (touched here), and leftovers from a pass that hit the round limit or
+  // an interrupt (never cleared).
   const auto nvars = static_cast<std::size_t>(s_.num_vars()) + 1;
   if (!warm_) {
     touched_.assign(nvars, 1);
-    stouched_.assign(nvars, 1);
     warm_ = true;
   } else {
     touched_.resize(nvars, 0);
-    stouched_.resize(nvars, 0);
-    for (const Var v : s_.fresh_clause_vars_) {
-      const auto vi = static_cast<std::size_t>(v);
-      touched_[vi] = 1;
-      stouched_[vi] = 1;
-    }
+    for (const Var v : s_.fresh_clause_vars_) touched_[static_cast<std::size_t>(v)] = 1;
   }
   s_.fresh_clause_vars_.clear();
 
@@ -130,7 +80,7 @@ bool Simplifier::collect() {
 
   for (const ClauseRef r : live) {
     const std::span<Lit> lits = s_.arena_.clause(r);
-    // Sorted literals make the subset/resolution merges linear; watchers are
+    // Sorted literals make the resolution merges linear; watchers are
     // detached, so reordering is safe.
     std::sort(lits.begin(), lits.end(), [](Lit a, Lit b) { return a.code < b.code; });
 
@@ -172,111 +122,8 @@ bool Simplifier::collect() {
       std::copy(kept.begin(), kept.end(), lits.begin());
       s_.arena_.shrink(r, static_cast<std::uint32_t>(kept.size()));
     }
-    const std::span<const Lit> final_lits = s_.arena_.clause(r);
-    sig_[r] = signature(final_lits);
     const bool learned = s_.arena_.learned(r);
-    for (const Lit l : final_lits) (learned ? locc(l) : occ(l)).push_back(r);
-    if (!learned) problem_.push_back(r);
-  }
-  return true;
-}
-
-bool Simplifier::strengthen(ClauseRef dr, Lit drop) {
-  const std::span<Lit> lits = s_.arena_.clause(dr);
-  std::vector<Lit> kept;
-  kept.reserve(lits.size() - 1);
-  for (const Lit l : lits) {
-    if (l != drop) kept.push_back(l);
-  }
-  ++s_.stats_.clauses_strengthened;
-  if (s_.proof_ != nullptr) {
-    s_.proof_->add_clause(kept);
-    s_.proof_->delete_clause(lits);
-  }
-  std::erase((s_.arena_.learned(dr) ? locc(drop) : occ(drop)), dr);
-  touch(lits);
-  if (kept.size() == 1) {
-    const Lit unit = kept[0];
-    remove_clause(dr, /*emit_delete=*/false);
-    return assign_unit(unit);
-  }
-  std::copy(kept.begin(), kept.end(), lits.begin());
-  s_.arena_.shrink(dr, static_cast<std::uint32_t>(kept.size()));
-  sig_[dr] = signature(s_.arena_.clause(dr));
-  return true;
-}
-
-bool Simplifier::subsumption_pass(bool& changed) {
-  // Only clauses whose neighborhood changed since the last pass can subsume
-  // anything new; round one sees every variable flagged (collect). The
-  // snapshot is taken before the scan because the scan itself re-flags the
-  // neighborhoods it changes, which the *next* round must revisit.
-  const std::vector<char> active = std::exchange(
-      stouched_, std::vector<char>(static_cast<std::size_t>(s_.num_vars()) + 1, 0));
-  const auto is_active = [&active](std::span<const Lit> lits) {
-    for (const Lit l : lits) {
-      if (active[static_cast<std::size_t>(l.var())] != 0) return true;
-    }
-    return false;
-  };
-
-  // Small clauses are the strongest subsumers; visit them first. Sizes are
-  // captured once so the sort compares plain integers instead of reloading
-  // two arena headers per comparison. The comparator answers exactly as the
-  // header-loading one did, so the resulting visit order is unchanged.
-  std::vector<std::pair<std::uint32_t, ClauseRef>> order;
-  order.reserve(problem_.size());
-  for (const ClauseRef r : problem_) {
-    if (!s_.arena_.removed(r) && is_active(s_.arena_.clause(r))) {
-      order.emplace_back(s_.arena_.size(r), r);
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  for (const auto& [size_at_sort, cr] : order) {
-    (void)size_at_sort;
-    if (s_.interrupted()) return true;
-    if (s_.arena_.removed(cr)) continue;
-    const std::uint64_t csig = sig_[cr];
-
-    // Forward subsumption: C deletes every D ⊇ C. Scanning the occurrence
-    // list of C's rarest literal visits every candidate.
-    const std::span<const Lit> clause_c = s_.arena_.clause(cr);
-    Lit rare = clause_c[0];
-    for (const Lit l : clause_c) {
-      if (occ(l).size() < occ(rare).size()) rare = l;
-    }
-    // Iterated directly: remove_clause only flags the header and touches
-    // variables, it never edits occurrence lists, so occ(rare) is stable here.
-    for (const ClauseRef dr : occ(rare)) {
-      if (dr == cr) continue;
-      if (s_.arena_.removed(dr) || s_.arena_.size(dr) < clause_c.size()) continue;
-      if ((csig & ~sig_[dr]) != 0) continue;
-      if (!subset(clause_c, s_.arena_.clause(dr))) continue;
-      remove_clause(dr, /*emit_delete=*/true);
-      ++s_.stats_.clauses_subsumed;
-      changed = true;
-    }
-
-    // Self-subsuming resolution: when (C \ {l}) ⊆ (D \ {~l}), resolving on l
-    // proves D without ~l — strengthen D in place. C's literals are copied
-    // out: strengthen() rewrites clauses in place, and C itself must stay
-    // stable across the scan. Likewise occ(~l) is copied because strengthen()
-    // erases the strengthened clause from exactly that list. Both copies land
-    // in member scratch buffers so the inner loops allocate nothing.
-    clits_scratch_.assign(clause_c.begin(), clause_c.end());
-    for (const Lit l : clits_scratch_) {
-      const std::uint64_t base = csig & ~lit_bit(l);
-      occ_scratch_.assign(occ(~l).begin(), occ(~l).end());
-      for (const ClauseRef dr : occ_scratch_) {
-        if (s_.arena_.removed(dr) || s_.arena_.size(dr) < clits_scratch_.size()) continue;
-        if ((base & ~sig_[dr]) != 0) continue;
-        if (!subset_except(clits_scratch_, l, s_.arena_.clause(dr), ~l)) continue;
-        if (!strengthen(dr, ~l)) return false;
-        changed = true;
-      }
-    }
+    for (const Lit l : s_.arena_.clause(r)) (learned ? locc(l) : occ(l)).push_back(r);
   }
   return true;
 }
@@ -343,10 +190,7 @@ bool Simplifier::resolvent_survives(ClauseRef pr, ClauseRef nr, Var v) const {
 void Simplifier::touch(std::span<const Lit> lits) {
   for (const Lit l : lits) {
     const auto vi = static_cast<std::size_t>(l.var());
-    if (vi < touched_.size()) {
-      touched_[vi] = 1;
-      stouched_[vi] = 1;
-    }
+    if (vi < touched_.size()) touched_[vi] = 1;
   }
 }
 
@@ -355,11 +199,8 @@ Simplifier::ClauseRef Simplifier::add_problem_clause(std::span<const Lit> lits) 
   // call (callers materialize resolvents before adding them).
   const ClauseRef r = s_.alloc_clause(lits, /*learned=*/false);
   ++s_.num_problem_clauses_;
-  if (sig_.size() <= r) sig_.resize(static_cast<std::size_t>(r) + 1, 0);
-  sig_[r] = signature(lits);
   for (const Lit l : lits) occ(l).push_back(r);
   touch(lits);
-  problem_.push_back(r);
   return r;
 }
 
@@ -511,49 +352,6 @@ bool Simplifier::rebuild_and_propagate() {
   return true;
 }
 
-bool Simplifier::probe_pass() {
-  // Candidate probes are roots of binary implication edges: l is worth
-  // probing when some binary clause contains ~l (so l implies something).
-  std::vector<char> is_candidate(s_.watches_.size(), 0);
-  std::vector<Lit> probes;
-  std::vector<ClauseRef> binaries;
-  binaries.insert(binaries.end(), s_.problem_refs_.begin(), s_.problem_refs_.end());
-  binaries.insert(binaries.end(), s_.learned_refs_.begin(), s_.learned_refs_.end());
-  std::sort(binaries.begin(), binaries.end());  // probe in arena layout order
-  for (const ClauseRef r : binaries) {
-    if (s_.arena_.removed(r) || s_.arena_.size(r) != 2) continue;
-    for (const Lit l : s_.arena_.clause(r)) {
-      const Lit probe = ~l;
-      auto& flag = is_candidate[static_cast<std::size_t>(probe.code)];
-      if (flag == 0) {
-        flag = 1;
-        probes.push_back(probe);
-      }
-    }
-  }
-
-  const std::uint64_t start = s_.stats_.propagations;
-  for (const Lit p : probes) {
-    if (s_.interrupted()) break;
-    if (s_.stats_.propagations - start > kProbeBudget) break;
-    if (s_.value(p) != LBool::Undef) continue;
-    s_.trail_lim_.push_back(static_cast<std::uint32_t>(s_.trail_.size()));
-    s_.enqueue(p, CdclSolver::kNoReason);
-    const ClauseRef conflict = s_.propagate();
-    s_.cancel_until(0);
-    if (conflict == CdclSolver::kNoReason) continue;
-    ++s_.stats_.failed_literals;
-    // Assuming p conflicts, so ~p is a level-0 fact — RUP by construction.
-    if (s_.proof_ != nullptr) s_.proof_->add_clause({~p});
-    s_.enqueue(~p, CdclSolver::kNoReason);
-    if (s_.propagate() != CdclSolver::kNoReason) {
-      s_.mark_unsat();
-      return false;
-    }
-  }
-  return true;
-}
-
 bool Simplifier::run() {
   if (s_.unsat_) return false;
   assert(s_.decision_level() == 0);
@@ -564,11 +362,9 @@ bool Simplifier::run() {
   while (changed && round < 3 && !s_.unsat_ && !s_.interrupted()) {
     ++round;
     changed = false;
-    if (!subsumption_pass(changed)) return false;
     if (!bve_pass(changed)) return false;
   }
-  if (!rebuild_and_propagate()) return false;
-  return probe_pass();
+  return rebuild_and_propagate();
 }
 
 // --- CdclSolver entry points (kept here with the rest of the engine) ---
@@ -589,123 +385,11 @@ bool CdclSolver::simplify() {
   clauses_at_last_simplify_ = num_problem_clauses_;
   ++stats_.simplify_rounds;
   // The pass freed retired clauses in place; reclaim the bytes now if enough
-  // accumulated. Safe point: the pass's occ/sig structures are never read
+  // accumulated. Safe point: the pass's occurrence lists are never read
   // again, so watchers, trail reasons, and the ref lists are the only
   // outstanding refs — exactly what garbage_collect patches.
   if (ok && !unsat_) maybe_collect_garbage();
   return ok && !unsat_;
-}
-
-bool CdclSolver::vivify_learned() {
-  if (unsat_) return false;
-  assert(decision_level() == 0);
-  if (learned_refs_.empty()) return true;
-  clear_level0_reasons();
-
-  // The most active learned clauses steer the current search; shortening
-  // them pays the most.
-  std::vector<ClauseRef> cands;
-  for (const ClauseRef r : learned_refs_) {
-    if (!arena_.removed(r) && arena_.size(r) >= 3) cands.push_back(r);
-  }
-  const std::size_t take = std::min(cands.size(), kVivifyMaxClauses);
-  std::partial_sort(cands.begin(), cands.begin() + static_cast<std::ptrdiff_t>(take),
-                    cands.end(), [this](ClauseRef a, ClauseRef b) {
-                      return arena_.activity(a) > arena_.activity(b);
-                    });
-  cands.resize(take);
-
-  bool removed_any = false;
-  for (const ClauseRef r : cands) {
-    if (unsat_) return false;
-    if (interrupted()) break;
-    if (arena_.removed(r) || arena_.size(r) < 3) continue;
-
-    // Detach: while its own negation is assumed, the clause must not take
-    // part in propagation.
-    const Lit* watched = arena_.lits(r);
-    std::erase_if(watches(~watched[0]), [r](const Watcher& w) { return w.cref == r; });
-    std::erase_if(watches(~watched[1]), [r](const Watcher& w) { return w.cref == r; });
-
-    const std::vector<Lit> original(arena_.lits(r), arena_.lits(r) + arena_.size(r));
-    std::vector<Lit> kept;
-    kept.reserve(original.size());
-    bool satisfied_at_root = false;
-    trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size()));
-    for (const Lit l : original) {
-      const LBool v = value(l);
-      if (v == LBool::True) {
-        if (level_[static_cast<std::size_t>(l.var())] == 0) {
-          satisfied_at_root = true;  // permanently satisfied: drop the clause
-        } else {
-          kept.push_back(l);  // prefix implies l: the tail is redundant
-        }
-        break;
-      }
-      if (v == LBool::False) continue;  // prefix implies ~l: l is redundant
-      kept.push_back(l);
-      enqueue(~l, kNoReason);
-      if (propagate() != kNoReason) break;  // the kept prefix already conflicts
-    }
-    cancel_until(0);
-
-    const auto drop_clause = [&] {
-      arena_.free_clause(r);
-      removed_any = true;
-    };
-
-    if (satisfied_at_root) {
-      if (proof_ != nullptr) proof_->delete_clause(original);
-      drop_clause();
-      ++stats_.removed_clauses;
-      continue;
-    }
-    if (kept.size() >= original.size()) {
-      attach_clause(r);
-      continue;
-    }
-    ++stats_.vivified_clauses;
-    if (kept.empty()) {
-      // Every literal was already false at level 0: the instance is unsat.
-      mark_unsat();
-      if (proof_ != nullptr) proof_->delete_clause(original);
-      drop_clause();
-      break;
-    }
-    if (proof_ != nullptr) {
-      proof_->add_clause(kept);
-      proof_->delete_clause(original);
-    }
-    if (kept.size() == 1) {
-      const Lit unit = kept[0];
-      drop_clause();
-      const LBool v = value(unit);
-      if (v == LBool::False) {
-        mark_unsat();
-        break;
-      }
-      if (v == LBool::Undef) {
-        enqueue(unit, kNoReason);
-        if (propagate() != kNoReason) {
-          mark_unsat();
-          break;
-        }
-      }
-      continue;
-    }
-    std::copy(kept.begin(), kept.end(), arena_.lits(r));
-    arena_.shrink(r, static_cast<std::uint32_t>(kept.size()));
-    attach_clause(r);
-  }
-  if (removed_any) {
-    std::erase_if(learned_refs_, [this](ClauseRef rr) { return arena_.removed(rr); });
-  }
-  // Unit propagation above left reasons on the level-0 trail that may name
-  // clauses this pass then freed; level-0 facts need no reason, so drop them
-  // all rather than track which survived.
-  clear_level0_reasons();
-  maybe_collect_garbage();
-  return !unsat_;
 }
 
 }  // namespace scada::smt

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
+#include <utility>
 
 #include "scada/core/brute_force.hpp"
 #include "scada/core/case_study.hpp"
@@ -329,21 +330,34 @@ TEST(AnalyzerTest, EnumerationHonoursInterruptAndCertify) {
 }
 
 TEST(AnalyzerTest, SimplifyOffProducesSameVerdicts) {
-  const ScadaScenario s = make_case_study();
-  AnalyzerOptions off;
-  off.solver.backend = smt::Backend::Cdcl;
-  off.solver.simplify = false;
-  ScadaAnalyzer plain(s, off);
-  ScadaAnalyzer simplified(s);
-  for (int k = 0; k <= 2; ++k) {
-    const auto spec = ResiliencySpec::total(k, 1);
-    EXPECT_EQ(plain.verify(Property::Observability, spec).result,
-              simplified.verify(Property::Observability, spec).result)
-        << "k=" << k;
+  // The case study, and a 14-bus grid whose RTU chain is a thousand levels
+  // deep (k = 1 only: the oracle's k = 2 sweep would be quadratic in the
+  // chain), where inprocessing removes the most.
+  synth::SynthConfig deep;
+  deep.buses = 14;
+  deep.hierarchy_level = 1000;
+  const std::pair<ScadaScenario, int> inputs[] = {{make_case_study(), 2},
+                                                  {synth::generate_scenario(deep), 1}};
+  for (const auto& [s, max_k] : inputs) {
+    AnalyzerOptions on;
+    on.solver.backend = smt::Backend::Cdcl;
+    AnalyzerOptions off = on;
+    off.solver.simplify = false;
+    ScadaAnalyzer plain(s, off);
+    ScadaAnalyzer simplified(s, on);
+    const BruteForceVerifier brute(s);
+    for (int k = 0; k <= max_k; ++k) {
+      const auto spec = ResiliencySpec::total(k, 1);
+      const auto expected = brute.verify(Property::Observability, spec).result;
+      EXPECT_EQ(plain.verify(Property::Observability, spec).result, expected)
+          << "k=" << k << " max_k=" << max_k;
+      EXPECT_EQ(simplified.verify(Property::Observability, spec).result, expected)
+          << "k=" << k << " max_k=" << max_k;
+    }
+    EXPECT_EQ(plain.verify(Property::Observability, ResiliencySpec::total(0, 1))
+                  .solver_stats.vars_eliminated,
+              0u);
   }
-  EXPECT_EQ(plain.verify(Property::Observability, ResiliencySpec::total(0, 1))
-                .solver_stats.vars_eliminated,
-            0u);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(DifferentialFuzzTest, AllEnginesAgreeOnRandomScenarios) {
     cdcl_options.solver.certify = true;
     // Fifth configuration: the same CDCL engine with inprocessing disabled.
     // The default CDCL run above exercises simplification (it is on by
-    // default), so this pins down divergences introduced by BVE/subsumption
+    // default), so this pins down divergences introduced by BVE
     // rather than by the encoder or search.
     AnalyzerOptions plain_options = cdcl_options;
     plain_options.solver.simplify = false;

@@ -60,7 +60,7 @@ bool truth_table_sat(const std::vector<Clause>& clauses, int nv) {
 
 std::vector<Clause> draw_instance(util::Rng& rng, int nv) {
   // Clause/variable ratio swept around the hard region so the corpus mixes
-  // sat and unsat instances; widths 1..4 give BVE and probing real targets.
+  // sat and unsat instances; widths 1..4 give BVE real targets.
   const int nc = nv + static_cast<int>(rng.index(4 * nv));
   std::vector<Clause> clauses;
   for (int i = 0; i < nc; ++i) {

@@ -234,6 +234,80 @@ TEST(AnalysisCacheTest, BytesCountEachBlobOnce) {
   EXPECT_EQ(bytes.value(), 0);
 }
 
+/// A key over a synthetic blob, so byte-budget tests can size entries from
+/// kCacheByteBudget.
+JobKey key_with_blob(std::shared_ptr<const std::string> blob, int id) {
+  JobKey key;
+  key.header = "byte-budget-test\nid=" + std::to_string(id);
+  key.blob = std::move(blob);
+  key.fingerprint = fnv1a64(key.header);  // distinct per id; lookups compare blobs anyway
+  return key;
+}
+
+std::shared_ptr<const std::string> blob_of(std::size_t bytes, char fill) {
+  return std::make_shared<const std::string>(bytes, fill);
+}
+
+TEST(AnalysisCacheTest, EvictsLeastRecentlyUsedPastTheByteBudget) {
+  util::MetricsRegistry registry;
+  const util::Gauge& bytes = registry.gauge("cache.bytes");
+  AnalysisCache cache(64, registry);  // the entry capacity never binds here
+  // Four quarters plus their headers are just over the budget.
+  const std::size_t quarter = kCacheByteBudget / 4;
+  const JobKey k1 = key_with_blob(blob_of(quarter, 'a'), 1);
+  const JobKey k2 = key_with_blob(blob_of(quarter, 'b'), 2);
+  const JobKey k3 = key_with_blob(blob_of(quarter, 'c'), 3);
+
+  EXPECT_TRUE(cache.insert(k1, unsat_analysis()));
+  EXPECT_TRUE(cache.insert(k2, unsat_analysis()));
+  // Touch k1 so k2 becomes the LRU entry, then cross the budget.
+  EXPECT_TRUE(cache.lookup(k1).has_value());
+  EXPECT_TRUE(cache.insert(k3, unsat_analysis()));
+  EXPECT_EQ(registry.counter("cache.evictions").value(), 0u);
+
+  const JobKey k4 = key_with_blob(blob_of(quarter, 'd'), 4);
+  EXPECT_TRUE(cache.insert(k4, unsat_analysis()));
+  EXPECT_EQ(registry.counter("cache.evictions").value(), 1u);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_FALSE(cache.lookup(k2).has_value());  // evicted
+  EXPECT_TRUE(cache.lookup(k1).has_value());
+  EXPECT_TRUE(cache.lookup(k3).has_value());
+  EXPECT_TRUE(cache.lookup(k4).has_value());
+  EXPECT_LE(bytes.value(), static_cast<std::int64_t>(kCacheByteBudget));
+}
+
+TEST(AnalysisCacheTest, AnswerLargerThanTheByteBudgetStaysAlone) {
+  // The entry just inserted is never evicted, however large: the cache may
+  // exceed the budget by that one entry.
+  util::MetricsRegistry registry;
+  AnalysisCache cache(64, registry);
+  const JobKey small = key_with_blob(blob_of(1024, 'a'), 1);
+  const JobKey huge = key_with_blob(blob_of(kCacheByteBudget + 1, 'b'), 2);
+  EXPECT_TRUE(cache.insert(small, unsat_analysis()));
+  EXPECT_TRUE(cache.insert(huge, unsat_analysis()));
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.lookup(small).has_value());
+  EXPECT_TRUE(cache.lookup(huge).has_value());
+}
+
+TEST(AnalysisCacheTest, SharedBlobCountsOnceAgainstTheByteBudget) {
+  // Sixty-four keys over one blob of half the budget fit: the blob is
+  // resident once, whatever the number of answers that share it.
+  util::MetricsRegistry registry;
+  const util::Gauge& bytes = registry.gauge("cache.bytes");
+  AnalysisCache cache(64, registry);
+  const auto shared = blob_of(kCacheByteBudget / 2, 'a');
+  std::size_t headers = 0;
+  for (int id = 0; id < 64; ++id) {
+    const JobKey key = key_with_blob(shared, id);
+    headers += key.header.size();
+    EXPECT_TRUE(cache.insert(key, unsat_analysis()));
+  }
+  EXPECT_EQ(cache.size(), 64u);
+  EXPECT_EQ(registry.counter("cache.evictions").value(), 0u);
+  EXPECT_EQ(bytes.value(), static_cast<std::int64_t>(shared->size() + headers));
+}
+
 TEST(AnalysisCacheTest, FingerprintHexIsSixteenLowercaseDigits) {
   JobKey key;
   key.fingerprint = 0xdeadbeef01234567ULL;

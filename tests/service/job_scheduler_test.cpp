@@ -99,6 +99,39 @@ TEST(JobSchedulerTest, FinishedJobsDoNotOutliveTheirOutcomeUntilTheirDeadline) {
   EXPECT_EQ(scenario.use_count(), 1);
 }
 
+TEST(JobSchedulerTest, DeadlineWatchdogHoldsOnlyUnfinishedJobs) {
+  // A thousand jobs with 30 s deadlines, each awaited before the next so
+  // none coalesces: once delivered, none may stay with the watchdog.
+  JobScheduler scheduler(single_threaded());
+  const util::Gauge& deadlines = scheduler.metrics().gauge("scheduler.deadlines");
+  const util::Counter& expiries = scheduler.metrics().counter("scheduler.deadline_expiries");
+  const auto scenario = case_study();
+  for (int i = 0; i < 1000; ++i) {
+    JobRequest request = verify_request(scenario, 1, 1);
+    request.deadline_ms = 30000.0;
+    ASSERT_EQ(scheduler.submit(std::move(request)).outcome.get().status, JobStatus::Done);
+  }
+  EXPECT_EQ(deadlines.value(), 0);
+  EXPECT_EQ(expiries.value(), 0u);
+
+  // An unfinished job stays registered, and its deadline still cancels it:
+  // the whole enumeration takes seconds.
+  synth::SynthConfig config;
+  config.buses = 118;
+  config.seed = 3;
+  JobRequest slow;
+  slow.kind = JobKind::EnumerateThreats;
+  slow.scenario = make_scenario_entry(synth::generate_scenario(config));
+  slow.spec = core::ResiliencySpec::total(3);
+  slow.max_vectors = 100000;
+  slow.deadline_ms = 300.0;
+  const auto ticket = scheduler.submit(std::move(slow));
+  EXPECT_EQ(deadlines.value(), 1);
+  EXPECT_EQ(ticket.outcome.get().status, JobStatus::TimedOut);
+  EXPECT_EQ(expiries.value(), 1u);
+  EXPECT_EQ(deadlines.value(), 0);
+}
+
 TEST(JobSchedulerTest, SatVerdictCarriesThreatVector) {
   JobScheduler scheduler(single_threaded());
   const JobOutcome outcome = scheduler.submit(verify_request(case_study(), 2, 1)).outcome.get();

@@ -46,7 +46,7 @@ int usage(const char* argv0) {
                "  --proof FILE         stream a text DRAT proof to FILE\n"
                "  --binary-proof FILE  stream a binary DRAT proof to FILE\n"
                "  --timeout-ms N       give up after N ms with 's UNKNOWN' (exit 0)\n"
-               "  --no-simplify        disable inprocessing (subsumption/BVE/probing)\n"
+               "  --no-simplify        disable inprocessing (BVE)\n"
                "  --assume LIT         solve under the DIMACS literal (repeatable);\n"
                "                       an unsat verdict then also prints the subset of\n"
                "                       assumptions used ('v LIT... 0' core line)\n",
@@ -159,9 +159,8 @@ int main(int argc, char** argv) {
                 instance.num_vars, instance.clauses.size(), timer.seconds(),
                 static_cast<unsigned long long>(stats.conflicts),
                 static_cast<unsigned long long>(stats.decisions));
-    std::printf("c simplify: vars-eliminated=%llu clauses-subsumed=%llu\n",
-                static_cast<unsigned long long>(stats.vars_eliminated),
-                static_cast<unsigned long long>(stats.clauses_subsumed));
+    std::printf("c simplify: vars-eliminated=%llu\n",
+                static_cast<unsigned long long>(stats.vars_eliminated));
     const DbTierSizes tiers = solver.db_tier_sizes();
     std::printf("c search: restarts=%llu blocked=%llu rephases=%llu "
                 "db-core=%zu db-tier2=%zu db-local=%zu\n",

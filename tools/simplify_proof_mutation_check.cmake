@@ -1,5 +1,5 @@
 # Negative tests for simplifier-produced DRAT proofs. The inprocessing engine
-# (BVE/subsumption) emits its own addition and deletion steps; a checker that
+# (BVE) emits its own addition and deletion steps; a checker that
 # tolerated a missing elimination resolvent or a bogus deletion would certify
 # unsound simplification. On an instance engineered so bounded variable
 # elimination must fire (CNF with an auxiliary definition variable):
