@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <unordered_map>
 #include <vector>
 
 #include "scada/scadanet/device.hpp"
@@ -70,6 +71,9 @@ class ScadaTopology {
   std::vector<Device> devices_;
   std::vector<Link> links_;
   std::vector<std::size_t> device_index_by_id_;  // sparse: id -> index+1, 0 = absent
+  // id -> index. Hashed rather than sized by the largest id: link ids come
+  // from case files, and one line naming link 2^31 - 1 must not cost GiBs.
+  std::unordered_map<int, std::size_t> link_index_by_id_;
   std::vector<std::vector<std::size_t>> adjacency_;  // device index -> link indices
   int mtu_id_ = 0;
 

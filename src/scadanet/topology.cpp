@@ -31,17 +31,13 @@ ScadaTopology::ScadaTopology(std::vector<Device> devices, std::vector<Link> link
   if (mtu_id_ == 0) throw ConfigError("ScadaTopology: no MTU device");
 
   adjacency_.resize(devices_.size());
-  std::vector<bool> link_id_seen;
+  link_index_by_id_.reserve(links_.size());
   for (std::size_t li = 0; li < links_.size(); ++li) {
     const Link& l = links_[li];
     if (l.id < 1) throw ConfigError("ScadaTopology: link ids must be >= 1");
-    if (static_cast<std::size_t>(l.id) >= link_id_seen.size()) {
-      link_id_seen.resize(static_cast<std::size_t>(l.id) + 1, false);
-    }
-    if (link_id_seen[static_cast<std::size_t>(l.id)]) {
+    if (!link_index_by_id_.emplace(l.id, li).second) {
       throw ConfigError("ScadaTopology: duplicate link id " + std::to_string(l.id));
     }
-    link_id_seen[static_cast<std::size_t>(l.id)] = true;
     if (!has_device(l.a) || !has_device(l.b)) {
       throw ConfigError("ScadaTopology: link " + std::to_string(l.id) +
                         " references unknown device");
@@ -67,10 +63,11 @@ bool ScadaTopology::has_device(int id) const noexcept {
 const Device& ScadaTopology::device(int id) const { return devices_[index_of(id)]; }
 
 const Link& ScadaTopology::link(int id) const {
-  for (const Link& l : links_) {
-    if (l.id == id) return l;
+  const auto it = link_index_by_id_.find(id);
+  if (it == link_index_by_id_.end()) {
+    throw ConfigError("ScadaTopology: unknown link " + std::to_string(id));
   }
-  throw ConfigError("ScadaTopology: unknown link " + std::to_string(id));
+  return links_[it->second];
 }
 
 std::vector<int> ScadaTopology::ids_of(DeviceType type) const {

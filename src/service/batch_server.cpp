@@ -32,15 +32,16 @@ core::Property parse_property(const std::string& name) {
   throw ParseError("unknown property '" + name + "'");
 }
 
-/// Reads the integer field `name` as an int in [min, INT_MAX]. Every int
-/// the protocol carries goes through here, so an out-of-range value is a
+/// Reads the integer field `name` as an int in [min, max]. Every int the
+/// protocol carries goes through here, so an out-of-range value is a
 /// request error rather than a silently truncated one.
 int int_field(const JsonValue& value, const char* name,
-              int min = std::numeric_limits<int>::min()) {
+              int min = std::numeric_limits<int>::min(),
+              int max = std::numeric_limits<int>::max()) {
   const std::int64_t v = value.as_int();
-  if (v < min || v > std::numeric_limits<int>::max()) {
+  if (v < min || v > max) {
     throw ParseError(std::string("'") + name + "' must be in [" + std::to_string(min) + ", " +
-                     std::to_string(std::numeric_limits<int>::max()) + "]");
+                     std::to_string(max) + "]");
   }
   return static_cast<int>(v);
 }
@@ -88,12 +89,14 @@ core::ScadaScenario build_scenario(const JsonValue& source) {
   if (const JsonValue* synth = source.find("synth")) {
     if (!synth->is_object()) throw ParseError("'synth' must be an object");
     synth::SynthConfig config;
-    if (const JsonValue* v = synth->find("buses")) config.buses = int_field(*v, "buses");
+    if (const JsonValue* v = synth->find("buses")) {
+      config.buses = int_field(*v, "buses", 2, kMaxSynthBuses);
+    }
     if (const JsonValue* v = synth->find("seed")) {
       config.seed = static_cast<std::uint64_t>(v->as_int());
     }
     if (const JsonValue* v = synth->find("hierarchy")) {
-      config.hierarchy_level = int_field(*v, "hierarchy");
+      config.hierarchy_level = int_field(*v, "hierarchy", 1, kMaxSynthHierarchy);
     }
     if (const JsonValue* v = synth->find("measurement_fraction")) {
       config.measurement_fraction = v->as_double();

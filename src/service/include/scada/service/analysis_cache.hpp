@@ -59,6 +59,13 @@ struct ScenarioEntry {
 /// scenarios with their blobs. A fleet audit touches few distinct scenarios;
 /// a client sending ever-new scenarios only cycles the store.
 inline constexpr std::size_t kScenarioMemoCapacity = 32;
+/// Largest "synth" grid a request may ask for: `buses` and `hierarchy` (RTU
+/// layers) beyond these are request errors. The generator sizes the RTU
+/// layer by both, and a 1000-bus entry already holds ~28 MB (its dense
+/// Jacobian), so the store's 32 entries stay near 1 GB at worst; the
+/// paper's largest grid has 118 buses.
+inline constexpr int kMaxSynthBuses = 1000;
+inline constexpr int kMaxSynthHierarchy = 10000;
 /// Resident key bytes (cache.bytes: headers plus each blob once) the verdict
 /// cache may hold. Every cached answer pins its scenario's blob (~31 KB for a
 /// 57-bus grid, ~120 KB for a 118-bus grid), so the entry capacity alone

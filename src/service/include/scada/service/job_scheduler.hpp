@@ -3,9 +3,11 @@
 // Jobs wait in one queue, the util::ThreadPool's FIFO, with:
 //
 //   * content-addressed caching — every job is fingerprinted (see
-//     AnalysisCache); a worker consults the cache before solving and
-//     publishes its answer afterwards, so repeated audits of identical
-//     scenario+spec+options combinations solve once;
+//     AnalysisCache); submit() consults the cache under the in-flight lock
+//     and answers a hit on the caller's thread with an already-fulfilled
+//     ticket (no job, no deadline, no worker), and a worker publishes a
+//     solved answer before the job leaves the in-flight map, so repeated
+//     audits of identical scenario+spec+options combinations solve once;
 //   * in-flight deduplication — a submit() whose key matches a pending or
 //     running job attaches to that job's future instead of enqueueing a
 //     second solve (concurrent identical requests coalesce);
@@ -54,7 +56,7 @@ struct JobRequest {
   bool minimal_only = true;
   /// Wall-clock budget measured from submit() — it covers queue wait plus
   /// solve time. nullopt (or a deadline beyond the steady clock's range) =
-  /// no deadline.
+  /// no deadline. A cache hit is answered inside submit() and ignores it.
   std::optional<double> deadline_ms;
 };
 
@@ -76,8 +78,8 @@ struct JobOutcome {
   /// This request coalesced onto an identical in-flight job.
   bool coalesced = false;
   std::string fingerprint;  ///< hex job key fingerprint
-  double queue_ms = 0.0;    ///< submit → execution start
-  double run_ms = 0.0;      ///< execution start → completion
+  double queue_ms = 0.0;    ///< submit → execution start (0 for a cache hit)
+  double run_ms = 0.0;      ///< execution start → completion (0 for a cache hit)
   /// Human-readable detail for TimedOut/Failed outcomes.
   std::string diagnostics;
 };
@@ -104,7 +106,8 @@ class JobScheduler {
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Enqueues (or coalesces) a job; never blocks on solving.
+  /// Coalesces onto an in-flight twin, answers a cache hit with a ready
+  /// ticket, or enqueues a job; never blocks on solving.
   /// Throws ConfigError if the request has no scenario, or is an
   /// enumeration with max_vectors == 0.
   [[nodiscard]] Ticket submit(JobRequest request);
@@ -135,8 +138,23 @@ class JobScheduler {
   util::MetricsRegistry metrics_;  ///< declared before cache_, which counts into it
   AnalysisCache cache_;
 
+  // scheduler.* instruments, resolved once: a registry lookup builds a
+  // string and takes the registry mutex.
+  util::Counter& jobs_submitted_;
+  util::Counter& jobs_done_;
+  util::Counter& jobs_coalesced_;
+  util::Counter& jobs_timed_out_;
+  util::Counter& jobs_failed_;
+  util::Counter& deadline_expiries_;
+  util::Gauge& queue_depth_;
+  util::Gauge& running_;
+  util::Histogram& queue_ms_;
+  util::Histogram& run_ms_;
+
   std::mutex mutex_;
-  /// In-flight (pending or running) jobs by key, for coalescing.
+  /// In-flight (pending or running) jobs by key, for coalescing. A job's
+  /// answer enters the cache before its entry leaves this map, so under
+  /// mutex_ a key is in flight, cached, or new.
   std::unordered_map<JobKey, StatePtr, JobKeyHash> inflight_;
 
   std::mutex watchdog_mutex_;

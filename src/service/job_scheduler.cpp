@@ -42,6 +42,16 @@ const char* to_string(JobStatus status) noexcept {
 
 JobScheduler::JobScheduler(SchedulerOptions options)
     : cache_(options.cache_capacity, metrics_),
+      jobs_submitted_(metrics_.counter("scheduler.jobs_submitted")),
+      jobs_done_(metrics_.counter("scheduler.jobs_done")),
+      jobs_coalesced_(metrics_.counter("scheduler.jobs_coalesced")),
+      jobs_timed_out_(metrics_.counter("scheduler.jobs_timed_out")),
+      jobs_failed_(metrics_.counter("scheduler.jobs_failed")),
+      deadline_expiries_(metrics_.counter("scheduler.deadline_expiries")),
+      queue_depth_(metrics_.gauge("scheduler.queue_depth")),
+      running_(metrics_.gauge("scheduler.running")),
+      queue_ms_(metrics_.histogram("scheduler.queue_ms")),
+      run_ms_(metrics_.histogram("scheduler.run_ms")),
       deadlines_gauge_(metrics_.gauge("scheduler.deadlines")),
       watchdog_([this] { watchdog_loop(); }),
       pool_(std::make_unique<util::ThreadPool>(options.threads)) {}
@@ -70,26 +80,45 @@ JobScheduler::Ticket JobScheduler::submit(JobRequest request) {
   // hash, so keying only formats and hashes the short header.
   JobKey key = make_job_key(*request.scenario, request.kind, request.property, request.spec,
                             request.options, request.max_vectors, request.minimal_only);
-  const Clock::time_point now = Clock::now();
 
+  std::optional<CachedAnalysis> cached;
   StatePtr job;
   {
+    // Under this lock a key is in flight, cached or new (see inflight_), so
+    // one cache lookup here is exact.
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto hit = inflight_.find(key); hit != inflight_.end()) {
-      metrics_.counter("scheduler.jobs_coalesced").inc();
-      return Ticket{hit->second->future, /*coalesced=*/true};
+    if (const auto twin = inflight_.find(key); twin != inflight_.end()) {
+      jobs_coalesced_.inc();
+      return Ticket{twin->second->future, /*coalesced=*/true};
     }
-    job = std::make_shared<JobState>();
-    job->request = std::move(request);
-    job->key = std::move(key);
-    job->submitted = now;
-    if (job->request.deadline_ms) job->deadline = deadline_after(now, *job->request.deadline_ms);
-    job->future = job->promise.get_future().share();
-    inflight_.emplace(job->key, job);
+    cached = cache_.lookup(key);
+    if (!cached) {
+      job = std::make_shared<JobState>();
+      job->request = std::move(request);
+      job->key = std::move(key);
+      job->submitted = Clock::now();
+      if (job->request.deadline_ms) {
+        job->deadline = deadline_after(job->submitted, *job->request.deadline_ms);
+      }
+      job->future = job->promise.get_future().share();
+      inflight_.emplace(job->key, job);
+    }
+  }
+  jobs_submitted_.inc();
+
+  if (cached) {
+    // Answered on the caller's thread: no job, no deadline, no worker.
+    JobOutcome out;
+    out.analysis = std::move(*cached);
+    out.cache_hit = true;
+    out.fingerprint = key.fingerprint_hex();
+    jobs_done_.inc();
+    std::promise<JobOutcome> answered;
+    answered.set_value(std::move(out));
+    return Ticket{answered.get_future().share(), /*coalesced=*/false};
   }
 
-  metrics_.counter("scheduler.jobs_submitted").inc();
-  metrics_.gauge("scheduler.queue_depth").add(1);
+  queue_depth_.add(1);
   if (job->deadline) register_deadline(job);
   (void)pool_->submit([this, job] { run(job); });
   return Ticket{job->future, /*coalesced=*/false};
@@ -119,21 +148,21 @@ void JobScheduler::watchdog_loop() {
     }
     // finish() drops a job's entry under this lock, so the job is unfinished.
     deadlines_.begin()->second->token.cancel();
-    metrics_.counter("scheduler.deadline_expiries").inc();
+    deadline_expiries_.inc();
     deadlines_.erase(deadlines_.begin());
     deadlines_gauge_.set(static_cast<std::int64_t>(deadlines_.size()));
   }
 }
 
 void JobScheduler::run(const StatePtr& job) {
-  metrics_.gauge("scheduler.queue_depth").sub(1);
-  metrics_.gauge("scheduler.running").add(1);
+  queue_depth_.sub(1);
+  running_.add(1);
 
   const Clock::time_point started = Clock::now();
   JobOutcome out;
   out.fingerprint = job->key.fingerprint_hex();
   out.queue_ms = ms_between(job->submitted, started);
-  metrics_.histogram("scheduler.queue_ms").record(out.queue_ms);
+  queue_ms_.record(out.queue_ms);
 
   if (job->token.cancelled()) {
     // Expired while still queued — degrade gracefully without spending a
@@ -152,15 +181,6 @@ void JobScheduler::run(const StatePtr& job) {
 void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
   const JobRequest& req = job->request;
   out.analysis.kind = req.kind;
-
-  // A twin job may have published its answer between submit and now.
-  if (std::optional<CachedAnalysis> cached = cache_.lookup(job->key)) {
-    out.status = JobStatus::Done;
-    out.analysis = std::move(*cached);
-    out.cache_hit = true;
-    metrics_.histogram("scheduler.cache_hit_ms").record(ms_between(job->submitted, Clock::now()));
-    return;
-  }
 
   core::AnalyzerOptions options = req.options;
   options.interrupt = job->token.flag();
@@ -268,6 +288,7 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
   }
 
   out.status = JobStatus::Done;
+  // Before finish() drops the in-flight entry (see inflight_).
   cache_.insert(job->key, out.analysis);
 }
 
@@ -281,12 +302,12 @@ void JobScheduler::finish(const StatePtr& job, JobOutcome out) {
     deadlines_.erase({*job->deadline, job});
     deadlines_gauge_.set(static_cast<std::int64_t>(deadlines_.size()));
   }
-  metrics_.gauge("scheduler.running").sub(1);
-  metrics_.histogram("scheduler.run_ms").record(out.run_ms);
+  running_.sub(1);
+  run_ms_.record(out.run_ms);
   switch (out.status) {
-    case JobStatus::Done: metrics_.counter("scheduler.jobs_done").inc(); break;
-    case JobStatus::TimedOut: metrics_.counter("scheduler.jobs_timed_out").inc(); break;
-    case JobStatus::Failed: metrics_.counter("scheduler.jobs_failed").inc(); break;
+    case JobStatus::Done: jobs_done_.inc(); break;
+    case JobStatus::TimedOut: jobs_timed_out_.inc(); break;
+    case JobStatus::Failed: jobs_failed_.inc(); break;
   }
   if (out.status == JobStatus::Failed) {
     SCADA_LOG(Warn) << "job " << out.fingerprint << " failed: " << out.diagnostics;

@@ -58,6 +58,12 @@ struct HistogramSnapshot {
   [[nodiscard]] double mean_ms() const noexcept {
     return count == 0 ? 0.0 : sum_ms / static_cast<double>(count);
   }
+
+  /// The q-quantile (0 < q <= 1) estimated from the buckets: interpolated
+  /// linearly inside the bucket holding the rank, so it lies in that bucket,
+  /// and clamped to [min_ms, max_ms] (the overflow bucket ends at max_ms).
+  /// 0 when empty.
+  [[nodiscard]] double percentile_ms(double q) const noexcept;
 };
 
 /// Latency histogram over fixed power-of-two millisecond buckets:
@@ -107,7 +113,9 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
 
   /// {"counters":{...},"gauges":{...},"histograms":{"name":{"count":n,
-  ///  "sum_ms":x,"mean_ms":x,"min_ms":x,"max_ms":x}}}
+  ///  "sum_ms":x,"mean_ms":x,"min_ms":x,"max_ms":x,"p50_ms":x,"p90_ms":x,
+  ///  "p99_ms":x,"buckets":[n,...]}}}; buckets[i] counts samples below
+  ///  Histogram::upper_bound_ms(i), the last one is unbounded.
   [[nodiscard]] std::string to_json() const;
 
  private:

@@ -65,6 +65,25 @@ HistogramSnapshot Histogram::snapshot() const {
   return s;
 }
 
+double HistogramSnapshot::percentile_ms(double q) const noexcept {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : buckets) total += n;
+  if (total == 0) return 0.0;
+  // The rank'th smallest sample, 1-based; the buckets rather than `count`
+  // fix the total, since a snapshot may race a record().
+  const auto rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))), 1, total);
+  std::uint64_t below = 0;
+  std::size_t i = 0;
+  while (below + buckets[i] < rank) below += buckets[i++];
+  const double lower = i == 0 ? 0.0 : Histogram::upper_bound_ms(i - 1);
+  const double upper = i + 1 == buckets.size() ? max_ms : Histogram::upper_bound_ms(i);
+  // The rank'th sample sits mid-way through its 1/n share of the bucket.
+  const double within =
+      (static_cast<double>(rank - below) - 0.5) / static_cast<double>(buckets[i]);
+  return std::clamp(lower + (upper - lower) * within, min_ms, std::max(min_ms, max_ms));
+}
+
 Counter& MetricsRegistry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = counters_[name];
@@ -132,7 +151,15 @@ std::string MetricsRegistry::to_json() const {
         const HistogramSnapshot& h = s.histogram;
         histograms += "\"" + s.name + "\":{\"count\":" + std::to_string(h.count) +
                       ",\"sum_ms\":" + number(h.sum_ms) + ",\"mean_ms\":" + number(h.mean_ms()) +
-                      ",\"min_ms\":" + number(h.min_ms) + ",\"max_ms\":" + number(h.max_ms) + "}";
+                      ",\"min_ms\":" + number(h.min_ms) + ",\"max_ms\":" + number(h.max_ms) +
+                      ",\"p50_ms\":" + number(h.percentile_ms(0.5)) +
+                      ",\"p90_ms\":" + number(h.percentile_ms(0.9)) +
+                      ",\"p99_ms\":" + number(h.percentile_ms(0.99)) + ",\"buckets\":[";
+        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+          if (i > 0) histograms += ",";
+          histograms += std::to_string(h.buckets[i]);
+        }
+        histograms += "]}";
         break;
       }
     }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
+#include "scada/core/scenario.hpp"
+#include "scada/synth/generator.hpp"
 #include "scada/util/error.hpp"
 
 namespace scada::scadanet {
@@ -52,6 +55,33 @@ TEST(TopologyTest, LinkLookup) {
   EXPECT_EQ(t.link(10).a, 10);
   EXPECT_EQ(t.link(10).b, 11);
   EXPECT_THROW((void)t.link(99), ConfigError);
+}
+
+TEST(TopologyTest, LinkLookupResolvesEveryLinkOfASyntheticGrid) {
+  synth::SynthConfig config;
+  config.buses = 57;
+  config.hierarchy_level = 2;
+  const core::ScadaScenario scenario = synth::generate_scenario(config);
+  const ScadaTopology& t = scenario.topology();
+  ASSERT_GT(t.links().size(), 100u);
+  int max_id = 0;
+  for (const Link& l : t.links()) {
+    EXPECT_EQ(&t.link(l.id), &l) << "link " << l.id;
+    max_id = std::max(max_id, l.id);
+  }
+  for (const int unknown : {0, -1, max_id + 1, std::numeric_limits<int>::max()}) {
+    EXPECT_THROW((void)t.link(unknown), ConfigError) << unknown;
+  }
+
+  // Ids out of order and far apart: a gap is unknown, the rest resolve.
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  const std::vector<Device> devices = {{.id = 1, .type = DeviceType::Ied},
+                                       {.id = 2, .type = DeviceType::Rtu},
+                                       {.id = 3, .type = DeviceType::Mtu}};
+  const ScadaTopology sparse(devices, {{kHuge, 2, 3}, {4, 1, 2}});
+  EXPECT_EQ(sparse.link(kHuge).a, 2);
+  EXPECT_EQ(sparse.link(4).a, 1);
+  EXPECT_THROW((void)sparse.link(5), ConfigError);
 }
 
 TEST(TopologyTest, PathsFromLeafIed) {

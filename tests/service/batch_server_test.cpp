@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scada/core/case_study.hpp"
@@ -149,6 +150,42 @@ TEST(BatchServerTest, MalformedRequestsAreErrorsNotCrashes) {
       server,
       R"({"op":"verify","scenario":{"builtin":"case_study_fig3"},"spec":{"k1":1,"k2":1}})");
   EXPECT_TRUE(field(ok, "ok").as_bool());
+}
+
+TEST(BatchServerTest, SynthSizesBeyondTheBoundsAreRequestErrors) {
+  // The generator sizes the RTU layer by max(hierarchy, rtus_per_bus * buses):
+  // without the bounds one line could ask it for ~2e9 devices.
+  const auto synth_verify = [](const std::string& id, const std::string& synth) {
+    return R"({"id":)" + id + R"(,"op":"verify","scenario":{"synth":)" + synth +
+           R"(},"spec":{"k":1}})";
+  };
+  BatchServer server;
+  std::istringstream in(
+      synth_verify("1", R"({"buses":2147483647})") + "\n" +
+      synth_verify("2", R"({"buses":)" + std::to_string(kMaxSynthBuses + 1) + "}") + "\n" +
+      synth_verify("3", R"({"buses":14,"hierarchy":1000000000})") + "\n" +
+      R"({"id":4,"op":"verify","scenario":{"builtin":"case_study_fig3"},"spec":{"k1":1,"k2":1}})"
+      "\n");
+  std::ostringstream out;
+  EXPECT_EQ(server.serve(in, out), 4u);
+
+  std::istringstream lines(out.str());
+  std::vector<io::JsonValue> responses;
+  for (std::string line; std::getline(lines, line);) responses.push_back(io::parse_json(line));
+  ASSERT_EQ(responses.size(), 4u);
+  const std::pair<const char*, int> bounds[] = {
+      {"'buses'", kMaxSynthBuses}, {"'buses'", kMaxSynthBuses}, {"'hierarchy'", kMaxSynthHierarchy}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const io::JsonValue& r = responses[i];
+    EXPECT_EQ(field(r, "id").as_int(), static_cast<std::int64_t>(i) + 1);
+    EXPECT_FALSE(field(r, "ok").as_bool());
+    const std::string error = field(r, "error").as_string();
+    EXPECT_NE(error.find(bounds[i].first), std::string::npos) << error;
+    EXPECT_NE(error.find(std::to_string(bounds[i].second) + "]"), std::string::npos) << error;
+  }
+  // The next line on the same stream is still answered.
+  EXPECT_TRUE(field(responses[3], "ok").as_bool());
+  EXPECT_EQ(field(field(responses[3], "verification"), "result").as_string(), "unsat");
 }
 
 TEST(BatchServerTest, SecurityIndexOpReturnsIndexAndWitness) {

@@ -132,6 +132,47 @@ TEST(JobSchedulerTest, DeadlineWatchdogHoldsOnlyUnfinishedJobs) {
   EXPECT_EQ(deadlines.value(), 0);
 }
 
+TEST(JobSchedulerTest, CacheHitIsAnsweredInsideSubmit) {
+  // The single worker is held by an enumeration that runs until its
+  // deadline; a cached request still comes back answered from submit(), so
+  // it waited for no worker, and its own deadline is never registered.
+  JobScheduler scheduler(single_threaded());
+  const util::Gauge& deadlines = scheduler.metrics().gauge("scheduler.deadlines");
+  const auto scenario = case_study();
+  ASSERT_FALSE(scheduler.submit(verify_request(scenario, 1, 1)).outcome.get().cache_hit);
+
+  synth::SynthConfig config;
+  config.buses = 118;
+  config.seed = 3;
+  JobRequest blocker;
+  blocker.kind = JobKind::EnumerateThreats;
+  blocker.scenario = make_scenario_entry(synth::generate_scenario(config));
+  blocker.spec = core::ResiliencySpec::total(3);
+  blocker.max_vectors = 100000;
+  blocker.deadline_ms = 500.0;
+  const auto held = scheduler.submit(std::move(blocker));
+  EXPECT_EQ(deadlines.value(), 1);
+
+  JobRequest cached = verify_request(scenario, 1, 1);
+  cached.deadline_ms = 60000.0;
+  const auto ticket = scheduler.submit(std::move(cached));
+  ASSERT_EQ(ticket.outcome.wait_for(0s), std::future_status::ready);
+  EXPECT_FALSE(ticket.coalesced);
+  const JobOutcome outcome = ticket.outcome.get();
+  EXPECT_EQ(outcome.status, JobStatus::Done);
+  EXPECT_TRUE(outcome.cache_hit);
+  EXPECT_EQ(outcome.analysis.verdict.result, smt::SolveResult::Unsat);
+  EXPECT_EQ(outcome.queue_ms, 0.0);
+  EXPECT_EQ(outcome.run_ms, 0.0);
+  EXPECT_EQ(deadlines.value(), 1);  // the blocker's alone
+
+  EXPECT_EQ(held.outcome.get().status, JobStatus::TimedOut);
+  EXPECT_EQ(deadlines.value(), 0);
+  // The hit counts as a submitted and finished job, like any other.
+  EXPECT_EQ(scheduler.metrics().counter("scheduler.jobs_submitted").value(), 3u);
+  EXPECT_EQ(scheduler.metrics().counter("scheduler.jobs_done").value(), 2u);
+}
+
 TEST(JobSchedulerTest, SatVerdictCarriesThreatVector) {
   JobScheduler scheduler(single_threaded());
   const JobOutcome outcome = scheduler.submit(verify_request(case_study(), 2, 1)).outcome.get();

@@ -261,6 +261,62 @@ TEST(NetServerTest, CacheHitsAreSharedAcrossConnections) {
   EXPECT_EQ(field(field(warm, "verification"), "result").as_string(), "unsat");
 }
 
+TEST(NetServerTest, HitsOnConnectionThreadsRaceAColdJobsPublish) {
+  // Hits are answered on the connection threads, straight from the cache,
+  // while a worker inserts a cold job's fresh answer into the same cache.
+  constexpr int kReplayers = 4;
+  constexpr int kRepeats = 50;
+  ServerFixture fixture;
+  {
+    Client warmup(fixture.port());
+    const io::JsonValue r = warmup.request(with_id(kVerifyUnsat, "\"warm\""));
+    ASSERT_FALSE(field(r, "cache_hit").as_bool());
+  }
+
+  std::atomic<int> failures{0};
+  const auto check = [&failures](bool ok, const io::JsonValue& r) {
+    if (!ok) {
+      ++failures;
+      ADD_FAILURE() << "unexpected response: " << r.dump();
+    }
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kReplayers; ++c) {
+    clients.emplace_back([c, &fixture, &check] {
+      Client client(fixture.port());
+      std::string batch;  // pipelined: the hits go back to back
+      for (int i = 0; i < kRepeats; ++i) {
+        batch += with_id(kVerifyUnsat, "\"r" + std::to_string(c) + "-" + std::to_string(i) +
+                                           "\"") + "\n";
+      }
+      client.send_raw(batch);
+      for (int i = 0; i < kRepeats; ++i) {
+        const io::JsonValue r = client.read_response();
+        check(field(r, "id").as_string() == "r" + std::to_string(c) + "-" + std::to_string(i) &&
+                  field(r, "status").as_string() == "done" && field(r, "cache_hit").as_bool() &&
+                  field(field(r, "verification"), "result").as_string() == "unsat",
+              r);
+      }
+    });
+  }
+  clients.emplace_back([&fixture, &check] {
+    Client client(fixture.port());
+    const std::string cold =
+        R"({"id":"cold","op":"enumerate","scenario":{"synth":{"buses":30,"seed":7}},)"
+        R"("property":"observability","spec":{"k":2},"max_vectors":16})";
+    const io::JsonValue first = client.request(cold);
+    check(field(first, "status").as_string() == "done" && !field(first, "cache_hit").as_bool() &&
+              field(first, "threat_count").as_int() > 0,
+          first);
+    const io::JsonValue again = client.request(cold);
+    check(field(again, "cache_hit").as_bool() &&
+              field(again, "threats").dump() == field(first, "threats").dump(),
+          again);
+  });
+  for (auto& thread : clients) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(NetServerTest, GracefulShutdownDrainsInFlightJobs) {
   ServerFixture fixture;
   Client client(fixture.port());

@@ -108,6 +108,44 @@ TEST(MetricsTest, ToJsonIsWellFormed) {
   EXPECT_NEAR(h->find("mean_ms")->as_double(), 1.5, 1e-6);
 }
 
+TEST(MetricsTest, PercentilesComeFromTheBuckets) {
+  MetricsRegistry registry;
+  Histogram& h = registry.histogram("lat");
+  const auto rendered = [&registry] {
+    return *io::parse_json(registry.to_json()).find("histograms")->find("lat");
+  };
+  // Empty: every percentile and bucket renders as zero.
+  const io::JsonValue empty = rendered();
+  for (const char* key : {"count", "p50_ms", "p90_ms", "p99_ms"}) {
+    EXPECT_DOUBLE_EQ(empty.find(key)->as_double(), 0.0) << key;
+  }
+  ASSERT_EQ(empty.find("buckets")->items().size(), Histogram::kBuckets);
+  for (const io::JsonValue& n : empty.find("buckets")->items()) EXPECT_EQ(n.as_int(), 0);
+
+  // 100 samples: 50 in [1, 2) ms, 40 in [4, 8), 9 in [16, 32), 1 in [256, 512).
+  for (int i = 0; i < 50; ++i) h.record(1.5);
+  for (int i = 0; i < 40; ++i) h.record(5.0);
+  for (int i = 0; i < 9; ++i) h.record(20.0);
+  h.record(300.0);
+  const HistogramSnapshot s = h.snapshot();
+  const auto in = [](double v, double lo, double hi) { return v >= lo && v < hi; };
+  EXPECT_TRUE(in(s.percentile_ms(0.5), 1.0, 2.0)) << s.percentile_ms(0.5);
+  EXPECT_TRUE(in(s.percentile_ms(0.9), 4.0, 8.0)) << s.percentile_ms(0.9);
+  EXPECT_TRUE(in(s.percentile_ms(0.99), 16.0, 32.0)) << s.percentile_ms(0.99);
+  EXPECT_DOUBLE_EQ(s.percentile_ms(1.0), 300.0);  // clamped to the largest sample
+
+  const io::JsonValue lat = rendered();
+  EXPECT_TRUE(in(lat.find("p50_ms")->as_double(), 1.0, 2.0));
+  EXPECT_TRUE(in(lat.find("p90_ms")->as_double(), 4.0, 8.0));
+  EXPECT_TRUE(in(lat.find("p99_ms")->as_double(), 16.0, 32.0));
+  const std::vector<io::JsonValue>& buckets = lat.find("buckets")->items();
+  ASSERT_EQ(buckets.size(), Histogram::kBuckets);
+  for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
+    const std::int64_t expected = i == 3 ? 50 : i == 5 ? 40 : i == 7 ? 9 : i == 11 ? 1 : 0;
+    EXPECT_EQ(buckets[i].as_int(), expected) << "bucket " << i;
+  }
+}
+
 TEST(MetricsTest, ConcurrentRecordingLosesNothing) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("hits");
