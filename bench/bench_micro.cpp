@@ -78,7 +78,7 @@ void BM_CardinalityClauseCount(benchmark::State& state) {
   for (auto _ : state) {
     smt::RecordingSink sink;
     std::vector<smt::Lit> lits;
-    for (std::size_t i = 0; i < n; ++i) lits.push_back(smt::pos(sink.fresh_var("")));
+    for (std::size_t i = 0; i < n; ++i) lits.push_back(smt::pos(sink.fresh_var()));
     smt::encode_at_most(sink, lits, static_cast<std::uint32_t>(n / 4));
     benchmark::DoNotOptimize(sink.clauses().size());
     state.counters["clauses"] = static_cast<double>(sink.clauses().size());

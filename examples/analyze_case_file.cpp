@@ -7,13 +7,13 @@
 // security audit — human-readable by default, JSON with --json.
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "scada/core/analyzer.hpp"
 #include "scada/io/case_format.hpp"
 #include "scada/io/json.hpp"
 #include "scada/io/report.hpp"
-#include "scada/util/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace scada;
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
       std::printf("security audit:\n%s", io::render_security_audit(parsed.scenario).c_str());
     }
     return 0;
-  } catch (const ScadaError& e) {
+  } catch (const std::exception& e) {  // ScadaError, and bad_alloc on a hostile file
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "scada/scadanet/device.hpp"
@@ -70,11 +71,12 @@ class ScadaTopology {
  private:
   std::vector<Device> devices_;
   std::vector<Link> links_;
-  std::vector<std::size_t> device_index_by_id_;  // sparse: id -> index+1, 0 = absent
-  // id -> index. Hashed rather than sized by the largest id: link ids come
-  // from case files, and one line naming link 2^31 - 1 must not cost GiBs.
+  // id -> index. Hashed rather than sized by the largest id: ids come from
+  // case files, and one line naming id 2^31 - 1 must not cost GiBs.
+  std::unordered_map<int, std::size_t> device_index_by_id_;
   std::unordered_map<int, std::size_t> link_index_by_id_;
-  std::vector<std::vector<std::size_t>> adjacency_;  // device index -> link indices
+  // device index -> (link index, neighbour's device index)
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adjacency_;
   int mtu_id_ = 0;
 
   [[nodiscard]] std::size_t index_of(int id) const;

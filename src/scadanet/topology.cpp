@@ -10,18 +10,12 @@ ScadaTopology::ScadaTopology(std::vector<Device> devices, std::vector<Link> link
     : devices_(std::move(devices)), links_(std::move(links)) {
   if (devices_.empty()) throw ConfigError("ScadaTopology: no devices");
 
-  int max_id = 0;
-  for (const Device& d : devices_) {
-    if (d.id < 1) throw ConfigError("ScadaTopology: device ids must be >= 1");
-    max_id = std::max(max_id, d.id);
-  }
-  device_index_by_id_.assign(static_cast<std::size_t>(max_id) + 1, 0);
+  device_index_by_id_.reserve(devices_.size());
   for (std::size_t i = 0; i < devices_.size(); ++i) {
-    auto& slot = device_index_by_id_[static_cast<std::size_t>(devices_[i].id)];
-    if (slot != 0) {
+    if (devices_[i].id < 1) throw ConfigError("ScadaTopology: device ids must be >= 1");
+    if (!device_index_by_id_.emplace(devices_[i].id, i).second) {
       throw ConfigError("ScadaTopology: duplicate device id " + std::to_string(devices_[i].id));
     }
-    slot = i + 1;
     if (devices_[i].type == DeviceType::Mtu) {
       // Several MTUs are allowed; the smallest id is the main control
       // center that every measurement must ultimately reach.
@@ -45,19 +39,23 @@ ScadaTopology::ScadaTopology(std::vector<Device> devices, std::vector<Link> link
     if (l.a == l.b) {
       throw ConfigError("ScadaTopology: link " + std::to_string(l.id) + " is a self-loop");
     }
-    adjacency_[index_of(l.a)].push_back(li);
-    adjacency_[index_of(l.b)].push_back(li);
+    const std::size_t ia = index_of(l.a);
+    const std::size_t ib = index_of(l.b);
+    adjacency_[ia].emplace_back(li, ib);
+    adjacency_[ib].emplace_back(li, ia);
   }
 }
 
 std::size_t ScadaTopology::index_of(int id) const {
-  if (!has_device(id)) throw ConfigError("ScadaTopology: unknown device " + std::to_string(id));
-  return device_index_by_id_[static_cast<std::size_t>(id)] - 1;
+  const auto it = device_index_by_id_.find(id);
+  if (it == device_index_by_id_.end()) {
+    throw ConfigError("ScadaTopology: unknown device " + std::to_string(id));
+  }
+  return it->second;
 }
 
 bool ScadaTopology::has_device(int id) const noexcept {
-  return id >= 1 && static_cast<std::size_t>(id) < device_index_by_id_.size() &&
-         device_index_by_id_[static_cast<std::size_t>(id)] != 0;
+  return device_index_by_id_.contains(id);
 }
 
 const Device& ScadaTopology::device(int id) const { return devices_[index_of(id)]; }
@@ -81,10 +79,7 @@ std::vector<int> ScadaTopology::ids_of(DeviceType type) const {
 
 std::vector<int> ScadaTopology::neighbors(int id) const {
   std::vector<int> out;
-  for (const std::size_t li : adjacency_[index_of(id)]) {
-    const Link& l = links_[li];
-    out.push_back(l.a == id ? l.b : l.a);
-  }
+  for (const auto& edge : adjacency_[index_of(id)]) out.push_back(devices_[edge.second].id);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -111,16 +106,16 @@ std::vector<ForwardingPath> ScadaTopology::paths_to_mtu(int ied_id,
   stack.emplace_back(index_of(ied_id), 0);
   while (!stack.empty() && result.size() < max_paths) {
     auto [at, slot] = stack.back();
-    const std::vector<std::size_t>& edges = adjacency_[at];
+    const auto& edges = adjacency_[at];
     // The next neighbor that extends the path: not on it already, and not an
     // IED — data flows up the acquisition hierarchy, so measurements never
     // route *through* another IED (IEDs are sources, not forwarders).
     std::size_t next_idx = 0;
     const Link* via = nullptr;
     while (via == nullptr && slot < edges.size()) {
-      const Link& l = links_[edges[slot++]];
-      next_idx = index_of(l.a == devices_[at].id ? l.b : l.a);
-      if (!on_path[next_idx] && devices_[next_idx].type != DeviceType::Ied) via = &l;
+      const auto [li, to] = edges[slot++];
+      next_idx = to;
+      if (!on_path[next_idx] && devices_[next_idx].type != DeviceType::Ied) via = &links_[li];
     }
     stack.back().second = slot;
     if (via == nullptr) {

@@ -1,6 +1,6 @@
 #include "scada/smt/cardinality.hpp"
 
-#include <string>
+#include <algorithm>
 #include <vector>
 
 namespace scada::smt {
@@ -25,34 +25,29 @@ class GuardedEmitter {
   std::vector<Lit> buf_;
 };
 
-/// Sinz 2005 sequential counter for  sum(x) <= k,  2 <= k+1 <= n.
-/// Every clause is guarded, so the whole construction is inert when the guard
-/// is false (its registers are fresh and unconstrained elsewhere).
-void sequential_at_most(ClauseSink& sink, std::span<const Lit> x, std::uint32_t k,
-                        std::optional<Lit> guard) {
-  const std::size_t n = x.size();
-  GuardedEmitter out(sink, guard);
-
-  // s[i][j], 0-based i in [0, n-2], j in [0, k-1]: "at least j+1 of x[0..i] true".
-  std::vector<std::vector<Lit>> s(n - 1, std::vector<Lit>(k));
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    for (std::uint32_t j = 0; j < k; ++j) {
-      s[i][j] = pos(sink.fresh_var("seq_s" + std::to_string(i) + "_" + std::to_string(j)));
+/// One node of a totalizer (Bailleux & Boufkhad 2003) truncated at `cap`:
+/// returns unary registers out[t], each implied by "at least t+1 of x true",
+/// t < min(|x|, cap). The inputs are split in halves; only the upward
+/// clauses  a_i & b_j -> out_{i+j}  are emitted (1-based, a_0 = b_0 = true),
+/// so any assignment of x extends to the fresh registers. A leaf is its own
+/// register.
+std::vector<Lit> totalize(ClauseSink& sink, std::span<const Lit> x, std::size_t cap) {
+  if (x.size() == 1) return {x[0]};
+  const std::vector<Lit> a = totalize(sink, x.first(x.size() / 2), cap);
+  const std::vector<Lit> b = totalize(sink, x.subspan(x.size() / 2), cap);
+  std::vector<Lit> out(std::min(a.size() + b.size(), cap));
+  for (Lit& o : out) o = pos(sink.fresh_var());
+  std::vector<Lit> clause;
+  for (std::size_t i = 0; i <= a.size(); ++i) {
+    for (std::size_t j = i == 0 ? 1 : 0; j <= b.size() && i + j <= out.size(); ++j) {
+      clause.clear();
+      if (i > 0) clause.push_back(~a[i - 1]);
+      if (j > 0) clause.push_back(~b[j - 1]);
+      clause.push_back(out[i + j - 1]);
+      sink.add_clause(clause);
     }
   }
-
-  out.emit({~x[0], s[0][0]});
-  for (std::uint32_t j = 1; j < k; ++j) out.emit({~s[0][j]});
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    out.emit({~x[i], s[i][0]});
-    out.emit({~s[i - 1][0], s[i][0]});
-    for (std::uint32_t j = 1; j < k; ++j) {
-      out.emit({~x[i], ~s[i - 1][j - 1], s[i][j]});
-      out.emit({~s[i - 1][j], s[i][j]});
-    }
-    out.emit({~x[i], ~s[i - 1][k - 1]});
-  }
-  out.emit({~x[n - 1], ~s[n - 2][k - 1]});
+  return out;
 }
 
 }  // namespace
@@ -66,7 +61,8 @@ void encode_at_most(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t b
     for (const Lit l : lits) out.emit({~l});
     return;
   }
-  sequential_at_most(sink, lits, bound, guard);
+  // Count up to bound+1 and forbid the top register: the one guarded clause.
+  out.emit({~totalize(sink, lits, std::size_t{bound} + 1)[bound]});
 }
 
 void encode_at_least(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t bound,
@@ -89,7 +85,7 @@ void encode_at_least(ClauseSink& sink, std::span<const Lit> lits, std::uint32_t 
   // sum(x) >= k  <=>  sum(~x) <= n - k.
   std::vector<Lit> negated(lits.size());
   for (std::size_t i = 0; i < lits.size(); ++i) negated[i] = ~lits[i];
-  sequential_at_most(sink, negated, static_cast<std::uint32_t>(n) - bound, guard);
+  encode_at_most(sink, negated, static_cast<std::uint32_t>(n) - bound, guard);
 }
 
 }  // namespace scada::smt

@@ -13,7 +13,7 @@ CnfTransformer::CnfTransformer(const FormulaBuilder& builder, ClauseSink& sink)
 Var CnfTransformer::solver_var(Var builder_var) {
   const auto it = var_map_.find(builder_var);
   if (it != var_map_.end()) return it->second;
-  const Var sv = sink_.fresh_var(builder_.var_name(builder_var));
+  const Var sv = sink_.fresh_var();
   var_map_.emplace(builder_var, sv);
   return sv;
 }
@@ -34,7 +34,7 @@ Lit CnfTransformer::literal_for(Formula f) {
     case NodeKind::True:
     case NodeKind::False: {
       if (const_true_ == 0) {
-        const_true_ = sink_.fresh_var("const_true");
+        const_true_ = sink_.fresh_var();
         sink_.add_clause({pos(const_true_)});
       }
       lit = (n.kind == NodeKind::True) ? pos(const_true_) : neg(const_true_);
@@ -50,7 +50,7 @@ Lit CnfTransformer::literal_for(Formula f) {
     case NodeKind::Or:
     case NodeKind::AtMost:
     case NodeKind::AtLeast:
-      lit = pos(sink_.fresh_var("def_n" + std::to_string(f.id)));
+      lit = pos(sink_.fresh_var());
       break;
   }
   node_lit_.emplace(f.id, lit);

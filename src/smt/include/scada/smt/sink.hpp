@@ -4,7 +4,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "scada/smt/types.hpp"
@@ -18,8 +17,8 @@ class ClauseSink {
   /// Emits one clause.
   virtual void add_clause(std::span<const Lit> lits) = 0;
 
-  /// Allocates a fresh variable. `hint` is a debugging name; sinks may ignore it.
-  virtual Var fresh_var(const std::string& hint) = 0;
+  /// Allocates a fresh variable.
+  virtual Var fresh_var() = 0;
 
   void add_clause(std::initializer_list<Lit> lits) {
     add_clause(std::span(lits.begin(), lits.size()));
@@ -32,7 +31,7 @@ class RecordingSink final : public ClauseSink {
   void add_clause(std::span<const Lit> lits) override {
     clauses_.emplace_back(lits.begin(), lits.end());
   }
-  Var fresh_var(const std::string&) override { return next_var_++; }
+  Var fresh_var() override { return next_var_++; }
 
   /// Pre-reserves variables 1..n as externally owned (non-fresh).
   void reserve_vars(Var n) {

@@ -11,9 +11,9 @@ namespace scada::smt {
 namespace {
 
 /// The closing certificate counts every weight unit as one input of its
-/// sequential counter, so its size grows with the summed soft weight times
+/// cardinality atom, whose totalizer grows with the summed soft weight times
 /// the optimum; a runaway weighted instance would allocate quadratically
-/// many counter clauses, so refuse instead.
+/// many clauses, so refuse instead.
 constexpr std::uint64_t kMaxTotalWeight = 1'000'000;
 
 }  // namespace

@@ -45,7 +45,7 @@ class CdclSinkAdapter final : public ClauseSink {
     if (cnf_copy_ != nullptr) cnf_copy_->clauses.emplace_back(lits.begin(), lits.end());
     solver_.add_clause(lits);
   }
-  Var fresh_var(const std::string&) override { return solver_.new_var(); }
+  Var fresh_var() override { return solver_.new_var(); }
 
  private:
   CdclSolver& solver_;

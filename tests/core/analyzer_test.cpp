@@ -297,6 +297,22 @@ TEST(AnalyzerTest, CertifiedVerifyWithInprocessing) {
   ASSERT_TRUE(sat.threat.has_value());
 }
 
+TEST(AnalyzerTest, CertifiedUnsatFor57BusObservabilityAtKZero) {
+  // A 57-bus observability verify lowers a cardinality atom over ~120
+  // measurement groups (a totalizer tree seven levels deep): its unsat
+  // verdict must carry a DRAT proof the independent checker accepts.
+  synth::SynthConfig config;
+  config.buses = 57;
+  const ScadaScenario s = synth::generate_scenario(config);
+  AnalyzerOptions options;
+  options.solver.backend = smt::Backend::Cdcl;
+  options.solver.certify = true;
+  ScadaAnalyzer analyzer(s, options);
+  const auto result = analyzer.verify(Property::Observability, ResiliencySpec::total(0));
+  ASSERT_EQ(result.result, smt::SolveResult::Unsat);
+  EXPECT_TRUE(result.certified);
+}
+
 TEST(AnalyzerTest, EnumerationHonoursInterruptAndCertify) {
   const ScadaScenario s = make_case_study();
   const auto spec = ResiliencySpec::per_type(1, 1);

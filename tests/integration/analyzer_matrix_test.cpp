@@ -1,5 +1,6 @@
 // Configuration-matrix sweep of the analyzer: both solver backends (Z3 with
-// native pseudo-Boolean atoms, CDCL with the sequential counter), each with
+// native pseudo-Boolean atoms, CDCL with the truncated totalizer; the
+// `cdcl_seq` config names predate it), each with
 // and without certification, must produce identical verdicts on the case
 // study and on synthetic systems, for every property and a sweep of
 // specifications. This is the library's compatibility contract: options

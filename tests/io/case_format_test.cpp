@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -91,6 +92,54 @@ TEST(CaseFormatTest, RoundTripPreservesStructure) {
   EXPECT_EQ(reparsed.scenario.measurements_of_ied(), original.measurements_of_ied());
   EXPECT_EQ(reparsed.scenario.policy().num_profiles(), original.policy().num_profiles());
   EXPECT_FALSE(reparsed.spec.has_value());
+}
+
+TEST(CaseFormatTest, HugeDeviceIdResolvesEveryDevice) {
+  // Device ids are hashed, not used as offsets into a table sized by the
+  // largest id, so a case file naming device 2^31 - 1 costs one entry.
+  // Renumber the case study's router to it: every device still resolves and
+  // no verdict moves.
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  const core::ScadaScenario original = core::make_case_study();
+  const std::vector<int> routers = original.topology().ids_of(scadanet::DeviceType::Router);
+  ASSERT_EQ(routers.size(), 1u);
+  const std::string router = std::to_string(routers[0]);
+  std::istringstream in(write_case_string(original));
+  std::string text, line, section;
+  while (std::getline(in, line)) {
+    if (!line.empty() && line[0] == '[') section = line;
+    // "[devices]" lines read "<type> <id>", "[links]" lines "<id> <a> <b>":
+    // every field after the first is a device id.
+    if (section == "[devices]" || section == "[links]") {
+      std::istringstream fields(line);
+      line.clear();
+      int i = 0;
+      for (std::string t; fields >> t; ++i) {
+        line += (i == 0 ? "" : " ") + (i > 0 && t == router ? std::to_string(kHuge) : t);
+      }
+    }
+    text += line + "\n";
+  }
+  const CaseFile parsed = read_case_string(text);
+  const scadanet::ScadaTopology& topology = parsed.scenario.topology();
+  EXPECT_FALSE(topology.has_device(routers[0]));
+  for (const scadanet::Device& d : original.topology().devices()) {
+    const int id = d.id == routers[0] ? kHuge : d.id;
+    ASSERT_TRUE(topology.has_device(id)) << id;
+    EXPECT_EQ(topology.device(id).type, d.type) << id;
+  }
+
+  core::ScadaAnalyzer a(original);
+  core::ScadaAnalyzer b(parsed.scenario);
+  for (const auto property :
+       {core::Property::Observability, core::Property::SecuredObservability}) {
+    for (const auto spec :
+         {core::ResiliencySpec::per_type(1, 1), core::ResiliencySpec::per_type(2, 1)}) {
+      EXPECT_EQ(a.verify(property, spec).result, b.verify(property, spec).result);
+      EXPECT_EQ(a.enumerate_threats(property, spec, 64).size(),
+                b.enumerate_threats(property, spec, 64).size());
+    }
+  }
 }
 
 TEST(CaseFormatTest, DownLinksRoundTrip) {

@@ -1,4 +1,4 @@
-// Property tests for the CNF cardinality encoder (the sequential counter):
+// Property tests for the CNF cardinality encoder (the k-truncated totalizer):
 // for every input size n and bound k, the encoded constraint must accept
 // exactly the assignments of the input literals whose popcount satisfies the
 // bound — checked by solving under assumptions for every one of the 2^n
@@ -19,7 +19,7 @@ class SolverSink final : public ClauseSink {
  public:
   explicit SolverSink(CdclSolver& solver) : solver_(solver) {}
   void add_clause(std::span<const Lit> lits) override { solver_.add_clause(lits); }
-  Var fresh_var(const std::string&) override { return solver_.new_var(); }
+  Var fresh_var() override { return solver_.new_var(); }
 
  private:
   CdclSolver& solver_;
@@ -124,6 +124,18 @@ INSTANTIATE_TEST_SUITE_P(Sweep, GuardedCardinality, ::testing::Values(Kind::AtMo
                          [](const ::testing::TestParamInfo<Kind>& info) {
                            return std::string(info.param == Kind::AtMost ? "AtMost" : "AtLeast");
                          });
+
+TEST(CardinalitySize, AtMost56Of128NeedsUnder1000Registers) {
+  // The shape of a 57-bus observability atom. The truncated totalizer keeps
+  // at most 57 registers per tree node; a sequential counter would need
+  // (n-1)*k = 7112.
+  RecordingSink sink;
+  sink.reserve_vars(128);
+  std::vector<Lit> xs;
+  for (Var v = 1; v <= 128; ++v) xs.push_back(pos(v));
+  encode_at_most(sink, xs, 56);
+  EXPECT_LT(sink.num_vars() - 128, 1000u);
+}
 
 TEST(CardinalityEdge, AtLeastMoreThanNIsUnsat) {
   CdclSolver solver;

@@ -16,7 +16,7 @@ class SolverSink final : public ClauseSink {
  public:
   explicit SolverSink(CdclSolver& solver) : solver_(solver) {}
   void add_clause(std::span<const Lit> lits) override { solver_.add_clause(lits); }
-  Var fresh_var(const std::string&) override { return solver_.new_var(); }
+  Var fresh_var() override { return solver_.new_var(); }
 
  private:
   CdclSolver& solver_;

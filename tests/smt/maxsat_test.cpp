@@ -230,7 +230,7 @@ TEST(MaxSatTest, StratificationDoesNotChangeTheOptimum) {
 
 TEST(MaxSatTest, CertifiedBoundOnCdcl) {
   // Weights 2 and 3: the closing certificate caps the weight-repeated
-  // indicators at optimum - 1 = 1 through the sequential counter.
+  // indicators at optimum - 1 = 1 through the truncated totalizer.
   FormulaBuilder fb;
   const Formula a = fb.mk_var("a");
   const Formula b = fb.mk_var("b");
