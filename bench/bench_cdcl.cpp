@@ -2,13 +2,18 @@
 //
 // The hot loop of every capability in this repo — Table-II verification,
 // Fig. 5 enumeration, MaxSAT descent, CEGIS hardening —
-// is CdclSolver search. These benchmarks measure it two ways:
+// is CdclSolver search. These benchmarks measure it three ways:
 //   * time to verdict of the search (adaptive LBD-EMA restarts, tiered
 //     learned-clause DB, rephasing) on pigeonhole instances and the Fig. 5
-//     enumeration suite, and
+//     enumeration suite,
 //   * the propagation-count oracle: the search is deterministic, so exact
 //     propagation counts on both suites pin it down. Any drift means a
-//     change altered the search path.
+//     change altered the search path, and
+//   * the analyzer's heavier single requests end to end (encode, lower,
+//     solve, minimize): k = 1 verifies on 14-bus grids whose RTU chains are
+//     1000 and 3000 levels deep, where a cost that scales badly with chain
+//     depth shows first, and one 118-bus threat enumeration, the largest
+//     grid the paper analyses.
 //
 // Besides the benchmark table, the run writes BENCH_cdcl.json with the
 // headline numbers next to a baseline measured on the same hardware at the
@@ -47,25 +52,29 @@ using namespace scada;
 /// interleaved with runs of this commit). Recorded so
 /// BENCH_cdcl.json carries the before/after comparison; re-measure when
 /// moving to different hardware.
-constexpr double kBaselinePhpPropsPerSec = 650205.0;
-constexpr double kBaselineFig5PropsPerSec = 8035765.0;
+constexpr double kBaselinePhpPropsPerSec = 824055.0;
+constexpr double kBaselineFig5PropsPerSec = 7703985.0;
 /// Exact propagation counts of the search on the two suites — the
 /// bit-exactness oracle every change that keeps the search must reproduce.
-/// php runs with inprocessing off; the Fig. 5 suite runs it, so a change to
-/// the inprocessor or to the CNF lowering moves that count and must re-pin
-/// it.
+/// The Fig. 5 suite solves lowered threat CNFs, so a change to the CNF
+/// lowering moves that count too and must re-pin it.
 constexpr std::uint64_t kOraclePhpPropagations = 184926;
-constexpr std::uint64_t kOracleFig5Propagations = 129375;
+constexpr std::uint64_t kOracleFig5Propagations = 173255;
 /// The previous commit's Fig. 5 count, behind its baseline time to verdict.
-constexpr std::uint64_t kBaselineFig5Propagations = 425310;
+constexpr std::uint64_t kBaselineFig5Propagations = 129375;
 /// Ingestion cost of the two guard CNFs at the previous commit (same host,
-/// best of three runs), whose sequential counter lowered them to 15224 and
-/// 110411 clauses.
-constexpr double kBaselineIngestNsSmall = 110.0;
-constexpr double kBaselineIngestNsLarge = 115.0;
+/// best of three runs).
+constexpr double kBaselineIngestNsSmall = 76.0;
+constexpr double kBaselineIngestNsLarge = 73.0;
+/// Analyzer request times at the previous commit (same host, best of three
+/// within a run, best over interleaved runs): the deep-chain verifies and the
+/// 118-bus enumeration, as analyzer_times() measures them.
+constexpr double kBaselineDeepChainH1000Ms = 14.1;
+constexpr double kBaselineDeepChainH3000Ms = 57.5;
+constexpr double kBaselineEnumerate118Ms = 73.3;
 /// Largest allowed growth of ns per clause from the small to the large
 /// guard CNF. Linear ingestion reads ~1x (also under ASan); reallocating a
-/// buffer that grows with the CNF on every clause reads 4-5x.
+/// buffer that grows with the CNF on every clause reads ~9-10x.
 constexpr double kMaxIngestGrowth = 2.5;
 /// Derived time-to-verdict baselines (propagations / props-per-sec).
 constexpr double kBaselinePhpMs =
@@ -113,11 +122,9 @@ struct Throughput {
   std::size_t peak_arena_bytes = 0;
 };
 
-/// Solves PHP(pigeons, pigeons-1) with inprocessing off (so search, not
-/// simplification, dominates) under `config` and returns the wall time and
-/// propagation rate of the (unsat) search.
-Throughput php_throughput(int pigeons, smt::CdclConfig config) {
-  config.simplify = false;
+/// Solves PHP(pigeons, pigeons-1) under `config` and returns the wall time
+/// and propagation rate of the (unsat) search.
+Throughput php_throughput(int pigeons, const smt::CdclConfig& config) {
   smt::CdclSolver s(config);
   add_pigeonhole(s, pigeons, pigeons - 1);
   const util::WallTimer timer;
@@ -221,9 +228,7 @@ void BM_PropagateRandom3Sat(benchmark::State& state) {
   std::uint64_t props = 0;
   double seconds = 0.0;
   for (auto _ : state) {
-    smt::CdclConfig config;
-    config.simplify = false;
-    smt::CdclSolver s(config);
+    smt::CdclSolver s;
     add_random_3sat(s, nv, nc, 1234567);
     const util::WallTimer timer;
     benchmark::DoNotOptimize(s.solve());
@@ -245,6 +250,57 @@ void BM_Fig5Enumeration(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig5Enumeration)->Arg(0)->Arg(30)->Arg(57)->ArgName("buses")
     ->Unit(benchmark::kMillisecond);
+
+struct AnalyzerTimes {
+  double deep_chain_ms[2] = {0.0, 0.0};  ///< hierarchy 1000, 3000
+  double enumerate_118_ms = 0.0;
+};
+
+/// Best-of-three wall time of `run`, in ms.
+template <typename Run>
+double best_of_three_ms(const Run& run) {
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    const util::WallTimer timer;
+    run();
+    const double ms = timer.millis();
+    if (rep == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+/// Whole analyzer requests on the CDCL backend (encode, lower, solve,
+/// minimize), best of three each: a k = 1 observability verify of a 14-bus
+/// grid per RTU-chain depth, and one 118-bus enumeration (grid seed 1,
+/// hierarchy 2, (k1, k2) = (2, 1), 64 vectors).
+AnalyzerTimes analyzer_times() {
+  core::AnalyzerOptions options;
+  options.solver.backend = smt::Backend::Cdcl;
+  AnalyzerTimes out;
+  const int depths[2] = {1000, 3000};
+  for (int d = 0; d < 2; ++d) {
+    synth::SynthConfig config;
+    config.buses = 14;
+    config.hierarchy_level = depths[d];
+    const core::ScadaScenario deep = synth::generate_scenario(config);
+    out.deep_chain_ms[d] = best_of_three_ms([&] {
+      core::ScadaAnalyzer analyzer(deep, options);
+      benchmark::DoNotOptimize(
+          analyzer.verify(core::Property::Observability, core::ResiliencySpec::total(1)));
+    });
+  }
+  synth::SynthConfig config;
+  config.buses = 118;
+  config.seed = 1;
+  config.hierarchy_level = 2;
+  const core::ScadaScenario grid = synth::generate_scenario(config);
+  out.enumerate_118_ms = best_of_three_ms([&] {
+    core::ScadaAnalyzer analyzer(grid, options);
+    benchmark::DoNotOptimize(analyzer.enumerate_threats(
+        core::Property::Observability, core::ResiliencySpec::per_type(2, 1), 64));
+  });
+  return out;
+}
 
 /// The observability threat CNF (k = 1) of a synthetic grid, lowered once.
 smt::RecordingSink threat_cnf(int buses, int hierarchy) {
@@ -370,6 +426,7 @@ void write_summary(const char* path) {
     if (rep == 0 || f.seconds < fig5.seconds) fig5 = f;
   }
   const bool oracle_ok = check_oracle(php, fig5);
+  const AnalyzerTimes analyzer = analyzer_times();
 
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -397,6 +454,11 @@ void write_summary(const char* path) {
       "\"baseline_ingest_ns_per_clause_small\":%.0f,"
       "\"baseline_ingest_ns_per_clause_large\":%.0f,"
       "\"baseline_ingest_growth\":%.3f,"
+      "\"deep_chain_h1000_verify_ms\":%.1f,\"deep_chain_h3000_verify_ms\":%.1f,"
+      "\"enumerate_118_ms\":%.1f,"
+      "\"baseline_deep_chain_h1000_verify_ms\":%.1f,"
+      "\"baseline_deep_chain_h3000_verify_ms\":%.1f,"
+      "\"baseline_enumerate_118_ms\":%.1f,"
       "\"oracle_ok\":%s,\"ingest_ok\":%s}\n",
       php_ms, php.props_per_sec, static_cast<unsigned long long>(php.propagations),
       static_cast<unsigned long long>(php.peak_arena_bytes), fig5_ms, fig5.props_per_sec,
@@ -409,12 +471,16 @@ void write_summary(const char* path) {
       fig5_ms > 0.0 ? kBaselineFig5Ms / fig5_ms : 0.0, ingest.small_clauses, ingest.large_clauses,
       ingest.small_ns, ingest.large_ns, ingest.growth(), kBaselineIngestNsSmall,
       kBaselineIngestNsLarge, kBaselineIngestNsLarge / kBaselineIngestNsSmall,
+      analyzer.deep_chain_ms[0], analyzer.deep_chain_ms[1], analyzer.enumerate_118_ms,
+      kBaselineDeepChainH1000Ms, kBaselineDeepChainH3000Ms, kBaselineEnumerate118Ms,
       oracle_ok ? "true" : "false", ingest.ok() ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s (php %.1f ms vs %.1f ms baseline, fig5 %.1f ms vs %.1f ms, "
-              "ingestion %.0f -> %.0f ns/clause, oracle %s)\n",
+              "ingestion %.0f -> %.0f ns/clause, deep chains %.1f / %.1f ms, 118-bus "
+              "enumeration %.1f ms, oracle %s)\n",
               path, php_ms, kBaselinePhpMs, fig5_ms, kBaselineFig5Ms, ingest.small_ns,
-              ingest.large_ns, oracle_ok ? "ok" : "VIOLATED");
+              ingest.large_ns, analyzer.deep_chain_ms[0], analyzer.deep_chain_ms[1],
+              analyzer.enumerate_118_ms, oracle_ok ? "ok" : "VIOLATED");
 }
 
 }  // namespace

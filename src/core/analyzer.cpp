@@ -42,7 +42,12 @@ std::string VerificationResult::to_string() const {
 }
 
 ScadaAnalyzer::ScadaAnalyzer(const ScadaScenario& scenario, AnalyzerOptions options)
-    : scenario_(scenario), options_(std::move(options)), oracle_(scenario, options_.encoder) {}
+    : scenario_(scenario), options_(std::move(options)) {}
+
+const ScenarioOracle& ScadaAnalyzer::oracle() {
+  if (!oracle_) oracle_.emplace(scenario_, options_.encoder);
+  return *oracle_;
+}
 
 namespace {
 
@@ -134,7 +139,7 @@ VerificationResult ScadaAnalyzer::verify(Property property, const ResiliencySpec
   out.certified = check_certificate(session, options_.solver.certify);
   if (out.result == SolveResult::Sat) {
     ThreatVector v = extract_threat_vector(encoder, session);
-    if (options_.minimize_threats) v = minimize_threat(oracle_, property, spec, std::move(v));
+    if (options_.minimize_threats) v = minimize_threat(oracle(), property, spec, std::move(v));
     out.threat = std::move(v);
   }
   return out;
@@ -161,7 +166,7 @@ std::vector<ThreatVector> ScadaAnalyzer::enumerate_threats(Property property,
     ThreatVector v = extract_threat_vector(encoder, session);
     std::vector<smt::Formula> block;
     if (minimal_only) {
-      v = minimize_threat(oracle_, property, spec, std::move(v));
+      v = minimize_threat(oracle(), property, spec, std::move(v));
       // Block v and all its supersets: at least one member must survive.
       for (const int id : v.failed_ieds) block.push_back(encoder.node_var(id));
       for (const int id : v.failed_rtus) block.push_back(encoder.node_var(id));

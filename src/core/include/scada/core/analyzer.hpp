@@ -49,8 +49,7 @@ struct VerificationResult {
   /// evaluation for sat) by the independent checker.
   bool certified = false;
   /// Cumulative backend counters of the verifying session (CDCL backend;
-  /// includes the inprocessing counters — vars_eliminated etc. — that the
-  /// service layer exports as metrics).
+  /// the service layer exports some of them as metrics).
   smt::SessionStats solver_stats;
 
   /// Unsat certifies the resiliency specification.
@@ -138,9 +137,14 @@ class ScadaAnalyzer {
   [[nodiscard]] const ScadaScenario& scenario() const noexcept { return scenario_; }
 
  private:
+  /// The direct oracle, built on first use: only threat minimization reads
+  /// it, so unsat verdicts and unminimized requests skip its per-IED path
+  /// enumeration.
+  [[nodiscard]] const ScenarioOracle& oracle();
+
   const ScadaScenario& scenario_;
   AnalyzerOptions options_;
-  ScenarioOracle oracle_;
+  std::optional<ScenarioOracle> oracle_;
 };
 
 }  // namespace scada::core

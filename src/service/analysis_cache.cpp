@@ -40,8 +40,10 @@ bool JobKey::operator==(const JobKey& other) const {
 std::shared_ptr<const ScenarioEntry> make_scenario_entry(core::ScadaScenario scenario) {
   auto blob = std::make_shared<const std::string>(io::write_case_string(scenario));
   const std::uint64_t blob_hash = fnv1a64(*blob);
+  const powersys::JacobianMatrix& jacobian = scenario.model().jacobian();
+  const std::size_t bytes = blob->size() + jacobian.rows() * jacobian.cols() * sizeof(double);
   return std::make_shared<const ScenarioEntry>(
-      ScenarioEntry{std::move(scenario), std::move(blob), blob_hash});
+      ScenarioEntry{std::move(scenario), std::move(blob), blob_hash, bytes});
 }
 
 JobKey make_job_key(const ScenarioEntry& scenario, JobKind kind, core::Property property,
@@ -64,7 +66,6 @@ JobKey make_job_key(const ScenarioEntry& scenario, JobKind kind, core::Property 
   key += smt::to_string(options.solver.backend);
   key += "\nmax_conflicts=" + std::to_string(options.solver.max_conflicts);
   key += options.solver.certify ? "\ncertify=1" : "\ncertify=0";
-  key += options.solver.simplify ? "\nsimplify=1" : "\nsimplify=0";
   key += options.minimize_threats ? "\nminimize=1" : "\nminimize=0";
   key += options.encoder.injection_redundancy ? "\ninj_redundancy=1" : "\ninj_redundancy=0";
   key += options.encoder.links_can_fail ? "\nlinks_fail=1" : "\nlinks_fail=0";

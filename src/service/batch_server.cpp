@@ -124,7 +124,8 @@ std::shared_ptr<const ScenarioEntry> touch(auto& store, const std::string& sourc
 
 BatchServer::BatchServer(ServerOptions options)
     : scheduler_(options.scheduler),
-      memo_size_(scheduler_.metrics().gauge("service.scenario_memo")) {}
+      memo_size_(scheduler_.metrics().gauge("service.scenario_memo")),
+      memo_bytes_(scheduler_.metrics().gauge("service.scenario_bytes")) {}
 
 std::shared_ptr<const ScenarioEntry> BatchServer::resolve_scenario(const JsonValue& source) {
   if (!source.is_object()) throw ParseError("'scenario' must be an object");
@@ -141,8 +142,16 @@ std::shared_ptr<const ScenarioEntry> BatchServer::resolve_scenario(const JsonVal
   std::shared_ptr<const ScenarioEntry> entry = make_scenario_entry(build_scenario(source));
   const std::lock_guard<std::mutex> lock(store_mutex_);
   if (auto twin = touch(store_, source_key)) return twin;
-  if (store_.size() >= kScenarioMemoCapacity) store_.erase(store_.begin());
   store_.emplace_back(source_key, entry);
+  memo_bytes_.add(static_cast<std::int64_t>(entry->bytes));
+  // Evict from the least recently used end past either bound; the entry
+  // just admitted stays, however large.
+  while (store_.size() > 1 &&
+         (store_.size() > kScenarioMemoCapacity ||
+          memo_bytes_.value() > static_cast<std::int64_t>(kScenarioByteBudget))) {
+    memo_bytes_.sub(static_cast<std::int64_t>(store_.front().second->bytes));
+    store_.erase(store_.begin());
+  }
   memo_size_.set(static_cast<std::int64_t>(store_.size()));
   return entry;
 }

@@ -48,11 +48,15 @@ enum class JobKind {
                                     std::uint64_t state = 0xcbf29ce484222325ULL) noexcept;
 
 /// A resolved scenario, its canonical blob (the Table-II serialization, so
-/// structurally equal scenarios serialize identically) and the blob's FNV-1a.
+/// structurally equal scenarios serialize identically), the blob's FNV-1a,
+/// and the bytes the entry keeps resident.
 struct ScenarioEntry {
   core::ScadaScenario scenario;
   std::shared_ptr<const std::string> blob;
   std::uint64_t blob_hash = 0;
+  /// The blob plus the dense measurement Jacobian (rows × cols doubles),
+  /// which dominate the entry on large grids.
+  std::size_t bytes = 0;
 };
 
 /// Capacity of the batch server's scenario store, an LRU of resolved
@@ -61,9 +65,7 @@ struct ScenarioEntry {
 inline constexpr std::size_t kScenarioMemoCapacity = 32;
 /// Largest "synth" grid a request may ask for: `buses` and `hierarchy` (RTU
 /// layers) beyond these are request errors. The generator sizes the RTU
-/// layer by both, and a 1000-bus entry already holds ~28 MB (its dense
-/// Jacobian), so the store's 32 entries stay near 1 GB at worst; the
-/// paper's largest grid has 118 buses.
+/// layer by both; the paper's largest grid has 118 buses.
 inline constexpr int kMaxSynthBuses = 1000;
 inline constexpr int kMaxSynthHierarchy = 10000;
 /// Resident key bytes (cache.bytes: headers plus each blob once) the verdict
@@ -71,6 +73,11 @@ inline constexpr int kMaxSynthHierarchy = 10000;
 /// 57-bus grid, ~120 KB for a 118-bus grid), so the entry capacity alone
 /// would let memory grow with the number of distinct scenarios answered.
 inline constexpr std::size_t kCacheByteBudget = std::size_t{16} << 20;
+/// Resident ScenarioEntry::bytes (service.scenario_bytes) the scenario store
+/// may hold. A 1000-bus entry holds ~27 MB, so 32 of them would pin ~0.9 GB;
+/// 32 entries of 118 buses (~0.4 MB each) fit, so the entry capacity binds
+/// first on the paper's grids.
+inline constexpr std::size_t kScenarioByteBudget = std::size_t{32} << 20;
 
 /// The one way to build a ScenarioEntry: serializes and hashes once.
 [[nodiscard]] std::shared_ptr<const ScenarioEntry> make_scenario_entry(

@@ -22,8 +22,9 @@
 //             "rtus_per_bus":0.3}}             (see synth::SynthConfig)
 // Parsed/generated scenarios live in one store keyed by their source spec,
 // with their Table-II blob, so a batch over one fleet parses and serializes
-// each system once. The store is an LRU of kScenarioMemoCapacity entries;
-// its size is the "service.scenario_memo" gauge in stats.
+// each system once. The store is an LRU bounded by kScenarioMemoCapacity
+// entries and kScenarioByteBudget resident bytes; its size and bytes are the
+// "service.scenario_memo" and "service.scenario_bytes" gauges in stats.
 //
 // Responses:
 //   {"id":"r1","ok":true,"op":"verify","status":"done","cache_hit":false,
@@ -148,7 +149,8 @@ class BatchServer {
   [[nodiscard]] JobScheduler& scheduler() noexcept { return scheduler_; }
 
   /// The store entry for a request's "scenario" member, built and admitted
-  /// on a miss (evicting the least recently used). Thread-safe.
+  /// on a miss (evicting the least recently used past either bound, never
+  /// the entry just admitted). Thread-safe.
   [[nodiscard]] std::shared_ptr<const ScenarioEntry> resolve_scenario(
       const io::JsonValue& source);
 
@@ -162,9 +164,11 @@ class BatchServer {
   /// Guards store_: connection threads dispatch concurrently.
   std::mutex store_mutex_;
   /// The scenario store, (source spec, entry) from least to most recently
-  /// used; at most kScenarioMemoCapacity long.
+  /// used; at most kScenarioMemoCapacity long and kScenarioByteBudget
+  /// bytes, plus the entry last admitted.
   std::vector<std::pair<std::string, std::shared_ptr<const ScenarioEntry>>> store_;
-  util::Gauge& memo_size_;  ///< "service.scenario_memo": store_.size()
+  util::Gauge& memo_size_;   ///< "service.scenario_memo": store_.size()
+  util::Gauge& memo_bytes_;  ///< "service.scenario_bytes": the entries' bytes
 };
 
 }  // namespace scada::service

@@ -122,7 +122,8 @@ class JobScheduler {
     JobKey key;
     Clock::time_point submitted;
     std::optional<Clock::time_point> deadline;
-    /// Cancelled by the watchdog alone, when the deadline lapses.
+    /// Cancelled when the deadline lapses: by the watchdog, or by run() when
+    /// a worker picks the job up after its deadline.
     util::CancellationToken token;
     std::promise<JobOutcome> promise;
     std::shared_future<JobOutcome> future;
@@ -134,6 +135,9 @@ class JobScheduler {
   void finish(const StatePtr& job, JobOutcome out);
   void watchdog_loop();
   void register_deadline(const StatePtr& job);
+  /// Cancels `job` and drops its deadline entry. Caller holds
+  /// watchdog_mutex_, and the entry is registered.
+  void expire_locked(const StatePtr& job);
 
   util::MetricsRegistry metrics_;  ///< declared before cache_, which counts into it
   AnalysisCache cache_;

@@ -147,11 +147,16 @@ void JobScheduler::watchdog_loop() {
       continue;
     }
     // finish() drops a job's entry under this lock, so the job is unfinished.
-    deadlines_.begin()->second->token.cancel();
-    deadline_expiries_.inc();
-    deadlines_.erase(deadlines_.begin());
-    deadlines_gauge_.set(static_cast<std::int64_t>(deadlines_.size()));
+    expire_locked(deadlines_.begin()->second);
   }
+}
+
+void JobScheduler::expire_locked(const StatePtr& job) {
+  const StatePtr keep = job;  // `job` may name the entry erased below
+  deadlines_.erase({*keep->deadline, keep});
+  keep->token.cancel();
+  deadline_expiries_.inc();
+  deadlines_gauge_.set(static_cast<std::int64_t>(deadlines_.size()));
 }
 
 void JobScheduler::run(const StatePtr& job) {
@@ -163,6 +168,13 @@ void JobScheduler::run(const StatePtr& job) {
   out.fingerprint = job->key.fingerprint_hex();
   out.queue_ms = ms_between(job->submitted, started);
   queue_ms_.record(out.queue_ms);
+
+  if (job->deadline && started >= *job->deadline) {
+    // Lapsed in the queue: expire it here, since the watchdog thread may
+    // wake late on a loaded host and a short job would then run to the end.
+    const std::lock_guard<std::mutex> lock(watchdog_mutex_);
+    if (deadlines_.contains({*job->deadline, job})) expire_locked(job);
+  }
 
   if (job->token.cancelled()) {
     // Expired while still queued — degrade gracefully without spending a
@@ -189,17 +201,12 @@ void JobScheduler::execute(const StatePtr& job, JobOutcome& out) {
     core::ScadaAnalyzer analyzer(scenario, options);
     if (req.kind == JobKind::Verify) {
       out.analysis.verdict = analyzer.verify(req.property, req.spec);
-      // Fleet-wide inprocessing effectiveness, scraped alongside the
-      // scheduler counters (how much of the Tseitin output BVE removes).
       const smt::SessionStats& ss = out.analysis.verdict.solver_stats;
       // Propagation hot-loop effectiveness: inspections per propagation is
       // the true work rate, blocker hits the cache-skip fraction.
       metrics_.counter("smt.propagations").inc(ss.propagations);
       metrics_.counter("smt.watch_inspections").inc(ss.watch_inspections);
       metrics_.counter("smt.blocker_hits").inc(ss.blocker_hits);
-      metrics_.counter("solver.vars_eliminated").inc(ss.vars_eliminated);
-      metrics_.counter("solver.clauses_strengthened").inc(ss.clauses_strengthened);
-      metrics_.counter("solver.simplify_rounds").inc(ss.simplify_rounds);
       // Search-heuristic health: restart/rephase activity as counters,
       // learned-DB tier populations as point-in-time gauges (the tier split
       // of the verdict's solver, refreshed per verify).

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "scada/smt/drat.hpp"
-#include "scada/smt/simplify.hpp"
 #include "scada/util/error.hpp"
 
 namespace scada::smt {
@@ -47,8 +46,6 @@ CdclSolver::CdclSolver(CdclConfig config)
   heap_pos_.push_back(-1);
   seen_.push_back(false);
   model_.push_back(false);
-  frozen_.push_back(false);
-  eliminated_.push_back(false);
   watches_.resize(2);  // codes 0,1 of the reserved var
   learned_limit_ = static_cast<double>(config_.learned_base);
 }
@@ -65,8 +62,6 @@ Var CdclSolver::new_var() {
   heap_pos_.push_back(-1);
   seen_.push_back(false);
   model_.push_back(false);
-  frozen_.push_back(false);
-  eliminated_.push_back(false);
   watches_.resize(watches_.size() + 2);
   heap_insert(v);
   return v;
@@ -88,27 +83,9 @@ bool CdclSolver::add_clause(std::span<const Lit> lits_in) {
   // New clauses are added at decision level 0 only.
   cancel_until(0);
 
-  // Incremental callers may mention variables a previous simplify pass
-  // eliminated (hash-consed Tseitin literals reused in later assertions);
-  // bring their defining clauses back before this clause lands.
-  bool needs_restore = false;
-  for (const Lit l : lits_in) {
-    ensure_var(l.var());
-    needs_restore |= eliminated_[static_cast<std::size_t>(l.var())];
-  }
+  for (const Lit l : lits_in) ensure_var(l.var());
   std::vector<Lit>& lits = add_lits_scratch_;
-  if (needs_restore) {
-    // Rare path on an owned copy: restoring re-enters add_clause, which
-    // reuses the scratch buffers and may pop the witness stack the caller's
-    // span points into.
-    const std::vector<Lit> copy(lits_in.begin(), lits_in.end());
-    for (const Lit l : copy) {
-      if (eliminated_[static_cast<std::size_t>(l.var())]) restore_variable(l.var());
-    }
-    lits.assign(copy.begin(), copy.end());
-  } else {
-    lits.assign(lits_in.begin(), lits_in.end());
-  }
+  lits.assign(lits_in.begin(), lits_in.end());
   // Normalize: drop duplicates and false literals, detect tautology/satisfied.
   std::sort(lits.begin(), lits.end(),
             [](Lit a, Lit b) { return a.code < b.code; });
@@ -137,11 +114,6 @@ bool CdclSolver::add_clause(std::span<const Lit> lits_in) {
   const ClauseRef cref = alloc_clause(normalized, false);
   ++num_problem_clauses_;
   attach_clause(cref);
-  // Feed the incremental inprocessor: only these neighborhoods need a
-  // fresh BVE look next pass. Let push_back grow the list
-  // geometrically: reserving the exact new size per clause reallocates every
-  // time and makes ingestion quadratic.
-  for (const Lit l : normalized) fresh_clause_vars_.push_back(l.var());
   return true;
 }
 
@@ -151,85 +123,6 @@ void CdclSolver::mark_unsat() {
   // The proof's conclusion: the empty clause is RUP here because unit
   // propagation over the logged derivations reproduces the conflict.
   if (proof_ != nullptr) proof_->add_clause({});
-}
-
-void CdclSolver::freeze(Var v) {
-  ensure_var(v);
-  const auto vi = static_cast<std::size_t>(v);
-  if (eliminated_[vi]) restore_variable(v);
-  frozen_[vi] = true;
-}
-
-void CdclSolver::restore_variable(Var v) {
-  const auto vi = static_cast<std::size_t>(v);
-  if (!eliminated_[vi]) return;
-  eliminated_[vi] = false;
-  ++stats_.restored_vars;
-
-  // Pull this variable's eliminated clauses off the witness stack first
-  // (keeping their order), so recursive restores see a consistent stack.
-  std::vector<WitnessClause> mine;
-  std::size_t kept = 0;
-  for (auto& entry : witness_stack_) {
-    if (entry.witness.var() == v) {
-      mine.push_back(std::move(entry));
-    } else {
-      if (&witness_stack_[kept] != &entry) witness_stack_[kept] = std::move(entry);
-      ++kept;
-    }
-  }
-  witness_stack_.resize(kept);
-
-  for (const WitnessClause& wc : mine) {
-    // A clause stacked for v may also mention variables eliminated after v.
-    for (const Lit l : wc.lits) {
-      if (eliminated_[static_cast<std::size_t>(l.var())]) restore_variable(l.var());
-    }
-    // The clause was proof-deleted when v was eliminated. Hand the restore to
-    // the writer pivot-first: streaming writers re-add it (RAT on the witness
-    // literal against a fixed clause set), the certificate recorder erases
-    // the earlier deletion instead so the proof also survives inputs asserted
-    // after this restore.
-    if (proof_ != nullptr) {
-      std::vector<Lit> pivot_first(wc.lits);
-      const auto at = std::find(pivot_first.begin(), pivot_first.end(), wc.witness);
-      if (at != pivot_first.end()) std::iter_swap(pivot_first.begin(), at);
-      proof_->restore_clause(pivot_first);
-    }
-    (void)add_clause(wc.lits);
-  }
-  if (var_value(v) == LBool::Undef && !heap_contains(v)) heap_insert(v);
-}
-
-void CdclSolver::reconstruct_model() {
-  // Replay eliminated clauses newest-first: flipping a witness literal can
-  // only falsify clauses eliminated earlier, which are replayed later.
-  for (auto it = witness_stack_.rbegin(); it != witness_stack_.rend(); ++it) {
-    bool satisfied = false;
-    for (const Lit l : it->lits) {
-      if (model_[static_cast<std::size_t>(l.var())] != l.negated()) {
-        satisfied = true;
-        break;
-      }
-    }
-    if (!satisfied) {
-      const Lit w = it->witness;
-      model_[static_cast<std::size_t>(w.var())] = !w.negated();
-    }
-  }
-}
-
-void CdclSolver::clear_level0_reasons() {
-  assert(decision_level() == 0);
-  for (const Lit l : trail_) reason_[static_cast<std::size_t>(l.var())] = kNoReason;
-}
-
-bool CdclSolver::should_simplify() const noexcept {
-  if (!simplified_once_) return true;
-  // Re-run only after meaningful growth; incremental callers adding a few
-  // blocking clauses between solves should not pay a full pass every time.
-  return num_problem_clauses_ >
-         clauses_at_last_simplify_ + clauses_at_last_simplify_ / 4 + 100;
 }
 
 CdclSolver::ClauseRef CdclSolver::alloc_clause(std::span<const Lit> lits, bool learned) {
@@ -521,11 +414,8 @@ void CdclSolver::decay_clause_activity() { clause_inc_ /= kClauseDecay; }
 Lit CdclSolver::pick_branch_literal() {
   while (!heap_.empty()) {
     const Var v = heap_pop();
-    const auto vi = static_cast<std::size_t>(v);
-    // Eliminated variables are lazily dropped here; restore_variable
-    // re-inserts them if they come back.
-    if (var_value(v) == LBool::Undef && !eliminated_[vi]) {
-      return Lit{v, !saved_phase_[vi]};
+    if (var_value(v) == LBool::Undef) {
+      return Lit{v, !saved_phase_[static_cast<std::size_t>(v)]};
     }
   }
   return Lit{};  // all assigned
@@ -721,8 +611,7 @@ void CdclSolver::garbage_collect() {
     const auto v = static_cast<std::size_t>(l.var());
     if (level_[v] == 0) {
       // Level-0 facts hold unconditionally; nothing reads their reasons (the
-      // analyzers stop at the level-0 boundary), and dropping them here means
-      // a stale ref to a clause inprocessing freed can never survive a GC.
+      // analyzers stop at the level-0 boundary), so they need no patching.
       reason_[v] = kNoReason;
     } else if (reason_[v] != kNoReason) {
       reason_[v] = arena_.forwarded(reason_[v]);
@@ -748,17 +637,9 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
   if (unsat_) return SolveResult::Unsat;
   if (interrupted()) return SolveResult::Unknown;
   cancel_until(0);
-  for (const Lit a : assumptions) {
-    // Assumptions pin variables: restore any that an earlier pass eliminated
-    // and freeze them so this pass cannot eliminate them either.
-    freeze(a.var());
-  }
-  if (unsat_) return SolveResult::Unsat;  // a restored clause may conflict
+  for (const Lit a : assumptions) ensure_var(a.var());
   if (propagate() != kNoReason) {
     mark_unsat();
-    return SolveResult::Unsat;
-  }
-  if (config_.simplify && should_simplify() && !simplify()) {
     return SolveResult::Unsat;
   }
 
@@ -874,12 +755,10 @@ SolveResult CdclSolver::solve(std::span<const Lit> assumptions) {
 
     const Lit next = pick_branch_literal();
     if (next.code == 0) {
-      // Complete assignment: record the model, then repair the values of
-      // eliminated variables from the witness stack.
+      // Complete assignment: record the model.
       for (Var v = 1; v <= num_vars(); ++v) {
         model_[static_cast<std::size_t>(v)] = (var_value(v) == LBool::True);
       }
-      reconstruct_model();
       cancel_until(0);
       return SolveResult::Sat;
     }

@@ -17,26 +17,6 @@ bool DratProof::derives_empty() const noexcept {
   return false;
 }
 
-void DratProofRecorder::restore_clause(std::span<const Lit> lits) {
-  std::vector<std::int32_t> key;
-  key.reserve(lits.size());
-  for (const Lit l : lits) key.push_back(l.code);
-  std::sort(key.begin(), key.end());
-  for (std::size_t i = proof_.steps.size(); i-- > 0;) {
-    DratStep& s = proof_.steps[i];
-    if (!s.is_delete || s.clause.size() != key.size()) continue;
-    std::vector<std::int32_t> skey;
-    skey.reserve(s.clause.size());
-    for (const Lit l : s.clause) skey.push_back(l.code);
-    std::sort(skey.begin(), skey.end());
-    if (skey == key) {
-      proof_.steps.erase(proof_.steps.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-  add_clause(lits);
-}
-
 // --- writers ---
 
 namespace {

@@ -10,10 +10,10 @@
 //   * a three-tier learned-clause database (core / tier-2 / local by LBD),
 //   * rephasing (best / original / inverted / random saved phases),
 //   * incremental use: clauses may be added between solve() calls, and
-//     solve() accepts assumption literals,
-//   * inprocessing (simplify.cpp): level-0 cleanup and bounded variable
-//     elimination with model reconstruction, DRAT-logged so certified
-//     unsat verdicts survive simplification.
+//     solve() accepts assumption literals.
+//
+// The search runs on the clauses as they were added: there is no
+// inprocessing pass (DESIGN.md §8 records why).
 //
 // The implementation follows the MiniSat lineage (Eén & Sörensson 2003) but
 // shares no code with it.
@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -163,12 +162,6 @@ struct CdclConfig {
   bool check_invariants = false;
   /// Conflict budget; solve() returns Unknown when exhausted. 0 = unlimited.
   std::uint64_t max_conflicts = 0;
-  /// Inprocessing (level-0 cleanup, bounded variable elimination) before
-  /// search, and again between solves once the clause DB has grown. Frozen
-  /// and assumption variables are never eliminated; Sat models are
-  /// reconstructed over eliminated variables, and every derivation is
-  /// DRAT-logged.
-  bool simplify = true;
 };
 
 struct CdclStats {
@@ -195,15 +188,7 @@ struct CdclStats {
   /// Tier moves driven by on-use LBD recomputation / reduction-pass aging.
   std::uint64_t tier_promotions = 0;
   std::uint64_t tier_demotions = 0;
-  // --- inprocessing counters ---
-  std::uint64_t simplify_rounds = 0;      ///< full simplify() passes executed
-  std::uint64_t vars_eliminated = 0;      ///< variables removed by BVE
-  std::uint64_t clauses_strengthened = 0; ///< clauses stripped of level-0 false literals
-  std::uint64_t resolvents_added = 0;     ///< BVE resolvents kept
-  std::uint64_t restored_vars = 0;        ///< eliminated vars brought back on demand
 };
-
-class Simplifier;
 
 /// Current population of the three learned-clause tiers (snapshot, not
 /// cumulative — the service exports these as gauges).
@@ -216,7 +201,6 @@ struct DbTierSizes {
 class CdclSolver {
  public:
   explicit CdclSolver(CdclConfig config = {});
-  ~CdclSolver();  // out of line: owns the (forward-declared) Simplifier
 
   /// Allocates the next variable.
   Var new_var();
@@ -236,14 +220,11 @@ class CdclSolver {
   }
 
   /// Solves under optional assumptions. May be called repeatedly; clauses
-  /// added in between are respected. Assumption variables are restored (if a
-  /// previous pass eliminated them) and frozen before inprocessing runs, so
-  /// an assumption can never name an eliminated variable.
+  /// added in between are respected. An assumption may name a variable no
+  /// clause mentions yet; it is allocated.
   SolveResult solve(std::span<const Lit> assumptions = {});
 
-  /// Model access; only meaningful after solve() returned Sat. Values of
-  /// eliminated variables are reconstructed from the witness stack, so the
-  /// model satisfies every clause ever added, not just the simplified set.
+  /// Model access; only meaningful after solve() returned Sat.
   [[nodiscard]] bool model_value(Var v) const;
 
   /// Final-conflict assumption core. After solve(assumptions) returns Unsat
@@ -253,23 +234,6 @@ class CdclSolver {
   /// global (no assumptions needed — the clause set alone is unsat) and after
   /// Sat/Unknown results. Not guaranteed minimal.
   [[nodiscard]] const std::vector<Lit>& unsat_core() const noexcept { return core_; }
-
-  /// Marks `v` ineligible for variable elimination (permanent, idempotent).
-  /// If `v` was already eliminated, its clauses are restored first. Callers
-  /// that read models for a fixed variable set (Session extraction vars) or
-  /// plan to assume/constrain a variable later freeze it up front.
-  void freeze(Var v);
-  [[nodiscard]] bool is_frozen(Var v) const noexcept {
-    return v >= 1 && v <= num_vars() && frozen_[static_cast<std::size_t>(v)];
-  }
-  [[nodiscard]] bool is_eliminated(Var v) const noexcept {
-    return v >= 1 && v <= num_vars() && eliminated_[static_cast<std::size_t>(v)];
-  }
-
-  /// Runs one inprocessing pass now (at decision level 0). Returns false iff
-  /// the instance is now known unsat. solve() calls this automatically when
-  /// CdclConfig::simplify is set; exposed for tests and tools.
-  bool simplify();
 
   /// Cooperative interruption: while `flag` (owned by the caller, which must
   /// keep it alive) reads true, solve() aborts at the next conflict/decision
@@ -305,8 +269,6 @@ class CdclSolver {
   }
 
  private:
-  friend class Simplifier;
-
   using ClauseRef = ClauseArena::Ref;
   static constexpr ClauseRef kNoReason = std::numeric_limits<ClauseRef>::max();
 
@@ -392,34 +354,6 @@ class CdclSolver {
   /// Flags the instance unsat; emits the empty clause to the proof once.
   void mark_unsat();
 
-  // --- inprocessing support (simplify.cpp implements simplify) ---
-  /// One eliminated clause: `witness` is the literal of the eliminated
-  /// variable it contained; replaying the stack in reverse repairs models.
-  struct WitnessClause {
-    Lit witness;
-    std::vector<Lit> lits;
-  };
-  /// Re-adds every clause eliminated with `v` (transitively restoring other
-  /// eliminated variables they mention) and clears its eliminated flag. The
-  /// re-additions are RAT on the witness literal, emitted pivot-first.
-  void restore_variable(Var v);
-  /// Replays the witness stack in reverse over model_, flipping witness
-  /// literals of clauses the model would otherwise falsify.
-  void reconstruct_model();
-  /// Drops the reason refs of the level-0 trail (permanent facts need none),
-  /// so inprocessing may delete or rewrite any clause.
-  void clear_level0_reasons();
-  [[nodiscard]] bool should_simplify() const noexcept;
-  /// Lazily constructed by simplify() and kept for the solver's lifetime so
-  /// the pass's occurrence lists keep their capacity and its touched flags
-  /// carry over across rounds (incremental callers re-simplify often).
-  std::unique_ptr<Simplifier> simplifier_;
-  /// Variables of problem clauses added since the last inprocessing pass.
-  /// The Simplifier seeds its touched-neighborhood flags from this list
-  /// instead of re-flagging every variable, so a pass over a mostly
-  /// unchanged clause database only revisits what actually changed.
-  std::vector<Var> fresh_clause_vars_;
-
   void attach_clause(ClauseRef cref);
   /// Appends a clause to the arena and registers it in the matching ref list
   /// (problem_refs_ / learned_refs_ — the lists GC walks to find live data).
@@ -464,17 +398,9 @@ class CdclSolver {
   std::vector<Lit> analyze_stack_;
   std::vector<Var> analyze_to_clear_;   // vars whose seen_ mark needs clearing
   std::vector<Var> redundant_marked_;   // literal_redundant's tentative marks
-  // scratch for add_clause() (incremental callers add clauses in bulk);
-  // only valid below the restore_variable re-entry point
+  // scratch for add_clause() (incremental callers add clauses in bulk)
   std::vector<Lit> add_lits_scratch_;
   std::vector<Lit> add_norm_scratch_;
-
-  // --- inprocessing state ---
-  std::vector<bool> frozen_;      // indexed by Var; never eliminated
-  std::vector<bool> eliminated_;  // indexed by Var; removed by BVE
-  std::vector<WitnessClause> witness_stack_;
-  std::size_t clauses_at_last_simplify_ = 0;
-  bool simplified_once_ = false;
 
   // --- search-heuristic state ---
   AdaptiveRestartPolicy restart_policy_;  ///< restart trigger/block EMAs

@@ -16,11 +16,9 @@
 //     conflict are verified — and full deletion handling.
 //
 // The checker validates RUP redundancy first and falls back to a RAT check
-// on the first literal of the addition (the DRAT convention). Learned
-// clauses, BVE resolvents, strengthened clauses, and probed units emitted by
-// CdclSolver are all RUP; the RAT path exists for the restore path of the
-// inprocessing engine, which re-adds eliminated clauses pivot-first — those
-// re-additions are RAT on the pivot but not generally RUP.
+// on the first literal of the addition (the DRAT convention). Every clause
+// CdclSolver learns is RUP; the RAT path serves proofs from other DRAT
+// producers, which tools/drat_check accepts.
 #pragma once
 
 #include <cstddef>
@@ -46,15 +44,6 @@ class DratWriter {
 
   /// Records the deletion of a previously available clause.
   virtual void delete_clause(std::span<const Lit> lits) = 0;
-
-  /// Records that the solver brought back a clause it had previously deleted
-  /// (the inprocessing restore path; `lits` arrive pivot-first). The default
-  /// re-emits an addition — sound as a RAT step on the pivot when the proof
-  /// covers a fixed clause set (the tools path). Recorders that accompany an
-  /// incrementally growing formula override this to erase the earlier
-  /// deletion instead, which keeps the proof checkable against inputs that
-  /// arrive after the restore (un-deleting can never invalidate a proof).
-  virtual void restore_clause(std::span<const Lit> lits) { add_clause(lits); }
 
   void add_clause(std::initializer_list<Lit> lits) {
     add_clause(std::span(lits.begin(), lits.size()));
@@ -88,12 +77,6 @@ class DratProofRecorder final : public DratWriter {
   void delete_clause(std::span<const Lit> lits) override {
     proof_.steps.push_back(DratStep{true, Clause(lits.begin(), lits.end())});
   }
-  /// Erases the most recent matching deletion, so the clause reads as never
-  /// deleted; restore steps on the certificate path must stay valid even
-  /// when later incremental assertions mention the restored variable, which
-  /// a RAT re-addition cannot guarantee. Falls back to an addition when no
-  /// deletion matches (the clause predates this recorder).
-  void restore_clause(std::span<const Lit> lits) override;
 
   [[nodiscard]] const DratProof& proof() const noexcept { return proof_; }
   void clear() { proof_.steps.clear(); }

@@ -29,12 +29,6 @@ struct SessionOptions {
   /// exported (export_certificate). Adds proof-recording overhead per
   /// learned clause; off by default.
   bool certify = false;
-  /// CDCL only: inprocessing (level-0 cleanup, bounded variable
-  /// elimination) before and between searches.
-  /// Builder-mapped variables are frozen so model extraction and later
-  /// assumptions always see live variables. Composes with certify: every
-  /// simplifier derivation lands in the DRAT trace. On by default.
-  bool simplify = true;
 };
 
 struct SessionStats {
@@ -65,13 +59,11 @@ struct SessionStats {
   std::uint64_t db_core = 0;
   std::uint64_t db_tier2 = 0;
   std::uint64_t db_local = 0;
-  /// Inprocessing counters (CDCL backend with SessionOptions::simplify).
+  /// Always 0: the solver has no inprocessing pass. Kept only while the
+  /// end-to-end benchmark's traced run still reads them.
   std::uint64_t simplify_rounds = 0;
   std::uint64_t vars_eliminated = 0;
-  std::uint64_t clauses_strengthened = 0;
-  std::uint64_t restored_vars = 0;
-  /// Total solver variables allocated (Tseitin + cardinality auxiliaries);
-  /// vars_eliminated / solver_vars is the BVE reduction ratio.
+  /// Total solver variables allocated (Tseitin + cardinality auxiliaries).
   std::uint64_t solver_vars = 0;
 };
 
@@ -121,8 +113,8 @@ class SessionImpl {
 };
 
 /// Factory implemented in z3_backend.cpp (keeps z3++.h out of public headers).
-/// Z3 takes no session options: conflict budgets, proof logging and
-/// inprocessing are CDCL-only.
+/// Z3 takes no session options: conflict budgets and proof logging are
+/// CDCL-only.
 std::unique_ptr<SessionImpl> make_z3_impl(const FormulaBuilder& builder);
 /// Factory implemented in session.cpp.
 std::unique_ptr<SessionImpl> make_cdcl_impl(const FormulaBuilder& builder,

@@ -1,7 +1,6 @@
 #include "scada/smt/session.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "scada/smt/cdcl.hpp"
 #include "scada/smt/cnf.hpp"
@@ -56,8 +55,7 @@ class CdclSessionImpl final : public SessionImpl {
  public:
   CdclSessionImpl(const FormulaBuilder& builder, const SessionOptions& options)
       : builder_(builder),
-        solver_(CdclConfig{.max_conflicts = options.max_conflicts,
-                           .simplify = options.simplify}),
+        solver_(CdclConfig{.max_conflicts = options.max_conflicts}),
         recorder_(options.certify ? std::make_unique<DratProofRecorder>() : nullptr),
         sink_(solver_, recorder_ ? &cnf_ : nullptr),
         transformer_(builder, sink_) {
@@ -73,10 +71,6 @@ class CdclSessionImpl final : public SessionImpl {
     for (const Formula f : assumptions) {
       last_assumption_lits_.push_back(transformer_.define(f));
     }
-    // Builder variables are the model-extraction set (and candidates for
-    // future assumptions/blocking clauses): inprocessing must never
-    // eliminate them, or snapshot_model would read stale values.
-    freeze_extraction_vars();
     const SolveResult r = solver_.solve(last_assumption_lits_);
     if (r == SolveResult::Sat) snapshot_model();
     return r;
@@ -115,10 +109,6 @@ class CdclSessionImpl final : public SessionImpl {
     stats.db_core = tiers.core;
     stats.db_tier2 = tiers.mid;
     stats.db_local = tiers.local;
-    stats.simplify_rounds = s.simplify_rounds;
-    stats.vars_eliminated = s.vars_eliminated;
-    stats.clauses_strengthened = s.clauses_strengthened;
-    stats.restored_vars = s.restored_vars;
     stats.solver_vars = static_cast<std::uint64_t>(solver_.num_vars());
   }
 
@@ -166,19 +156,10 @@ class CdclSessionImpl final : public SessionImpl {
     return cnf;
   }
 
-  /// Freezes the solver counterpart of every builder variable mapped so far
-  /// (idempotent; later solves pick up newly mapped variables).
-  void freeze_extraction_vars() {
-    for (Var v = 1; v <= builder_.num_vars(); ++v) {
-      if (const auto sv = transformer_.try_solver_var(v)) solver_.freeze(*sv);
-    }
-  }
-
   void snapshot_model() {
     model_.assign(static_cast<std::size_t>(builder_.num_vars()) + 1, false);
     for (Var v = 1; v <= builder_.num_vars(); ++v) {
       if (const auto sv = transformer_.try_solver_var(v)) {
-        assert(!solver_.is_eliminated(*sv));  // frozen in solve()
         model_[static_cast<std::size_t>(v)] = solver_.model_value(*sv);
       }
     }

@@ -1,10 +1,12 @@
-// Differential property test for the inprocessing engine: on seeded random
-// CNF instances the solver must reach the same verdict with simplification on
-// and off, Sat models (after witness-stack reconstruction) must satisfy the
-// ORIGINAL pre-simplification clauses, and every unsat verdict's DRAT proof —
-// which now interleaves BVE resolvents, strengthenings, and deletions with
-// search-learned clauses — must pass the independent checker. A small truth
-// table oracle arbitrates rounds small enough to enumerate.
+// Differential property test for the CDCL solver on seeded random CNF
+// instances: every Sat model must satisfy the clauses, every unsat verdict's
+// DRAT proof must pass the independent checker, and a truth-table oracle
+// arbitrates the verdict of every round small enough to enumerate. The
+// incremental case replays a growing clause sequence with assumptions on one
+// solver and checks each verdict against brute force.
+//
+// The suite keeps the name it had when it compared the solver with its
+// inprocessing pass on and off; the pass is gone (DESIGN.md §8).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -60,7 +62,8 @@ bool truth_table_sat(const std::vector<Clause>& clauses, int nv) {
 
 std::vector<Clause> draw_instance(util::Rng& rng, int nv) {
   // Clause/variable ratio swept around the hard region so the corpus mixes
-  // sat and unsat instances; widths 1..4 give BVE real targets.
+  // sat and unsat instances; widths 1..4 mix units, binaries and longer
+  // clauses.
   const int nc = nv + static_cast<int>(rng.index(4 * nv));
   std::vector<Clause> clauses;
   for (int i = 0; i < nc; ++i) {
@@ -84,33 +87,25 @@ TEST(SimplifyDifferentialTest, VerdictsModelsAndProofsAgreeWithOracle) {
     const int nv = 4 + static_cast<int>(rng.index(21));  // 4..24 vars
     const std::vector<Clause> clauses = draw_instance(rng, nv);
 
-    CdclConfig on_config;
-    CdclConfig off_config;
-    off_config.simplify = false;
-
     DratProofRecorder recorder;
-    CdclSolver simplified(on_config);
-    simplified.set_proof(&recorder);
-    CdclSolver plain(off_config);
-    for (const Clause& c : clauses) {
-      simplified.add_clause(c);
-      plain.add_clause(c);
-    }
+    CdclSolver solver;
+    solver.set_proof(&recorder);
+    for (const Clause& c : clauses) solver.add_clause(c);
 
-    const SolveResult with_simplify = simplified.solve();
-    const SolveResult without = plain.solve();
-    ASSERT_EQ(with_simplify, without) << "round " << round << " nv=" << nv;
+    const SolveResult verdict = solver.solve();
+    ASSERT_NE(verdict, SolveResult::Unknown) << "round " << round << " nv=" << nv;
 
     if (nv <= 14) {
-      // Third, independent arbiter on enumerable instances.
+      // Independent arbiter on enumerable instances; larger ones rest on the
+      // model and proof checks below, which certify either verdict.
       const bool oracle = truth_table_sat(clauses, nv);
-      ASSERT_EQ(with_simplify == SolveResult::Sat, oracle) << "round " << round << " nv=" << nv;
+      ASSERT_EQ(verdict == SolveResult::Sat, oracle) << "round " << round << " nv=" << nv;
     }
 
-    if (with_simplify == SolveResult::Sat) {
+    if (verdict == SolveResult::Sat) {
       ++sats;
-      EXPECT_TRUE(model_satisfies(simplified, clauses))
-          << "reconstructed model violates an original clause, round " << round;
+      EXPECT_TRUE(model_satisfies(solver, clauses))
+          << "model violates a clause, round " << round;
     } else {
       ++unsats;
       ASSERT_TRUE(recorder.proof().derives_empty()) << "round " << round;
@@ -129,9 +124,10 @@ TEST(SimplifyDifferentialTest, VerdictsModelsAndProofsAgreeWithOracle) {
 }
 
 TEST(SimplifyDifferentialTest, IncrementalSolvesStayConsistent) {
-  // Interleave solving with clause additions and assumption queries so
-  // eliminate/restore cycles happen under fire. Each phase's verdict is
-  // cross-checked against a fresh no-simplify solver over the same clauses.
+  // Interleave solving with clause additions and assumption queries on one
+  // solver, so learned clauses and saved phases carry across solves. Each
+  // phase's verdict is checked by brute force over the clauses so far plus
+  // the assumption as a unit.
   util::Rng rng(0xBADF00D);
   for (int round = 0; round < 30; ++round) {
     const int nv = 6 + static_cast<int>(rng.index(10));
@@ -148,14 +144,13 @@ TEST(SimplifyDifferentialTest, IncrementalSolvesStayConsistent) {
       }
       const SolveResult got = incremental.solve(assumptions);
 
-      CdclConfig off;
-      off.simplify = false;
-      CdclSolver reference(off);
-      for (const Clause& c : clauses) reference.add_clause(c);
-      const SolveResult want = reference.solve(assumptions);
+      std::vector<Clause> with_units = clauses;
+      for (const Lit a : assumptions) with_units.push_back({a});
+      const SolveResult want =
+          truth_table_sat(with_units, nv) ? SolveResult::Sat : SolveResult::Unsat;
       ASSERT_EQ(got, want) << "round " << round << " phase " << phase;
       if (got == SolveResult::Sat) {
-        EXPECT_TRUE(model_satisfies(incremental, clauses))
+        EXPECT_TRUE(model_satisfies(incremental, with_units))
             << "round " << round << " phase " << phase;
       }
 

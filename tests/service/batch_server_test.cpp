@@ -221,9 +221,9 @@ TEST(BatchServerTest, HardenOpReturnsUpgradePlan) {
 
 TEST(BatchServerTest, LeftoverStrategyFieldIsIgnored) {
   // The MaxSAT search has one strategy, jobs wait in one FIFO queue and the
-  // protocol always simplifies; a client still naming a strategy, a priority
-  // or simplify gets the same answer, under the same fingerprint, as a
-  // client that does not.
+  // solver has no inprocessing switch; a client still naming a strategy, a
+  // priority or simplify gets the same answer, under the same fingerprint,
+  // as a client that does not.
   const std::string request =
       R"({"op":"security-index","scenario":{"builtin":"case_study_fig3"},)"
       R"("property":"secured_observability")";
@@ -283,6 +283,30 @@ TEST(BatchServerTest, ScenarioStoreKeepsATouchedSourceResident) {
     ASSERT_LE(resident.value(), static_cast<std::int64_t>(kScenarioMemoCapacity));
   }
   EXPECT_EQ(resident.value(), static_cast<std::int64_t>(kScenarioMemoCapacity));
+}
+
+TEST(BatchServerTest, ScenarioStoreIsBoundedInBytes) {
+  // A 1000-bus entry is mostly its dense Jacobian (~28 MB), so the entry
+  // count alone let 32 of them pin ~0.9 GB. Distinct large sources must keep
+  // service.scenario_bytes within kScenarioByteBudget plus the entry just
+  // admitted, and a small source touched between them stays resident.
+  BatchServer server;
+  const io::JsonValue touched = io::parse_json(R"({"synth":{"buses":14,"seed":0}})");
+  const std::shared_ptr<const ScenarioEntry> first = server.resolve_scenario(touched);
+  util::MetricsRegistry& metrics = server.scheduler().metrics();
+  const util::Gauge& bytes = metrics.gauge("service.scenario_bytes");
+  EXPECT_EQ(bytes.value(), static_cast<std::int64_t>(first->bytes));
+  for (int seed = 1; seed <= 4; ++seed) {
+    const std::shared_ptr<const ScenarioEntry> large = server.resolve_scenario(
+        io::parse_json(R"({"synth":{"buses":1000,"seed":)" + std::to_string(seed) + "}}"));
+    ASSERT_GT(large->bytes, kScenarioByteBudget / 4) << seed;
+    ASSERT_LE(bytes.value(), static_cast<std::int64_t>(kScenarioByteBudget + large->bytes))
+        << seed;
+    ASSERT_EQ(server.resolve_scenario(touched), first) << seed;
+  }
+  // The last large source and the touched one are what fits.
+  EXPECT_EQ(metrics.gauge("service.scenario_memo").value(), 2);
+  EXPECT_LE(bytes.value(), static_cast<std::int64_t>(kScenarioByteBudget));
 }
 
 TEST(BatchServerTest, StatsSnapshotsCacheAndScheduler) {

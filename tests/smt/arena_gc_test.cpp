@@ -23,11 +23,10 @@ namespace {
 /// A configuration that maximises GC traffic: the learned DB is reduced
 /// every few dozen conflicts and never allowed to grow, so freed clauses
 /// pile up waste and cross the collection threshold continuously.
-CdclConfig gc_stress_config(std::size_t learned_base, bool simplify) {
+CdclConfig gc_stress_config(std::size_t learned_base) {
   CdclConfig config;
   config.learned_base = learned_base;
   config.learned_growth = 1.0;
-  config.simplify = simplify;
   return config;
 }
 
@@ -72,9 +71,9 @@ DimacsInstance pigeonhole(int pigeons, int holes) {
 }
 
 TEST(ArenaGcTest, RandomAssumptionSweepsAgreeWithBruteForceUnderCompaction) {
-  // One persistent solver per simplify setting holding two disjoint parts:
-  // a planted (guaranteed-sat) random 3-SAT "oracle part" over vars
-  // 1..16, and a guard-literal-gated PHP(7,6) "churn part". Assuming the
+  // One persistent solver holding two disjoint parts: a planted
+  // (guaranteed-sat) random 3-SAT "oracle part" over vars 1..16, and a
+  // guard-literal-gated PHP(7,6) "churn part". Assuming the
   // guard activates the unsat pigeonhole core, which burns thousands of
   // conflicts through the 8-clause learned DB — hundreds of reduce +
   // compaction cycles. The oracle part is then solved under random
@@ -82,63 +81,60 @@ TEST(ArenaGcTest, RandomAssumptionSweepsAgreeWithBruteForceUnderCompaction) {
   // enumeration of that part plus the assumption units (the guard stays
   // free, so the churn part is satisfiable and cannot mask a verdict) —
   // an oracle that cannot share a relocation bug.
-  for (const bool simplify : {false, true}) {
-    util::Rng rng(simplify ? 777 : 888);
-    const int nv = 16;
-    const int nc = 4 * nv;
-    std::vector<Clause> clauses;
-    CdclSolver s(gc_stress_config(8, simplify));
-    // Oracle part, planted solution "v is true iff v is odd": flip one
-    // literal of any generated clause the planted assignment falsifies.
-    const auto planted = [](Lit l) { return (l.var() % 2 == 1) != l.negated(); };
-    for (int i = 0; i < nc; ++i) {
-      Clause c;
-      for (int j = 0; j < 3; ++j) {
-        const auto v = static_cast<Var>(1 + rng.index(nv));
-        c.push_back(Lit{v, rng.chance(0.5)});
-      }
-      if (std::none_of(c.begin(), c.end(), planted)) {
-        c[0] = Lit{c[0].var(), c[0].var() % 2 == 0};
-      }
-      clauses.push_back(c);
-      s.add_clause(c);
+  util::Rng rng(888);
+  const int nv = 16;
+  const int nc = 4 * nv;
+  std::vector<Clause> clauses;
+  CdclSolver s(gc_stress_config(8));
+  // Oracle part, planted solution "v is true iff v is odd": flip one
+  // literal of any generated clause the planted assignment falsifies.
+  const auto planted = [](Lit l) { return (l.var() % 2 == 1) != l.negated(); };
+  for (int i = 0; i < nc; ++i) {
+    Clause c;
+    for (int j = 0; j < 3; ++j) {
+      const auto v = static_cast<Var>(1 + rng.index(nv));
+      c.push_back(Lit{v, rng.chance(0.5)});
     }
-    // Churn part: PHP(7,6) with every clause gated on the guard literal.
-    const Var guard = static_cast<Var>(nv + 1);
-    const int pigeons = 7;
-    const int holes = 6;
-    const auto pv = [&](int p, int h) {
-      return static_cast<Var>(nv + 2 + p * holes + h);
-    };
-    for (int p = 0; p < pigeons; ++p) {
-      Clause c{neg(guard)};
-      for (int h = 0; h < holes; ++h) c.push_back(pos(pv(p, h)));
-      s.add_clause(c);
+    if (std::none_of(c.begin(), c.end(), planted)) {
+      c[0] = Lit{c[0].var(), c[0].var() % 2 == 0};
     }
-    for (int h = 0; h < holes; ++h) {
-      for (int p1 = 0; p1 < pigeons; ++p1) {
-        for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-          s.add_clause({neg(guard), neg(pv(p1, h)), neg(pv(p2, h))});
-        }
+    clauses.push_back(c);
+    s.add_clause(c);
+  }
+  // Churn part: PHP(7,6) with every clause gated on the guard literal.
+  const Var guard = static_cast<Var>(nv + 1);
+  const int pigeons = 7;
+  const int holes = 6;
+  const auto pv = [&](int p, int h) {
+    return static_cast<Var>(nv + 2 + p * holes + h);
+  };
+  for (int p = 0; p < pigeons; ++p) {
+    Clause c{neg(guard)};
+    for (int h = 0; h < holes; ++h) c.push_back(pos(pv(p, h)));
+    s.add_clause(c);
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        s.add_clause({neg(guard), neg(pv(p1, h)), neg(pv(p2, h))});
       }
     }
-    const std::vector<Lit> activate = {pos(guard)};
-    ASSERT_EQ(s.solve(activate), SolveResult::Unsat) << "simplify " << simplify;
-    ASSERT_GT(s.stats().arena_collections, 0u)
-        << "churn produced no GC with simplify=" << simplify;
-    for (int round = 0; round < 60; ++round) {
-      std::vector<Lit> assumptions;
-      for (int j = 0; j < 4; ++j) {
-        const auto v = static_cast<Var>(1 + rng.index(nv));
-        assumptions.push_back(Lit{v, rng.chance(0.5)});
-      }
-      std::vector<Clause> with_units = clauses;
-      for (const Lit a : assumptions) with_units.push_back({a});
-      const bool expected = brute_sat(with_units, nv);
-      ASSERT_EQ(s.solve(assumptions),
-                expected ? SolveResult::Sat : SolveResult::Unsat)
-          << "round " << round << " simplify " << simplify;
+  }
+  const std::vector<Lit> activate = {pos(guard)};
+  ASSERT_EQ(s.solve(activate), SolveResult::Unsat);
+  ASSERT_GT(s.stats().arena_collections, 0u) << "churn produced no GC";
+  for (int round = 0; round < 60; ++round) {
+    std::vector<Lit> assumptions;
+    for (int j = 0; j < 4; ++j) {
+      const auto v = static_cast<Var>(1 + rng.index(nv));
+      assumptions.push_back(Lit{v, rng.chance(0.5)});
     }
+    std::vector<Clause> with_units = clauses;
+    for (const Lit a : assumptions) with_units.push_back({a});
+    const bool expected = brute_sat(with_units, nv);
+    ASSERT_EQ(s.solve(assumptions),
+              expected ? SolveResult::Sat : SolveResult::Unsat)
+        << "round " << round;
   }
 }
 
@@ -149,7 +145,7 @@ TEST(ArenaGcTest, IncrementalAssumptionSweepAcrossCompactions) {
   // reason refs are exercised by compactions between every verdict.
   const int n = 7;
   const auto var = [&](int p, int h) { return static_cast<Var>(p * n + h + 1); };
-  CdclSolver s(gc_stress_config(25, true));
+  CdclSolver s(gc_stress_config(25));
   const DimacsInstance inst = pigeonhole(n, n);
   s.ensure_var(inst.num_vars);
   for (const Clause& c : inst.clauses) s.add_clause(c);
@@ -167,9 +163,11 @@ TEST(ArenaGcTest, IncrementalAssumptionSweepAcrossCompactions) {
 TEST(ArenaGcTest, DratProofStaysCheckableAcrossCompactions) {
   // Compaction relocates clauses but must not perturb what is derived or
   // logged: the proof of an unsat instance solved under constant GC churn
-  // still has to replay through the independent backward checker.
-  const DimacsInstance inst = pigeonhole(6, 5);
-  CdclSolver s(gc_stress_config(15, true));
+  // still has to replay through the independent backward checker. PHP(7,6)
+  // compacts about fifteen times at this limit; PHP(6,5) is over before the
+  // waste reaches the collection threshold.
+  const DimacsInstance inst = pigeonhole(7, 6);
+  CdclSolver s(gc_stress_config(15));
   DratProofRecorder recorder;
   s.set_proof(&recorder);
   s.ensure_var(inst.num_vars);

@@ -147,12 +147,8 @@ TEST(CdclTest, AgreesWithBruteForceOnRandom3Sat) {
 }
 
 TEST(CdclTest, PigeonholeUnsat) {
-  // PHP(4,3): 4 pigeons, 3 holes. var(p,h) = p*3 + h + 1. Inprocessing is
-  // off: this test exercises conflict analysis, and simplification decides
-  // an instance this small before search ever runs.
-  CdclConfig config;
-  config.simplify = false;
-  CdclSolver s(config);
+  // PHP(4,3): 4 pigeons, 3 holes. var(p,h) = p*3 + h + 1.
+  CdclSolver s;
   const auto v = [](int p, int h) { return static_cast<Var>(p * 3 + h + 1); };
   for (int p = 0; p < 4; ++p) {
     s.add_clause({pos(v(p, 0)), pos(v(p, 1)), pos(v(p, 2))});

@@ -194,7 +194,6 @@ TEST(TieredDbTest, ReductionChurnMovesClausesAcrossTiersWithoutChangingVerdicts)
   CdclConfig config;
   config.learned_base = 20;
   config.learned_growth = 1.0;
-  config.simplify = false;
   CdclSolver s(config);
   const DimacsInstance inst = pigeonhole(7, 6);
   s.ensure_var(inst.num_vars);
@@ -216,7 +215,6 @@ TEST(TieredDbTest, CoreClausesSurviveReductionStorms) {
   CdclConfig config;
   config.learned_base = 10;
   config.learned_growth = 1.0;
-  config.simplify = false;
   CdclSolver s(config);
   const DimacsInstance inst = pigeonhole(7, 6);
   s.ensure_var(inst.num_vars);
@@ -264,7 +262,6 @@ CdclConfig frequent_rephase_config() {
   config.restart.min_conflicts = 10;
   config.restart.margin = 0.5;
   config.rephase_interval = 8;
-  config.simplify = false;
   return config;
 }
 
@@ -303,7 +300,6 @@ TEST(RephaseTest, SeedAndToggleChangeOnlyTheSearchPathNotTheVerdict) {
   }
   CdclConfig off;
   off.rephase_interval = 0;
-  off.simplify = false;
   CdclSolver s(off);
   s.ensure_var(inst.num_vars);
   for (const Clause& c : inst.clauses) s.add_clause(c);

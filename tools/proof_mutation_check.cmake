@@ -10,16 +10,12 @@
 #
 # Variables: SAT_SOLVE, DRAT_CHECK (executables), CNF (unsat instance with no
 # unit clauses), WORK_DIR (scratch directory).
-#
-# Runs with --no-simplify so the proof is a pure search derivation;
-# simplifier-produced proofs have their own mutation test
-# (simplify_proof_mutation_check.cmake).
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(proof "${WORK_DIR}/proof.drat")
 set(mutated "${WORK_DIR}/proof_mutated.drat")
 
 execute_process(
-  COMMAND ${SAT_SOLVE} --no-simplify --proof ${proof} ${CNF}
+  COMMAND ${SAT_SOLVE} --proof ${proof} ${CNF}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out)
 if(NOT rc EQUAL 20)
@@ -35,7 +31,7 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "s VERIFIED")
 endif()
 
 # Truncate the proof to its first addition step (the first line of a
-# no-simplify solver proof is always a learned clause) plus a claimed empty
+# solver proof is always a learned clause) plus a claimed empty
 # clause. One learned clause cannot make the instance UP-inconsistent — the
 # CNF has no unit clauses, so nothing propagates — hence the empty clause is
 # neither RUP nor RAT and the checker must refuse the claimed conclusion.

@@ -41,12 +41,11 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--proof FILE | --binary-proof FILE] [--timeout-ms N] [--no-simplify] "
+               "usage: %s [--proof FILE | --binary-proof FILE] [--timeout-ms N] "
                "[--assume LIT]... <dimacs.cnf>\n"
                "  --proof FILE         stream a text DRAT proof to FILE\n"
                "  --binary-proof FILE  stream a binary DRAT proof to FILE\n"
                "  --timeout-ms N       give up after N ms with 's UNKNOWN' (exit 0)\n"
-               "  --no-simplify        disable inprocessing (BVE)\n"
                "  --assume LIT         solve under the DIMACS literal (repeatable);\n"
                "                       an unsat verdict then also prints the subset of\n"
                "                       assumptions used ('v LIT... 0' core line)\n",
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
   const char* cnf_path = nullptr;
   const char* proof_path = nullptr;
   bool binary_proof = false;
-  bool simplify = true;
   long long timeout_ms = 0;
   std::vector<int> assume_ints;
   const auto next_token = [&](int& i) { return i + 1 < argc ? argv[++i] : nullptr; };
@@ -98,8 +96,6 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc || proof_path != nullptr) return usage(argv[0]);
       binary_proof = std::strcmp(argv[i], "--binary-proof") == 0;
       proof_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--no-simplify") == 0) {
-      simplify = false;
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
       timeout_ms = scada::util::cli_long_in("--timeout-ms", next_token(i), 1,
                                             std::numeric_limits<long long>::max());
@@ -124,7 +120,7 @@ int main(int argc, char** argv) {
 
     std::ofstream proof_out;
     std::unique_ptr<DratWriter> proof_writer;
-    CdclSolver solver(CdclConfig{.simplify = simplify});
+    CdclSolver solver;
     if (proof_path != nullptr) {
       proof_out.open(proof_path, binary_proof ? std::ios::binary : std::ios::out);
       if (!proof_out) throw scada::ParseError(std::string("cannot open ") + proof_path);
@@ -159,8 +155,6 @@ int main(int argc, char** argv) {
                 instance.num_vars, instance.clauses.size(), timer.seconds(),
                 static_cast<unsigned long long>(stats.conflicts),
                 static_cast<unsigned long long>(stats.decisions));
-    std::printf("c simplify: vars-eliminated=%llu\n",
-                static_cast<unsigned long long>(stats.vars_eliminated));
     const DbTierSizes tiers = solver.db_tier_sizes();
     std::printf("c search: restarts=%llu blocked=%llu rephases=%llu "
                 "db-core=%zu db-tier2=%zu db-local=%zu\n",
